@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
-from .scalars import KindMismatch, kind_by_name
+from .scalars import SCALAR_NAMES, KindMismatch, kind_by_name
 
 __all__ = ["main"]
 
@@ -58,13 +58,7 @@ def _parse_ints(text: str, what: str) -> tuple:
         raise formats.FormatError(f"{what} must be comma-separated integers") from None
 
 
-def _add_scalar(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scalar",
-        choices=["rational", "gaussian", "complex-float"],
-        default="rational",
-        help="scalar kind for parsing values (default rational)",
-    )
+def _add_tolerance(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tolerance",
         type=float,
@@ -73,17 +67,22 @@ def _add_scalar(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_scalar(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--scalar",
+        choices=SCALAR_NAMES,
+        default="rational",
+        help="scalar kind for parsing values (default rational)",
+    )
+    _add_tolerance(p)
+
+
 def _add_io(p: argparse.ArgumentParser, reads: bool = True, writes: bool = True) -> None:
     if reads:
         p.add_argument(
             "input", nargs="?", default="-", help="input file, or - for stdin"
         )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="absolute tolerance for complex-float comparisons",
-        )
+        _add_tolerance(p)
     if writes:
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -96,25 +95,26 @@ def _add_frieze_output(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_grid(args) -> frieze.FriezeGrid:
-    doc = formats.loads(_read_input(args.input))
-    if not isinstance(doc, formats.FriezeDocument):
-        raise formats.FormatError("expected a frieze document")
-    return formats.grid_of(doc, getattr(args, "tolerance", None))
+# document type -> (its name in error messages, converter to the live object)
+_DOCUMENTS = {
+    formats.FriezeDocument: ("a frieze document", formats.grid_of),
+    formats.SLDocument: ("an sl-frieze document", formats.sl_of),
+    formats.PolygonDocument: ("a polygon document", formats.polygon_of),
+}
 
 
-def _load_sl(args) -> slfrieze.SLFrieze:
-    doc = formats.loads(_read_input(args.input))
-    if not isinstance(doc, formats.SLDocument):
-        raise formats.FormatError("expected an sl-frieze document")
-    return formats.sl_of(doc, getattr(args, "tolerance", None))
+def _load(args, doc_type, path: Optional[str] = None, convert: bool = True):
+    """Read a `doc_type` document from `path` (default: the input argument).
 
-
-def _load_polygon(args) -> legendrian.Polygon:
-    doc = formats.loads(_read_input(args.input))
-    if not isinstance(doc, formats.PolygonDocument):
-        raise formats.FormatError("expected a polygon document")
-    return formats.polygon_of(doc, getattr(args, "tolerance", None))
+    Returns the live object unless `convert` is false.  A named `path`
+    prefixes the wrong-kind error.
+    """
+    doc = formats.loads(_read_input(args.input if path is None else path))
+    name, to_object = _DOCUMENTS[doc_type]
+    if not isinstance(doc, doc_type):
+        prefix = "" if path is None else f"{path}: "
+        raise formats.FormatError(f"{prefix}expected {name}")
+    return to_object(doc, args.tolerance) if convert else doc
 
 
 def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
@@ -148,7 +148,7 @@ def _cmd_frieze_from_zigzag(args) -> int:
 
 
 def _cmd_frieze_verify(args) -> int:
-    g = _load_grid(args)
+    g = _load(args, formats.FriezeDocument)
     print("local rules: ok")
     tame = frieze.check_tame(g)
     if not tame.ok:
@@ -162,12 +162,12 @@ def _cmd_frieze_verify(args) -> int:
 
 
 def _cmd_frieze_show(args) -> int:
-    _emit_grid(_load_grid(args), args)
+    _emit_grid(_load(args, formats.FriezeDocument), args)
     return 0
 
 
 def _cmd_frieze_twist(args) -> int:
-    _emit_grid(frieze.sign_twist(_load_grid(args)), args)
+    _emit_grid(frieze.sign_twist(_load(args, formats.FriezeDocument)), args)
     return 0
 
 
@@ -217,25 +217,25 @@ def _cmd_eq_variety(args) -> int:
 # sl commands
 
 def _cmd_sl_black(args) -> int:
-    f = slfrieze.black_of(_load_grid(args))
+    f = slfrieze.black_of(_load(args, formats.FriezeDocument))
     _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
     return 0
 
 
 def _cmd_sl_to_symplectic(args) -> int:
-    g = slfrieze.symplectic_of(_load_sl(args))
+    g = slfrieze.symplectic_of(_load(args, formats.SLDocument))
     _emit_grid(g, args)
     return 0
 
 
 def _cmd_sl_dual(args) -> int:
-    f = slfrieze.projective_dual(_load_sl(args))
+    f = slfrieze.projective_dual(_load(args, formats.SLDocument))
     _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
     return 0
 
 
 def _cmd_sl_gale(args) -> int:
-    f = slfrieze.gale_dual(_load_sl(args))
+    f = slfrieze.gale_dual(_load(args, formats.SLDocument))
     _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
     return 0
 
@@ -300,21 +300,19 @@ def _cmd_cluster_evaluate(args) -> int:
 # polygon commands
 
 def _cmd_polygon_from_frieze(args) -> int:
-    p = legendrian.polygon_from_frieze(_load_grid(args), args.anchor)
+    p = legendrian.polygon_from_frieze(_load(args, formats.FriezeDocument), args.anchor)
     _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
     return 0
 
 
 def _cmd_polygon_to_frieze(args) -> int:
-    g = legendrian.frieze_from_polygon(_load_polygon(args))
+    g = legendrian.frieze_from_polygon(_load(args, formats.PolygonDocument))
     _emit_grid(g, args)
     return 0
 
 
 def _cmd_polygon_normalize(args) -> int:
-    doc = formats.loads(_read_input(args.input))
-    if not isinstance(doc, formats.PolygonDocument):
-        raise formats.FormatError("expected a polygon document")
+    doc = _load(args, formats.PolygonDocument, convert=False)
     tolerance = args.tolerance if args.tolerance is not None else 1e-9
     kind = kind_by_name("complex-float", tolerance)
     form = legendrian.SymplecticForm(
@@ -327,7 +325,7 @@ def _cmd_polygon_normalize(args) -> int:
 
 
 def _cmd_polygon_coeffs(args) -> int:
-    a, b = legendrian.coeffs_from_polygon(_load_polygon(args))
+    a, b = legendrian.coeffs_from_polygon(_load(args, formats.PolygonDocument))
     print("a: " + ", ".join(str(v) for v in a))
     print("b: " + ", ".join(str(v) for v in b))
     return 0
@@ -351,10 +349,7 @@ def _cmd_search_orbits(args) -> int:
     grids = []
     names = []
     for path in args.inputs:
-        doc = formats.loads(_read_input(path))
-        if not isinstance(doc, formats.FriezeDocument):
-            raise formats.FormatError(f"{path}: expected a frieze document")
-        grids.append(formats.grid_of(doc, args.tolerance))
+        grids.append(_load(args, formats.FriezeDocument, path))
         names.append(path)
     classes = search.dihedral_orbits(grids)
     by_id = {id(g): name for g, name in zip(grids, names)}

@@ -146,9 +146,6 @@ def band_determinant(eq: SymmetricDiffEq, i: int, j: int):
     return Matrix(k, rows).det()
 
 
-delta = band_determinant
-
-
 def white_band_determinant(eq: SymmetricDiffEq, i: int, j: int):
     """Symmetric band determinant of order j - i + 1 for white entries.
 

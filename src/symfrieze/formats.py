@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 from .diffeq import SymmetricDiffEq
 from .frieze import FriezeError, FriezeGrid, check_local_rules
 from .legendrian import Polygon, SymplecticForm
-from .scalars import GaussianRational, ScalarKind, kind_by_name
+from .scalars import SCALAR_NAMES, GaussianRational, ScalarKind, kind_by_name
 from .slfrieze import SLFrieze
 
 __all__ = [
@@ -76,6 +76,11 @@ def _encode_value(scalar: str, v) -> Any:
 
 
 def _decode_value(scalar: str, raw) -> Any:
+    # bool subclasses int, but JSON true and false are never scalars
+    if isinstance(raw, bool) or (
+        isinstance(raw, list) and any(isinstance(x, bool) for x in raw)
+    ):
+        raise ValueError(f"cannot read {raw!r} as a {scalar} value")
     if scalar == "rational":
         if isinstance(raw, (str, int)):
             return Fraction(raw)
@@ -98,11 +103,8 @@ def _cell_token(scalar: str, v) -> str:
     return str(v)
 
 
-_SCALARS = ("rational", "gaussian", "complex-float")
-
-
 def _check_scalar(name) -> str:
-    if name not in _SCALARS:
+    if name not in SCALAR_NAMES:
         raise FormatError(f"unknown scalar kind {name!r}")
     return name
 
@@ -313,7 +315,7 @@ def _want(obj: Dict[str, Any], key: str, types) -> Any:
     if key not in obj:
         raise FormatError(f"missing field {key!r}")
     v = obj[key]
-    if not isinstance(v, types):
+    if isinstance(v, bool) or not isinstance(v, types):
         raise FormatError(f"field {key!r} has the wrong type")
     return v
 
@@ -412,7 +414,7 @@ def _parse_frieze_text(text: str) -> FriezeDocument:
             column=1,
         )
     width, period, scalar = int(m.group(1)), int(m.group(2)), m.group(3)
-    if scalar not in _SCALARS:
+    if scalar not in SCALAR_NAMES:
         raise FormatError(f"unknown scalar kind {scalar!r}", line=1, column=1)
     rows = lines[1:]
     if len(rows) != width + 2:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
+from .diffeq import SymmetricDiffEq, solve
+from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
 
@@ -114,6 +116,31 @@ class TameResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def adjacent_minors(
+    kind: ScalarKind, get, size: int, period: int, offsets
+) -> Iterator[Tuple[int, int, object]]:
+    """Yield (i, j, det) for the size x size windows of `get` anchored at
+    (i, i + o), for i over one period and o over `offsets` in order."""
+    for i in range(period):
+        for o in offsets:
+            j = i + o
+            rows = [[get(i + r, j + c) for c in range(size)] for r in range(size)]
+            yield i, j, det(Matrix(kind, rows))
+
+
+def check_minors(kind: ScalarKind, get, period: int, conditions) -> TameResult:
+    """Scan `conditions`, a sequence of (size, offsets, expected), in order.
+
+    The first window whose minor differs from expected(i, j) is reported.
+    """
+    for size, offsets, expected in conditions:
+        for i, j, value in adjacent_minors(kind, get, size, period, offsets):
+            want = expected(i, j)
+            if not kind.eq(value, want):
+                return TameResult(False, MinorWindow(size, i, j, value, want))
+    return TameResult(True, None)
 
 
 @dataclass(frozen=True)
@@ -231,6 +258,23 @@ class FriezeGrid:
                 store[((I + 2 * n) % (4 * n), 2 * o)] = v
         return cls(kind, width, store)
 
+    @classmethod
+    def from_blacks(cls, kind: ScalarKind, width: int, blk) -> "FriezeGrid":
+        """Build a grid from its black entries, blk(i, j) = d[i, j].
+
+        Each white cell is the adjacent 2x2 minor of the black cells
+        around it.
+        """
+        cells = {}
+        for x in range(2 * (width + 5)):
+            for o in range(width):
+                i, j = (x - o) // 2, (x + o) // 2
+                if (x - o) % 2 == 0:
+                    cells[(x, o)] = blk(i, j)
+                else:
+                    cells[(x, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
+        return cls.from_cells(kind, width, cells)
+
     def get(self, I: int, J: int):
         """Entry at (I, J), reduced into the stored band with its sign."""
         R = J - I
@@ -303,63 +347,32 @@ class FriezeGrid:
         )
 
 
-def get_entry(grid: FriezeGrid, idx: GridIndex):
-    """Entry of `grid` at `idx`, guards and antiperiodic images included."""
-    return grid.get_entry(idx)
-
-
 def propagate_from_coeffs(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL) -> FriezeGrid:
     """Grow the full grid of width len(a) - 5 from one coefficient period.
 
-    Each diagonal starts as (0, 0, 0, 1) and runs the linear recurrence
-    V[j] = a[j] V[j-1] - b[j] V[j-2] + a[j-1] V[j-3] - V[j-4].  The
-    diagonal must then hit (1, 0, 0, 0); the first index where it does
-    not raises NotSuperperiodic.  White cells are filled in as the 2x2
-    minors of the black grid.
+    Each diagonal starts as (0, 0, 0, 1) and runs the recurrence of
+    `diffeq.solve`.  The diagonal must then hit (1, 0, 0, 0); the first
+    index where it does not raises NotSuperperiodic.  White cells are
+    filled in as the 2x2 minors of the black grid.
     """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("coefficient lists must share one period")
-    if n < 5:
-        raise ValueError("period must be at least 5")
+    eq = SymmetricDiffEq(tuple(a), tuple(b), kind)
+    n = eq.n
     w = n - 5
-    A = [kind.coerce(v) for v in a]
-    B = [kind.coerce(v) for v in b]
     zero, one = kind.zero(), kind.one()
+    start = (zero, zero, zero, one)
 
     diags = []
     for i in range(n):
-        V = {i - 4: zero, i - 3: zero, i - 2: zero, i - 1: one}
-        for j in range(i, i + w + 4):
-            V[j] = (
-                A[j % n] * V[j - 1]
-                - B[j % n] * V[j - 2]
-                + A[(j - 1) % n] * V[j - 3]
-                - V[j - 4]
-            )
-        closed = kind.eq(V[i + w], one) and all(
-            kind.is_zero(V[i + w + t]) for t in (1, 2, 3)
-        )
+        V = start + solve(eq, start, i, w + 4)  # V[4 + t] = d[i, i + t]
+        closed = kind.eq(V[4 + w], one) and all(kind.is_zero(v) for v in V[5 + w:])
         if not closed:
             raise NotSuperperiodic(i)
         diags.append(V)
 
     def blk(i: int, j: int):
-        r = i % n
-        return diags[r][j - (i - r)]
+        return diags[i % n][4 + j - i]
 
-    cells = {}
-    for x in range(2 * n):
-        for o in range(w):
-            if (x - o) % 2 == 0:
-                i, j = (x - o) // 2, (x + o) // 2
-                cells[(x, o)] = blk(i, j)
-            else:
-                i, j = (x - o - 1) // 2, (x + o - 1) // 2
-                cells[(x, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(
-                    i, j + 1
-                )
-    return FriezeGrid.from_cells(kind, w, cells)
+    return FriezeGrid.from_blacks(kind, w, blk)
 
 
 def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind = RATIONAL) -> FriezeGrid:
@@ -399,16 +412,21 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
             return vals[o][1]
         raise AssertionError("column out of reach during redress")
 
+    def step(o: int, col: int, v, above, below, known, known_col: int):
+        # local rule at v = (row o, column col): west * east = lhs(v) + above * below,
+        # with `known` the neighbour at known_col = col -/+ 1; returns the other one
+        if kind.is_zero(known):
+            raise ZeroPivot(GridIndex(known_col - o, known_col + o))
+        lhs = v * v if (col - o) % 2 == 0 else v
+        return (lhs + above * below) / known
+
     target = min(s)
     while max(s) > target:
         m = max(s)
         o = s.index(m)
         pivot, east = vals[o]
         above, below = at(o - 1, m), at(o + 1, m)
-        if kind.is_zero(east):
-            raise ZeroPivot(GridIndex(m + 1 - o, m + 1 + o))
-        lhs = pivot * pivot if (m - o) % 2 == 0 else pivot
-        vals[o] = [(lhs + above * below) / east, pivot]
+        vals[o] = [step(o, m, pivot, above, below, east, m + 1), pivot]
         s[o] = m - 1
 
     c = target
@@ -417,12 +435,9 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
         prev, cur = cols[x - 2], cols[x - 1]
         nxt = []
         for o in range(w):
-            if kind.is_zero(prev[o]):
-                raise ZeroPivot(GridIndex(x - 2 - o, x - 2 + o))
             above = cur[o - 1] if o > 0 else one
             below = cur[o + 1] if o < w - 1 else one
-            lhs = cur[o] * cur[o] if (x - 1 - o) % 2 == 0 else cur[o]
-            nxt.append((lhs + above * below) / prev[o])
+            nxt.append(step(o, x - 1, cur[o], above, below, prev[o], x - 2))
         cols[x] = nxt
     for shift in (0, 1):
         back, start = cols[c + 2 * n + shift], cols[c + shift]
@@ -472,27 +487,13 @@ def check_tame(grid: FriezeGrid) -> TameResult:
     covers all distinct conditions.  The first failing window, if any,
     is reported.
     """
-    from .linalg import Matrix
-
-    k = grid.kind
-    n = grid.period
+    k, n = grid.kind, grid.period
     one, zero = k.one(), k.zero()
-    for m in (3, 4, 5):
-        for i in range(n):
-            for j in range(i - m - 3, i + n - m - 3):
-                mat = Matrix(
-                    k, [[grid.black(i + r, j + c) for c in range(m)] for r in range(m)]
-                )
-                v = mat.det()
-                if m == 3:
-                    expected = grid.black(i + 1, j + 1)
-                elif m == 4:
-                    expected = one
-                else:
-                    expected = zero
-                if not k.eq(v, expected):
-                    return TameResult(False, MinorWindow(m, i, j, v, expected))
-    return TameResult(True, None)
+    return check_minors(k, grid.black, n, (
+        (3, range(-6, n - 6), lambda i, j: grid.black(i + 1, j + 1)),
+        (4, range(-7, n - 7), lambda i, j: one),
+        (5, range(-8, n - 8), lambda i, j: zero),
+    ))
 
 
 def check_glide(grid: FriezeGrid) -> bool:
@@ -520,24 +521,6 @@ def check_periodicity(grid: FriezeGrid) -> int:
         if all(k.eq(v, grid.cell(x + p, o)) for (x, o), v in grid.cells()):
             return p
     raise AssertionError("grid is not periodic over its own domain")
-
-
-def entry_by_determinant(a: Sequence, b: Sequence, i: int, j: int, kind: ScalarKind = RATIONAL, white: bool = False):
-    """Interior entry straight from the coefficients, no propagation.
-
-    Black (default): d[i, j] as the banded determinant of order
-    j - i + 1.  White: d[i + 1/2, j + 1/2] from the symmetric banded
-    determinant of the same order.  Requires 0 <= j - i < width.
-    """
-    from .diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
-
-    w = len(a) - 5
-    if not 0 <= j - i < w:
-        raise ValueError(f"offset {j - i} is not an interior row")
-    eq = SymmetricDiffEq(tuple(a), tuple(b), kind)
-    if white:
-        return white_band_determinant(eq, i + 1, j + 1)
-    return band_determinant(eq, i, j)
 
 
 def sign_twist(grid: FriezeGrid) -> FriezeGrid:
@@ -586,8 +569,6 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
     else:
         if len(blacks) < 3:
             raise Underdetermined("degenerate 3x3 minor and no third black entry")
-        from .linalg import Matrix
-
         a0 = blacks[-3]
         zero = kind.zero()
 
@@ -668,8 +649,6 @@ def dihedral_images(grid: FriezeGrid) -> Iterator[FriezeGrid]:
 
 def black_block(grid: FriezeGrid, i: int, j: int):
     """4x4 matrix of black entries, rows i..i+3 against columns j-3..j."""
-    from .linalg import Matrix
-
     return Matrix(
         grid.kind,
         [[grid.black(i + r, j - 3 + c) for c in range(4)] for r in range(4)],

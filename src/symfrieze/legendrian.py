@@ -200,19 +200,7 @@ def frieze_from_polygon(p: Polygon) -> FriezeGrid:
     def blk(i, j):
         return omega(p.form, p.vertex(i - 3), p.vertex(j))
 
-    w = p.width
-    cells = {}
-    for x in range(2 * n):
-        for o in range(w):
-            if (x - o) % 2 == 0:
-                i, j = (x - o) // 2, (x + o) // 2
-                cells[(x, o)] = blk(i, j)
-            else:
-                i, j = (x - o - 1) // 2, (x + o - 1) // 2
-                cells[(x, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(
-                    i, j + 1
-                )
-    return FriezeGrid.from_cells(kind, w, cells)
+    return FriezeGrid.from_blacks(kind, p.width, blk)
 
 
 def _column_matrix(kind: ScalarKind, cols: Sequence[Sequence]) -> Matrix:

@@ -55,20 +55,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.kind, [[-v for v in row] for row in self.rows])
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_kind(other)
-        return Matrix(
-            self.kind,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_kind(other)
-        return Matrix(
-            self.kind,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 

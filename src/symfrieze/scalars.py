@@ -218,7 +218,8 @@ RATIONAL = RationalKind()
 GAUSSIAN = GaussianKind()
 COMPLEX = ComplexFloatKind()
 
-_BY_NAME = {"rational": RATIONAL, "gaussian": GAUSSIAN, "complex-float": COMPLEX}
+_BY_NAME = {kind.name: kind for kind in (RATIONAL, GAUSSIAN, COMPLEX)}
+SCALAR_NAMES = tuple(_BY_NAME)
 
 
 def kind_by_name(name: str, tolerance: float | None = None) -> ScalarKind:

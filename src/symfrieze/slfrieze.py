@@ -16,6 +16,8 @@ from .frieze import (
     MinorWindow,
     NotSuperperiodic,
     TameResult,
+    adjacent_minors,
+    check_minors,
 )
 
 __all__ = [
@@ -308,28 +310,13 @@ def symplectic_of(f: SLFrieze) -> FriezeGrid:
     """
     if f.order != 3:
         raise FriezeError(f"symplectic conversion needs order 3, got {f.order}")
-    kind = f.kind
-    n = f.period
-    for i in range(n):
-        for t in range(n):
-            j = i + t - 5
-            m = Matrix(kind, [[f.get(i + r, j + c) for c in range(3)] for r in range(3)])
-            value = det(m)
-            center = f.get(i + 1, j + 1)
-            if not kind.eq(value, center):
-                raise MinorCondition(MinorWindow(3, i, j, value, center))
-    cells = {}
-    for x in range(2 * n):
-        for o in range(f.width):
-            if (x - o) % 2 == 0:
-                i, j = (x - o) // 2, (x + o) // 2
-                cells[(x, o)] = f.get(i, j)
-            else:
-                i, j = (x - o - 1) // 2, (x + o - 1) // 2
-                cells[(x, o)] = f.get(i, j) * f.get(i + 1, j + 1) - f.get(
-                    i + 1, j
-                ) * f.get(i, j + 1)
-    return FriezeGrid.from_cells(kind, f.width, cells)
+    found = check_minors(
+        f.kind, f.get, f.period,
+        ((3, range(-5, f.period - 5), lambda i, j: f.get(i + 1, j + 1)),),
+    )
+    if not found.ok:
+        raise MinorCondition(found.window)
+    return FriezeGrid.from_blacks(f.kind, f.width, f.get)
 
 
 def projective_dual(f: SLFrieze) -> SLFrieze:
@@ -339,17 +326,13 @@ def projective_dual(f: SLFrieze) -> SLFrieze:
     Composing the map with itself translates the array by one less than
     the order; order 1 gives it back on the nose.
     """
-    k = f.order
-    kind = f.kind
-    cells = {}
-    for i in range(f.period):
-        for o in range(-1, f.width + 1):
-            j = i + o
-            m = Matrix(
-                kind, [[f.get(i + r, j + c) for c in range(k)] for r in range(k)]
-            )
-            cells[(i, o)] = det(m)
-    return SLFrieze(kind, k, f.width, cells)
+    cells = {
+        (i, j - i): value
+        for i, j, value in adjacent_minors(
+            f.kind, f.get, f.order, f.period, range(-1, f.width + 1)
+        )
+    }
+    return SLFrieze(f.kind, f.order, f.width, cells)
 
 
 def gale_dual(f: SLFrieze) -> SLFrieze:
@@ -407,17 +390,8 @@ def check_unimodular(f: SLFrieze) -> TameResult:
     minor must vanish, windows across the guard seams included.
     """
     k, n = f.order, f.period
-    kind = f.kind
-    one, zero = kind.one(), kind.zero()
-    for size, expected in ((k + 1, one), (k + 2, zero)):
-        for i in range(n):
-            for t in range(n):
-                j = i + t - size - 1
-                m = Matrix(
-                    kind,
-                    [[f.get(i + r, j + c) for c in range(size)] for r in range(size)],
-                )
-                value = det(m)
-                if not kind.eq(value, expected):
-                    return TameResult(False, MinorWindow(size, i, j, value, expected))
-    return TameResult(True, None)
+    one, zero = f.kind.one(), f.kind.zero()
+    return check_minors(f.kind, f.get, n, (
+        (k + 1, range(-k - 2, n - k - 2), lambda i, j: one),
+        (k + 2, range(-k - 3, n - k - 3), lambda i, j: zero),
+    ))

@@ -199,9 +199,14 @@ def test_out_flag(tmp_path, width1_int):
 # ---------------------------------------------------------------------------
 # exit codes
 
-def test_exit_codes():
+def test_exit_codes(width1_int):
     rc, _, err = run(["frieze", "verify", "-"], stdin="garbage\n")
     assert rc == 2 and "error:" in err
+
+    doc = dumps(document_of(width1_int))
+    assert '"width":1' in doc
+    rc, out, err = run(["frieze", "verify", "-"], stdin=doc.replace('"width":1', '"width":true'))
+    assert rc == 2 and out == "" and err == "error: field 'width' has the wrong type\n"
 
     rc, _, err = run(["frieze", "verify", "/no/such/file"])
     assert rc == 2 and "cannot read" in err

@@ -8,7 +8,6 @@ from symfrieze.diffeq import (
     ZeroParameter,
     band_determinant,
     companion,
-    delta,
     is_superperiodic,
     monodromy,
     solve,
@@ -99,9 +98,8 @@ def test_band_determinants_reproduce_entries(eq2, width2_int):
             assert band_determinant(eq2, i, i + off) == 0
 
 
-def test_delta_alias(eq2):
-    assert delta is band_determinant
-    assert delta(eq2, 0, -1) == 1  # empty band
+def test_empty_band(eq2):
+    assert band_determinant(eq2, 0, -1) == 1
 
 
 def test_variety_residuals_vanish():

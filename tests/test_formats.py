@@ -123,6 +123,13 @@ def test_json_errors():
         '{"kind":"frieze","scalar":"rational","width":2,'
         '"entries":{"0,0":"1/0"},"period":7}\n'
     )
+    # JSON booleans are not integers, neither as fields nor as entries
+    with pytest.raises(FormatError, match="'width' has the wrong type"):
+        loads('{"kind":"frieze","scalar":"rational","width":true,"entries":{},"period":6}\n')
+    with pytest.raises(FormatError, match="bad rational value True"):
+        loads('{"kind":"frieze","scalar":"rational","width":1,"entries":{"0,0":true},"period":6}\n')
+    with pytest.raises(FormatError, match="bad complex-float value"):
+        loads('{"kind":"equation","scalar":"complex-float","a":[[false,0]],"b":[]}\n')
 
 
 # ---------------------------------------------------------------------------

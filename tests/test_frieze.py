@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
+from symfrieze.diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
+    MinorWindow,
     NotClosed,
     NotSuperperiodic,
     Underdetermined,
@@ -18,7 +20,6 @@ from symfrieze.frieze import (
     check_periodicity,
     check_tame,
     dihedral_images,
-    entry_by_determinant,
     extend_through_zero,
     extract_coeffs,
     find_nonzero_double_zigzag,
@@ -29,6 +30,7 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.scalars import RATIONAL
+from symfrieze.slfrieze import black_of, check_unimodular
 
 
 def F(values):
@@ -191,9 +193,9 @@ def test_zigzag_wrong_count():
 # determinant entry formula
 
 def test_entry_by_determinant(width2_int):
-    a, b = WIDTH2_COEFFS
-    assert entry_by_determinant(a, b, 0, 1) == width2_int.black(0, 1)
-    assert entry_by_determinant(a, b, 0, 0, white=True) == Fraction(14)
+    eq = SymmetricDiffEq(*WIDTH2_COEFFS)
+    assert band_determinant(eq, 0, 1) == width2_int.black(0, 1)
+    assert white_band_determinant(eq, 1, 1) == Fraction(14)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +269,17 @@ def test_null_interior_not_tame(width2_null):
     assert check_local_rules(width2_null) == ()
     result = check_tame(width2_null)
     assert not result.ok
-    assert result.window.size == 3
+    assert result.window == MinorWindow(3, 0, -6, Fraction(-1), Fraction(0))
+    unimodular = check_unimodular(black_of(width2_null))
+    assert unimodular.window == MinorWindow(4, 0, 0, Fraction(0), Fraction(1))
 
 
 def test_gauss_grid_not_tame(width1_gauss):
     assert check_local_rules(width1_gauss) == ()
     result = check_tame(width1_gauss)
     assert not result.ok
-    assert result.window.size == 4
-    assert result.window.value == width1_gauss.kind.from_int(-1)
+    kind = width1_gauss.kind
+    assert result.window == MinorWindow(4, 0, -6, kind.from_int(-1), kind.one())
 
 
 def test_degenerate_grids_have_no_seed(width7_zero, width1_const):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from symfrieze.frieze import NotSuperperiodic, propagate_from_coeffs, propagate_from_zigzag
+from symfrieze.frieze import MinorWindow, NotSuperperiodic, propagate_from_coeffs, propagate_from_zigzag
 from symfrieze.linalg import Matrix, det
 from symfrieze.scalars import RATIONAL
 from symfrieze.slfrieze import (
@@ -170,7 +170,7 @@ def test_symplectic_rejects_broken_minor(blacks2):
     cells[(2, 1)] = cells[(2, 1)] + 1
     with pytest.raises(MinorCondition) as exc:
         symplectic_of(SLFrieze(RATIONAL, 3, 2, cells))
-    assert exc.value.window.size == 3
+    assert exc.value.window == MinorWindow(3, 0, 1, Fraction(7), Fraction(2))
 
 
 # ---------------------------------------------------------------------------
