@@ -6,7 +6,6 @@ Exact-arithmetic comparisons use zero tolerance; float comparisons 1e-9.
 
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -286,11 +285,7 @@ def test_criterion_09_positive_census(width2_census):
     assert elapsed < 1.0
 
     count, orbit_count = len(width2_census), len(dihedral_orbits(width2_census))
-    if (count, orbit_count) != (112, 9):
-        warnings.warn(
-            f"width-2 bound-30 census found {count} friezes in "
-            f"{orbit_count} orbits; expected 112 in 9"
-        )
+    assert (count, orbit_count) == (112, 9)
 
 
 def test_criterion_10_property_suites(width2_census, width1_const, width7_zero):

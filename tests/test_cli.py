@@ -187,6 +187,19 @@ def test_search_orbits(tmp_path, w2_json, width2_int):
     assert rc == 0 and "orbits: 1" in out and str(pa) in out
 
 
+def test_search_orbits_rejects_other_kinds(tmp_path, width1_int):
+    gauss = tmp_path / "g.json"
+    rational = tmp_path / "r.json"
+    rc, _, _ = run(["frieze", "from-zigzag", "--width", "1", "--values=1+1i,2",
+                    "--scalar", "gaussian", "--json", "--out", str(gauss)])
+    assert rc == 0
+    rational.write_text(dumps(document_of(width1_int)))
+    for paths, word in (([gauss, gauss], "gaussian"), ([rational, gauss], "kind mismatch")):
+        rc, out, err = run(["search", "orbits"] + [str(p) for p in paths])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and word in err and "Traceback" not in err
+
+
 def test_out_flag(tmp_path, width1_int):
     target = tmp_path / "out.txt"
     rc, out, _ = run(

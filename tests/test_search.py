@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from oracles import naive_census, naive_orbits
 from symfrieze.frieze import (
     NotClosed,
     ZeroPivot,
@@ -7,6 +10,7 @@ from symfrieze.frieze import (
     check_tame,
     mirror_grid,
     propagate_from_zigzag,
+    translate,
 )
 from symfrieze.search import SearchConfig, dihedral_orbits, enumerate_friezes
 
@@ -69,10 +73,58 @@ def test_orbit_of_mirror_pair(width2_int):
     assert len(dihedral_orbits([width2_int, mirror_grid(width2_int)])) == 1
 
 
-def test_orbit_input_validation(width1_census, width2_int, width3_int):
+def test_orbit_input_validation(width1_census, width1_gauss, width2_int, width3_int):
     with pytest.raises(ValueError):
         dihedral_orbits([width2_int, width3_int])
+    with pytest.raises(ValueError, match="gaussian"):
+        dihedral_orbits([width1_gauss])
+    for mixed in ([width1_census[0], width1_gauss], [width1_gauss, width1_census[0]]):
+        with pytest.raises(ValueError, match="kind mismatch"):
+            dihedral_orbits(mixed)
     with pytest.raises(ValueError):
         dihedral_orbits([width2_int], 12)
     assert len(dihedral_orbits(width1_census, 6)) == 1
     assert dihedral_orbits([]) == []
+
+
+def _same_grids(got, want):
+    assert len(got) == len(want)
+    for g, h in zip(got, want):
+        assert g == h
+        assert all(type(v) is Fraction for _, v in g.cells())
+
+
+@pytest.mark.parametrize("dedup", ["none", "translation", "dihedral"])
+@pytest.mark.parametrize("width,bound", [(1, 30), (2, 10), (3, 4)])
+def test_census_matches_naive_oracle(width, bound, dedup):
+    _same_grids(
+        enumerate_friezes(SearchConfig(width, bound, dedup)),
+        naive_census(width, bound, dedup),
+    )
+
+
+def _same_classes(got, want, grids):
+    def ids(classes):
+        return [[next(i for i, g in enumerate(grids) if g is m) for m in c] for c in classes]
+
+    assert ids(got) == ids(want)
+
+
+def test_orbits_match_naive_oracle(width1_int, width2_int, width3_int):
+    rational = propagate_from_zigzag([Fraction(1, 2), 2, 3, Fraction(5, 3)], 2)
+    samples = [
+        [width1_int, translate(width1_int, 1), mirror_grid(width1_int, 2)]
+        + enumerate_friezes(SearchConfig(1, 5)),
+        [
+            rational,
+            width2_int,
+            mirror_grid(width2_int),
+            translate(rational, 3),
+            translate(mirror_grid(rational, 1), 2),
+            translate(width2_int, 5),
+        ]
+        + enumerate_friezes(SearchConfig(2, 6, "dihedral")),
+        [mirror_grid(width3_int, 3), width3_int, translate(width3_int, 2)],
+    ]
+    for grids in samples:
+        _same_classes(dihedral_orbits(grids), naive_orbits(grids), grids)
