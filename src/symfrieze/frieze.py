@@ -134,9 +134,18 @@ def check_minors(kind: ScalarKind, get, period: int, conditions) -> TameResult:
     """Scan `conditions`, a sequence of (size, offsets, expected), in order.
 
     The first window whose minor differs from expected(i, j) is reported.
+    Each cell is read from `get` once per scan, however many windows share it.
     """
+    seen = {}
+
+    def read(i, j):
+        key = (i, j)
+        if key not in seen:
+            seen[key] = get(i, j)
+        return seen[key]
+
     for size, offsets, expected in conditions:
-        for i, j, value in adjacent_minors(kind, get, size, period, offsets):
+        for i, j, value in adjacent_minors(kind, read, size, period, offsets):
             want = expected(i, j)
             if not kind.eq(value, want):
                 return TameResult(False, MinorWindow(size, i, j, value, want))

@@ -1,16 +1,28 @@
 """Small dense matrices over a ScalarKind.
 
-Sizes in this package stay tiny (2x2 through roughly 10x10), so the point is
-exactness, not speed. Determinants dispatch on the kind: fraction-free
-Bareiss elimination for exact kinds (works over any integral domain whose
-elements support * and exact /), partial-pivot LU for the float kind.
+Sizes in this package stay small (2x2 through roughly 10x10), but the
+adjacent-minor scans take thousands of determinants, so `det` picks a path
+by the kind:
+
+- rational and Gaussian: each row is multiplied by the lcm of the
+  denominators of its real and imaginary parts, Bareiss elimination runs
+  on Gaussian integers held as two int matrices (the imaginary one all 0
+  for rationals), and the determinant is divided back by the product of
+  the lcms: a Fraction, or a GaussianRational with Fraction parts;
+- any other exact kind (Laurent polynomials): Bareiss elimination on the
+  kind's own elements, which needs only *, - and exact /;
+- complex floats: partial-pivot LU, with the kind's tolerance as zero test.
+
+Every exact path returns the same value as Bareiss over the kind itself.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Any, Iterable, Sequence
 
-from .scalars import KindMismatch, ScalarKind
+from .scalars import GaussianKind, GaussianRational, KindMismatch, RationalKind, ScalarKind
 
 
 class SingularMatrix(ValueError):
@@ -115,9 +127,69 @@ def det(m: Matrix) -> Any:
         raise ValueError("determinant of a non-square matrix")
     if m.nrows == 0:
         return m.kind.one()
+    if isinstance(m.kind, RationalKind):
+        return _det_rational(m.rows)
+    if isinstance(m.kind, GaussianKind):
+        return _det_gaussian(m.rows)
     if m.kind.exact:
         return _det_bareiss(m)
     return _det_lu(m)
+
+
+def _det_rational(rows) -> Fraction:
+    scale = 1
+    a = []
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        scale *= s
+        a.append([v.numerator * (s // v.denominator) for v in row])
+    d, _ = _det_gaussian_int(a, [[0] * len(a) for _ in a])
+    return Fraction(d, scale)
+
+
+def _det_gaussian(rows) -> GaussianRational:
+    scale = 1
+    re, im = [], []
+    for row in rows:
+        s = lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
+        scale *= s
+        re.append([v.re.numerator * (s // v.re.denominator) for v in row])
+        im.append([v.im.numerator * (s // v.im.denominator) for v in row])
+    d_re, d_im = _det_gaussian_int(re, im)
+    return GaussianRational(Fraction(d_re, scale), Fraction(d_im, scale))
+
+
+def _det_gaussian_int(re: list, im: list) -> tuple[int, int]:
+    # Bareiss over Z[i], in place, the entry at (i, j) being
+    # re[i][j] + im[i][j] * i.  Dividing by the previous pivot q is exact:
+    # multiply by conj(q), then // |q|^2 on each part.
+    n = len(re)
+    sign = 1
+    q_re, q_im, norm = 1, 0, 1
+    for k in range(n - 1):
+        if not (re[k][k] or im[k][k]):
+            for r in range(k + 1, n):
+                if re[r][k] or im[r][k]:
+                    re[k], re[r] = re[r], re[k]
+                    im[k], im[r] = im[r], im[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, 0
+        top_re, top_im = re[k], im[k]
+        p_re, p_im = top_re[k], top_im[k]
+        for i in range(k + 1, n):
+            row_re, row_im = re[i], im[i]
+            f_re, f_im = row_re[k], row_im[k]
+            for j in range(k + 1, n):
+                x_re, x_im = row_re[j], row_im[j]
+                t_re, t_im = top_re[j], top_im[j]
+                y_re = x_re * p_re - x_im * p_im - f_re * t_re + f_im * t_im
+                y_im = x_re * p_im + x_im * p_re - f_re * t_im - f_im * t_re
+                row_re[j] = (y_re * q_re + y_im * q_im) // norm
+                row_im[j] = (y_im * q_re - y_re * q_im) // norm
+        q_re, q_im, norm = p_re, p_im, p_re * p_re + p_im * p_im
+    return sign * re[n - 1][n - 1], sign * im[n - 1][n - 1]
 
 
 def _det_bareiss(m: Matrix) -> Any:
@@ -152,7 +224,7 @@ def _det_lu(m: Matrix) -> Any:
     acc = kind.one()
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[p][k] == 0:
+        if kind.is_zero(a[p][k]):
             return kind.zero()
         if p != k:
             a[k], a[p] = a[p], a[k]

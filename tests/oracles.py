@@ -37,36 +37,6 @@ def mul4(a, b):
     ]
 
 
-def brute_force_width1(bound):
-    """All positive integer friezes of width 1 with both seed cells <= bound.
-
-    Walks the single interior row directly: cells alternate between
-    plain values and squared values in the 2x2 relations, so with the
-    seed at columns 1 and 2 the row continues as
-
-        next = (cur^2 + 1) / prev   at even columns,
-        next = (cur + 1) / prev     at odd columns,
-
-    and closes up when columns 13, 14 repeat columns 1, 2.  Returns the
-    sorted list of surviving (column 1, column 2) seed pairs.
-    """
-    found = []
-    for s1 in range(1, bound + 1):
-        for s2 in range(1, bound + 1):
-            row = {1: Fraction(s1), 2: Fraction(s2)}
-            good = True
-            for x in range(2, 14):
-                cur, prev = row[x], row[x - 1]
-                nxt = ((cur * cur if x % 2 == 0 else cur) + 1) / prev
-                if nxt <= 0 or nxt.denominator != 1:
-                    good = False
-                    break
-                row[x + 1] = nxt
-            if good and row[13] == row[1] and row[14] == row[2]:
-                found.append((s1, s2))
-    return sorted(found)
-
-
 def _seed_survives(seed, width):
     """Positive integer propagation of a straight seed over a full period.
 

@@ -166,8 +166,16 @@ def test_polygon_pipeline(w2_json, w2_text):
     rc, out, _ = run(["polygon", "coeffs", "-"], stdin=poly_json)
     assert rc == 0 and out.startswith("a: ") and "\nb: " in out
 
-    rc, out, _ = run(["polygon", "normalize", "-"], stdin=poly_json)
-    assert rc == 0 and loads(out).scalar == "complex-float"
+    rc, normalized, _ = run(["polygon", "normalize", "-"], stdin=poly_json)
+    assert rc == 0 and loads(normalized).scalar == "complex-float"
+
+    # complex-float determinants: partial-pivot LU
+    rc, out, _ = run(["polygon", "coeffs", "-"], stdin=normalized)
+    assert rc == 0
+    a, b = (line.split(": ")[1].split(", ") for line in out.splitlines())
+    want = (6, 3, 1, 3, 4, 2, 1, 3, 14, 1, 2, 6, 5, 1)
+    assert len(a + b) == len(want)
+    assert all(abs(complex(v) - w) < 1e-9 for v, w in zip(a + b, want))
 
 
 # ---------------------------------------------------------------------------

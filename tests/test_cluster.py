@@ -22,7 +22,7 @@ from symfrieze.cluster import (
     quiver_of,
     zigzag_quiver,
 )
-from symfrieze.frieze import ZigZag
+from symfrieze.frieze import ZigZag, check_tame
 
 X1 = LaurentPolynomial.variable(2, 0)
 X2 = LaurentPolynomial.variable(2, 1)
@@ -176,6 +176,8 @@ def test_formal_width1_diagonal():
     got = [F1.get(x, x) for x in range(1, 13)]
     assert got == cycle + cycle
     assert all(v.is_positive() for v in got)
+    # minors of Laurent polynomials run Bareiss over the kind itself
+    assert check_tame(F1).ok
 
 
 def test_formal_width2_cells_are_cluster_variables():

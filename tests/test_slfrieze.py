@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,19 @@ def test_unimodular_fixtures(blacks2, blacks3, width1_signed, width7_zero):
     f7 = black_of(width7_zero)
     assert f7.row_cycle(3) == (Fraction(-1),) * 12
     assert check_unimodular(f7).ok
+
+
+def test_minor_scan_reads_each_cell_once(blacks3, monkeypatch):
+    reads = Counter()
+    get = SLFrieze.get
+
+    def counting_get(self, i, j):
+        reads[i, j] += 1
+        return get(self, i, j)
+
+    monkeypatch.setattr(SLFrieze, "get", counting_get)
+    assert check_unimodular(blacks3).ok
+    assert reads and max(reads.values()) == 1
 
 
 # ---------------------------------------------------------------------------
