@@ -4,10 +4,18 @@ Every command is a thin wrapper over one library operation.  Exit codes:
 0 on success, 1 when a verification fails (a broken local relation, a
 failed minor condition, a non-superperiodic equation), 2 on parse or
 usage errors.
+
+Commands live in one table, `_COMMANDS`: group, command, handler, help
+text and the functions that add the command's arguments.  A call builds
+only the invoked command's parser.  The whole argparse tree, assembled
+from the same table, is built only for top-level or group help, unknown
+commands and leftover arguments, so that those messages are the ones
+argparse prints for the tree.
 """
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
@@ -51,11 +59,16 @@ def _parse_values(scalar: str, text: str) -> tuple:
     return tuple(out)
 
 
-def _parse_ints(text: str, what: str) -> tuple:
+def _parse_word(text: str, what: str, width: int) -> tuple:
+    """A mutation word: comma-separated vertices, each in 0..2*width-1."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        word = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise formats.FormatError(f"{what} must be comma-separated integers") from None
+    for k in word:
+        if not 0 <= k < 2 * width:
+            raise formats.FormatError(f"vertex {k} out of range for width {width}")
+    return word
 
 
 def _add_tolerance(p: argparse.ArgumentParser) -> None:
@@ -262,11 +275,7 @@ def _cmd_cluster_belt(args) -> int:
 
 def _cmd_cluster_mutate(args) -> int:
     seed = cluster.initial_seed(args.width)
-    for k in _parse_ints(args.word, "--word"):
-        if not 0 <= k < 2 * args.width:
-            raise formats.FormatError(
-                f"vertex {k} out of range for width {args.width}"
-            )
+    for k in _parse_word(args.word, "--word", args.width):
         seed = cluster.mutate_seed(seed, k)
     print("exchange matrix:")
     for row in seed.matrix.rows:
@@ -290,7 +299,7 @@ def _cmd_cluster_formal(args) -> int:
 def _cmd_cluster_evaluate(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
     point = _parse_values(args.scalar, args.point)
-    path = _parse_ints(args.path, "--path") if args.path else ()
+    path = _parse_word(args.path, "--path", len(point) // 2)
     g = cluster.evaluate_frieze(point, path, kind)
     _emit_grid(g, args)
     return 0
@@ -360,141 +369,122 @@ def _cmd_search_orbits(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# command table
+
+
+def _arg(*names, **kwargs):
+    """An argument adder: `_arg(...)(p)` is `p.add_argument(...)`."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+_WIDTH = _arg("--width", type=int, required=True)
+_READER = partial(_add_io, writes=False)
+_WRITER = partial(_add_io, reads=False)
+_FRIEZE_IN_OUT = (_add_io, _add_frieze_output)
+_COEFFS = (
+    _arg("--a", required=True, help="comma-separated cycle of a-coefficients"),
+    _arg("--b", required=True, help="comma-separated cycle of b-coefficients"),
+    _add_scalar,
+)
+
+# group -> (help, {command -> (handler, help, argument adders in order)})
+_COMMANDS = {
+    "frieze": ("build, verify, and render friezes", {
+        "from-coeffs": (_cmd_frieze_from_coeffs, "propagate a frieze from coefficient cycles",
+                        _COEFFS + (_WRITER, _add_frieze_output)),
+        "from-zigzag": (_cmd_frieze_from_zigzag, "propagate a frieze from two seed columns", (
+            _arg("--values", required=True, help="2*width seed values, west to east"),
+            _WIDTH, _add_scalar, _WRITER, _add_frieze_output)),
+        "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", (_READER,)),
+        "show": (_cmd_frieze_show, "re-render a frieze document", _FRIEZE_IN_OUT),
+        "twist": (_cmd_frieze_twist, "apply the boundary sign twist", _FRIEZE_IN_OUT),
+    }),
+    "eq": ("symmetric difference equations", {
+        "check": (_cmd_eq_check, "test superperiodicity", _COEFFS),
+        "monodromy": (_cmd_eq_monodromy,
+                      "print the period-length product of companion matrices", _COEFFS),
+        "variety": (_cmd_eq_variety,
+                    "evaluate the defining residuals of the coefficient variety", _COEFFS),
+    }),
+    "sl": ("linear friezes and their dualities", {
+        "black": (_cmd_sl_black, "extract the black half of a frieze", (_add_io,)),
+        "to-symplectic": (_cmd_sl_to_symplectic, "rebuild a frieze from an order-3 band",
+                          _FRIEZE_IN_OUT),
+        "dual": (_cmd_sl_dual, "projective dual band", (_add_io,)),
+        "gale": (_cmd_sl_gale, "Gale dual band", (_add_io,)),
+    }),
+    "cluster": ("seed mutation and the mutation belt", {
+        "belt": (_cmd_cluster_belt, "alternate the two bipartite mutation classes", (_WIDTH,)),
+        "mutate": (_cmd_cluster_mutate, "apply a mutation word to the initial seed", (
+            _WIDTH, _arg("--word", required=True, help="comma-separated vertex indices, 0-based"))),
+        "formal": (_cmd_cluster_formal, "the frieze with formal seed entries",
+                   (_WIDTH, _arg("--out", default=None))),
+        "evaluate": (_cmd_cluster_evaluate, "specialize seed values into a frieze", (
+            _arg("--point", required=True, help="2*width values for the seed columns"),
+            _arg("--path", default="", help="mutation word locating the seed, 0-based"),
+            _add_scalar, _WRITER, _add_frieze_output)),
+    }),
+    "polygon": ("antiperiodic polygons in 4-space", {
+        "from-frieze": (_cmd_polygon_from_frieze, "slice a polygon out of a frieze", (
+            _arg("--anchor", type=int, required=True, help="first row index of the slice"),
+            _add_io)),
+        "to-frieze": (_cmd_polygon_to_frieze, "pair vertices back into a frieze", _FRIEZE_IN_OUT),
+        "normalize": (_cmd_polygon_normalize,
+                      "rescale vertices to unit second-neighbor pairings", (_add_io,)),
+        "coeffs": (_cmd_polygon_coeffs, "read the equation coefficients off a polygon",
+                   (_READER,)),
+    }),
+    "search": ("enumerate positive integer friezes", {
+        "enumerate": (_cmd_search_enumerate, "count friezes with seed entries up to a bound", (
+            _WIDTH, _arg("--bound", type=int, required=True),
+            _arg("--dedup", choices=["none", "translation", "dihedral"], default="none"))),
+        "orbits": (_cmd_search_orbits, "group frieze documents into dihedral orbits", (
+            _arg("inputs", nargs="+", help="frieze document files"),
+            _arg("--tolerance", type=float, default=None))),
+    }),
+}
+
+
+def _fill(p: argparse.ArgumentParser, func, adders) -> argparse.ArgumentParser:
+    for add in adders:
+        add(p)
+    p.set_defaults(func=func)
+    return p
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole tree: every group and command, for help and usage errors."""
     top = argparse.ArgumentParser(
         prog="symfrieze",
         description="Exact arithmetic for symplectic 2-friezes and friends.",
     )
     groups = top.add_subparsers(dest="group", required=True)
-
-    fz = groups.add_parser("frieze", help="build, verify, and render friezes")
-    fzc = fz.add_subparsers(dest="command", required=True)
-
-    p = fzc.add_parser("from-coeffs", help="propagate a frieze from coefficient cycles")
-    p.add_argument("--a", required=True, help="comma-separated cycle of a-coefficients")
-    p.add_argument("--b", required=True, help="comma-separated cycle of b-coefficients")
-    _add_scalar(p)
-    _add_io(p, reads=False)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_frieze_from_coeffs)
-
-    p = fzc.add_parser("from-zigzag", help="propagate a frieze from two seed columns")
-    p.add_argument("--values", required=True, help="2*width seed values, west to east")
-    p.add_argument("--width", type=int, required=True)
-    _add_scalar(p)
-    _add_io(p, reads=False)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_frieze_from_zigzag)
-
-    p = fzc.add_parser("verify", help="check local rules, tameness, glide symmetry")
-    _add_io(p, writes=False)
-    p.set_defaults(func=_cmd_frieze_verify)
-
-    p = fzc.add_parser("show", help="re-render a frieze document")
-    _add_io(p)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_frieze_show)
-
-    p = fzc.add_parser("twist", help="apply the boundary sign twist")
-    _add_io(p)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_frieze_twist)
-
-    eq = groups.add_parser("eq", help="symmetric difference equations")
-    eqc = eq.add_subparsers(dest="command", required=True)
-    for name, func, blurb in (
-        ("check", _cmd_eq_check, "test superperiodicity"),
-        ("monodromy", _cmd_eq_monodromy, "print the period-length product of companion matrices"),
-        ("variety", _cmd_eq_variety, "evaluate the defining residuals of the coefficient variety"),
-    ):
-        p = eqc.add_parser(name, help=blurb)
-        p.add_argument("--a", required=True, help="comma-separated cycle of a-coefficients")
-        p.add_argument("--b", required=True, help="comma-separated cycle of b-coefficients")
-        _add_scalar(p)
-        p.set_defaults(func=func)
-
-    sl = groups.add_parser("sl", help="linear friezes and their dualities")
-    slc = sl.add_subparsers(dest="command", required=True)
-    for name, func, blurb, frieze_out in (
-        ("black", _cmd_sl_black, "extract the black half of a frieze", False),
-        ("to-symplectic", _cmd_sl_to_symplectic, "rebuild a frieze from an order-3 band", True),
-        ("dual", _cmd_sl_dual, "projective dual band", False),
-        ("gale", _cmd_sl_gale, "Gale dual band", False),
-    ):
-        p = slc.add_parser(name, help=blurb)
-        _add_io(p)
-        if frieze_out:
-            _add_frieze_output(p)
-        p.set_defaults(func=func)
-
-    cl = groups.add_parser("cluster", help="seed mutation and the mutation belt")
-    clc = cl.add_subparsers(dest="command", required=True)
-
-    p = clc.add_parser("belt", help="alternate the two bipartite mutation classes")
-    p.add_argument("--width", type=int, required=True)
-    p.set_defaults(func=_cmd_cluster_belt)
-
-    p = clc.add_parser("mutate", help="apply a mutation word to the initial seed")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--word", required=True, help="comma-separated vertex indices, 0-based")
-    p.set_defaults(func=_cmd_cluster_mutate)
-
-    p = clc.add_parser("formal", help="the frieze with formal seed entries")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cluster_formal)
-
-    p = clc.add_parser("evaluate", help="specialize seed values into a frieze")
-    p.add_argument("--point", required=True, help="2*width values for the seed columns")
-    p.add_argument("--path", default="", help="mutation word locating the seed, 0-based")
-    _add_scalar(p)
-    _add_io(p, reads=False)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_cluster_evaluate)
-
-    pg = groups.add_parser("polygon", help="antiperiodic polygons in 4-space")
-    pgc = pg.add_subparsers(dest="command", required=True)
-
-    p = pgc.add_parser("from-frieze", help="slice a polygon out of a frieze")
-    p.add_argument("--anchor", type=int, required=True, help="first row index of the slice")
-    _add_io(p)
-    p.set_defaults(func=_cmd_polygon_from_frieze)
-
-    p = pgc.add_parser("to-frieze", help="pair vertices back into a frieze")
-    _add_io(p)
-    _add_frieze_output(p)
-    p.set_defaults(func=_cmd_polygon_to_frieze)
-
-    p = pgc.add_parser("normalize", help="rescale vertices to unit second-neighbor pairings")
-    _add_io(p)
-    p.set_defaults(func=_cmd_polygon_normalize)
-
-    p = pgc.add_parser("coeffs", help="read the equation coefficients off a polygon")
-    _add_io(p, writes=False)
-    p.set_defaults(func=_cmd_polygon_coeffs)
-
-    se = groups.add_parser("search", help="enumerate positive integer friezes")
-    sec = se.add_subparsers(dest="command", required=True)
-
-    p = sec.add_parser("enumerate", help="count friezes with seed entries up to a bound")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--dedup", choices=["none", "translation", "dihedral"], default="none")
-    p.set_defaults(func=_cmd_search_enumerate)
-
-    p = sec.add_parser("orbits", help="group frieze documents into dihedral orbits")
-    p.add_argument("inputs", nargs="+", help="frieze document files")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.set_defaults(func=_cmd_search_orbits)
-
+    for group, (blurb, commands) in _COMMANDS.items():
+        sub = groups.add_parser(group, help=blurb).add_subparsers(dest="command", required=True)
+        for command, (func, blurb, adders) in commands.items():
+            _fill(sub.add_parser(command, help=blurb), func, adders)
     return top
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse with the invoked command's parser alone when that settles it.
+
+    Top-level and group help, unknown commands and leftover arguments go
+    through the whole tree, whose messages name the top-level usage.
+    """
+    spec = _COMMANDS.get(argv[0], (None, {}))[1].get(argv[1]) if len(argv) > 1 else None
+    if spec is not None:
+        func, _, adders = spec
+        p = _fill(argparse.ArgumentParser(prog=f"symfrieze {argv[0]} {argv[1]}"), func, adders)
+        args, rest = p.parse_known_args(argv[2:])
+        if not rest:
+            args.group, args.command = argv[0], argv[1]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except VerificationFailed as e:

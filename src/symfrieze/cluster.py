@@ -9,8 +9,8 @@ bipartite belt that walks a straight zig-zag around the whole pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .frieze import FriezeError, FriezeGrid, ZigZag, propagate_from_zigzag
@@ -61,10 +61,12 @@ class LaurentPolynomial:
     ``terms`` maps exponent vectors to nonzero integer coefficients.
     Instances are immutable and hashable; arithmetic returns fresh
     objects.  True division is exact and raises NonLaurentQuotient when
-    the quotient does not exist over the integers.
+    the quotient does not exist over the integers.  The constructor
+    checks its terms; arithmetic builds its results through `_of`,
+    whose dicts are clean by construction.
     """
 
-    __slots__ = ("nvars", "terms", "_key")
+    __slots__ = ("nvars", "terms", "_sorted")
 
     def __init__(self, nvars: int, terms: Union[Dict, Iterable] = ()):
         cleaned: Dict[Tuple[int, ...], int] = {}
@@ -78,11 +80,22 @@ class LaurentPolynomial:
                 cleaned[exp] = coeff
         self.nvars = nvars
         self.terms = cleaned
-        self._key = (nvars, tuple(sorted(cleaned.items())))
+        self._sorted = None
+
+    @classmethod
+    def _of(cls, nvars: int, terms: Dict[Tuple[int, ...], int]) -> "LaurentPolynomial":
+        # terms: nvars-tuples of ints to nonzero ints, owned by the result
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._sorted = None
+        return p
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: value})
+        if not isinstance(value, int):
+            raise TypeError("coefficients must be integers")
+        return cls._of(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "LaurentPolynomial":
@@ -90,7 +103,7 @@ class LaurentPolynomial:
             raise IndexError(f"variable {index} out of range")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): 1})
+        return cls._of(nvars, {tuple(exp): 1})
 
     def _coerce(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
@@ -108,10 +121,12 @@ class LaurentPolynomial:
         other = self._coerce(other) if not isinstance(other, LaurentPolynomial) else other
         if other is NotImplemented:
             return NotImplemented
-        return self._key == other._key
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.terms.items()))
+        return hash((self.nvars, self._sorted))
 
     def __add__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -123,13 +138,13 @@ class LaurentPolynomial:
             if v:
                 out[exp] = v
             else:
-                out.pop(exp, None)
-        return LaurentPolynomial(self.nvars, out)
+                del out[exp]
+        return LaurentPolynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -148,15 +163,13 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         out: Dict[Tuple[int, ...], int] = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(exp, 0) + c1 * c2
-                if v:
-                    out[exp] = v
-                else:
-                    out.pop(exp, None)
-        return LaurentPolynomial(self.nvars, out)
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        return LaurentPolynomial._of(self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -177,41 +190,45 @@ class LaurentPolynomial:
             return NotImplemented
         if not other.terms:
             raise ZeroDivisionError("Laurent division by zero")
-        if not self.terms:
-            return LaurentPolynomial(self.nvars)
         n = self.nvars
-        smin = [min(e[i] for e in self.terms) for i in range(n)]
-        omin = [min(e[i] for e in other.terms) for i in range(n)]
+        if not self.terms:
+            return LaurentPolynomial._of(n, {})
+        if len(other.terms) == 1:
+            # a monomial divides term by term
+            ((oexp, oc),) = other.terms.items()
+            quot: Dict[Tuple[int, ...], int] = {}
+            for e, c in self.terms.items():
+                q, r = divmod(c, oc)
+                if r:
+                    raise NonLaurentQuotient("quotient is not a Laurent polynomial")
+                quot[tuple(map(sub, e, oexp))] = q
+            return LaurentPolynomial._of(n, quot)
+        smin = tuple(map(min, zip(*self.terms)))
+        omin = tuple(map(min, zip(*other.terms)))
         # strip the monomial content; both operands become honest polynomials
-        rem = {
-            tuple(a - b for a, b in zip(e, smin)): c for e, c in self.terms.items()
-        }
-        div = {
-            tuple(a - b for a, b in zip(e, omin)): c for e, c in other.terms.items()
-        }
-        lead = max(div)
-        lc = div[lead]
-        quot: Dict[Tuple[int, ...], int] = {}
+        rem = {tuple(map(sub, e, smin)): c for e, c in self.terms.items()}
+        div = [(tuple(map(sub, e, omin)), c) for e, c in other.terms.items()]
+        lead, lc = max(div)
+        quot = {}
+        get = rem.get
         while rem:
             top = max(rem)
-            step = tuple(a - b for a, b in zip(top, lead))
-            if any(v < 0 for v in step):
+            step = tuple(map(sub, top, lead))
+            if min(step) < 0:
                 raise NonLaurentQuotient("quotient is not a Laurent polynomial")
             c, r = divmod(rem[top], lc)
             if r:
                 raise NonLaurentQuotient("quotient is not a Laurent polynomial")
             quot[step] = c
-            for e, dc in div.items():
-                tgt = tuple(a + b for a, b in zip(step, e))
-                v = rem.get(tgt, 0) - c * dc
+            for e, dc in div:
+                tgt = tuple(map(add, step, e))
+                v = get(tgt, 0) - c * dc
                 if v:
                     rem[tgt] = v
                 else:
-                    rem.pop(tgt, None)
-        shift = [a - b for a, b in zip(smin, omin)]
-        return LaurentPolynomial(
-            n, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()}
-        )
+                    del rem[tgt]
+        shift = tuple(map(sub, smin, omin))
+        return LaurentPolynomial._of(n, {tuple(map(add, e, shift)): c for e, c in quot.items()})
 
     def is_positive(self) -> bool:
         """Nonzero with every coefficient positive."""
@@ -246,9 +263,8 @@ class LaurentPolynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        den = tuple(-min(m, 0) for m in mins)
-        num = {tuple(a + b for a, b in zip(e, den)): c for e, c in self.terms.items()}
+        den = tuple(-min(m, 0) for m in map(min, zip(*self.terms)))
+        num = {tuple(map(add, e, den)): c for e, c in self.terms.items()}
         chunks: List[str] = []
         for exp, coeff in sorted(num.items(), reverse=True):
             mono = self._monomial(exp)
@@ -327,27 +343,29 @@ def _find_symmetrizer(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
             b, c = rows[i][j], rows[j][i]
             if (b == 0) != (c == 0) or b * c > 0:
                 raise NotSkewSymmetrizable(f"entries ({i},{j}) break the sign condition")
-    d: List[Union[Fraction, None]] = [None] * m
+    # d[i] is the weight num/den as an unreduced pair of positive ints
+    d: List[Union[Tuple[int, int], None]] = [None] * m
     for root in range(m):
         if d[root] is not None:
             continue
-        d[root] = Fraction(1)
+        d[root] = (1, 1)
         component = [root]
         queue = [root]
         while queue:
             i = queue.pop()
+            num, den = d[i]
             for j in range(m):
                 if not rows[i][j]:
                     continue
-                ratio = d[i] * Fraction(abs(rows[i][j]), abs(rows[j][i]))
+                p, q = num * abs(rows[i][j]), den * abs(rows[j][i])
                 if d[j] is None:
-                    d[j] = ratio
+                    d[j] = (p, q)
                     component.append(j)
                     queue.append(j)
-                elif d[j] != ratio:
+                elif d[j][0] * q != p * d[j][1]:
                     raise NotSkewSymmetrizable("inconsistent weights around a cycle")
-        scale = lcm(*(d[i].denominator for i in component))
-        values = [int(d[i] * scale) for i in component]
+        scale = lcm(*(d[i][1] for i in component))
+        values = [d[i][0] * scale // d[i][1] for i in component]
         g = gcd(*values)
         for i, v in zip(component, values):
             d[i] = v // g

@@ -1,12 +1,29 @@
+import argparse
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import symfrieze
+from symfrieze import cli, legendrian, slfrieze
 from symfrieze.cli import main
-from symfrieze.formats import document_of, dumps, grid_of, loads, render_frieze_text
+from symfrieze.formats import (
+    document_of,
+    dumps,
+    grid_of,
+    loads,
+    polygon_document_of,
+    render_frieze_text,
+    sl_document_of,
+)
 from symfrieze.frieze import mirror_grid, sign_twist
+
+SRC = str(Path(symfrieze.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, stdin=""):
@@ -243,3 +260,193 @@ def test_exit_codes(width1_int):
 
     rc, _, _ = run(["frieze", "from-zigzag", "--values", "1,1", "--width", "7"])
     assert rc == 2
+
+    for path, vertex in (("5", 5), ("-1", -1), ("0,2", 2)):
+        rc, out, err = run(["cluster", "evaluate", "--point", "1,1", "--path", path])
+        assert rc == 2 and out == ""
+        assert err == f"error: vertex {vertex} out of range for width 1\n"
+
+
+# ---------------------------------------------------------------------------
+# documents of the wrong kind
+
+@pytest.fixture(scope="module")
+def documents(width2_int):
+    return {
+        "frieze": dumps(document_of(width2_int)),
+        "sl": dumps(sl_document_of(slfrieze.black_of(width2_int))),
+        "polygon": dumps(polygon_document_of(legendrian.polygon_from_frieze(width2_int, 4))),
+    }
+
+
+@pytest.mark.parametrize("argv, given, wanted", [
+    (["frieze", "verify"], "sl", "a frieze document"),
+    (["frieze", "show"], "polygon", "a frieze document"),
+    (["frieze", "twist"], "sl", "a frieze document"),
+    (["sl", "black"], "polygon", "a frieze document"),
+    (["sl", "to-symplectic"], "frieze", "an sl-frieze document"),
+    (["sl", "dual"], "polygon", "an sl-frieze document"),
+    (["sl", "gale"], "frieze", "an sl-frieze document"),
+    (["polygon", "from-frieze", "--anchor", "4"], "sl", "a frieze document"),
+    (["polygon", "to-frieze"], "frieze", "a polygon document"),
+    (["polygon", "normalize"], "sl", "a polygon document"),
+    (["polygon", "coeffs"], "frieze", "a polygon document"),
+])
+def test_reader_rejects_wrong_kind(documents, argv, given, wanted):
+    rc, out, err = run(argv + ["-"], stdin=documents[given])
+    assert (rc, out, err) == (2, "", f"error: expected {wanted}\n")
+
+
+def test_search_orbits_rejects_wrong_kind(tmp_path, documents):
+    path = tmp_path / "band.json"
+    path.write_text(documents["sl"])
+    rc, out, err = run(["search", "orbits", str(path)])
+    assert (rc, out, err) == (2, "", f"error: {path}: expected a frieze document\n")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: one parser per call, the same results as the whole tree
+
+# a valid command line for every command, with most of its options
+VALID = {
+    ("frieze", "from-coeffs"): ["--a", "1,2", "--b", "3,4", "--scalar", "gaussian",
+                                "--tolerance", "0.5", "--out", "f.txt", "--json"],
+    ("frieze", "from-zigzag"): ["--values=1,1", "--width", "1", "--scalar", "complex-float"],
+    ("frieze", "verify"): ["doc.json", "--tolerance", "1e-6"],
+    ("frieze", "show"): ["--json", "doc.json", "--out", "f.txt"],
+    ("frieze", "twist"): ["-"],
+    ("eq", "check"): ["--a", "1", "--b", "2"],
+    ("eq", "monodromy"): ["--b", "2", "--a", "1", "--scalar", "gaussian"],
+    ("eq", "variety"): ["--a", "1", "--b", "2", "--tolerance", "3"],
+    ("sl", "black"): ["doc.json", "--out", "f.txt"],
+    ("sl", "to-symplectic"): ["--json"],
+    ("sl", "dual"): ["--tolerance", "0.1"],
+    ("sl", "gale"): ["-"],
+    ("cluster", "belt"): ["--width", "3"],
+    ("cluster", "mutate"): ["--width", "2", "--word", "0,2"],
+    ("cluster", "formal"): ["--width", "1", "--out", "f.txt"],
+    ("cluster", "evaluate"): ["--point", "2,3", "--path=-1", "--json"],
+    ("polygon", "from-frieze"): ["--anchor", "-4", "doc.json"],
+    ("polygon", "to-frieze"): ["--json"],
+    ("polygon", "normalize"): ["doc.json", "--tolerance", "1e-3"],
+    ("polygon", "coeffs"): [],
+    ("search", "enumerate"): ["--width", "2", "--bound", "9", "--dedup", "dihedral"],
+    ("search", "orbits"): ["a.json", "b.json", "--tolerance", "0.1"],
+}
+
+
+def parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc, namespace = 0, vars(parse(argv))
+        except SystemExit as e:
+            rc, namespace = e.code, None
+    return rc, out.getvalue(), err.getvalue(), namespace
+
+
+def parse_with_tree(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_valid_call_builds_one_parser(parsers_built, w2_json):
+    rc, _, _ = run(["cluster", "belt", "--width", "1"])
+    assert rc == 0 and parsers_built == ["symfrieze cluster belt"]
+    del parsers_built[:]
+    rc, _, _ = run(["frieze", "verify", "-"], stdin=w2_json)
+    assert rc == 0 and parsers_built == ["symfrieze frieze verify"]
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "def refuse(*args, **kwargs): raise SystemExit('parser built at import')\n"
+        "argparse.ArgumentParser.__init__ = refuse\n"
+        "import symfrieze.cli\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_valid_table_covers_every_command():
+    assert set(VALID) == {(g, c) for g, (_, commands) in cli._COMMANDS.items() for c in commands}
+
+
+@pytest.mark.parametrize("group, command", sorted(VALID))
+def test_command_parser_matches_tree(monkeypatch, parsers_built, group, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    valid = VALID[group, command]
+    for argv in ([group, command] + valid,
+                 [group, command, "-h"],
+                 [group, command],
+                 [group, command, "--bogus"],
+                 [group, command] + valid + ["--bogus"],
+                 [group, command] + valid + ["extra"],
+                 [group, command] + valid + ["--tolerance", "x"]):
+        del parsers_built[:]
+        got = parse_outcome(cli._parse_args, argv)
+        if argv == [group, command] + valid:
+            assert got[0] == 0 and parsers_built == [f"symfrieze {group} {command}"]
+        assert got == parse_outcome(parse_with_tree, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--bogus"], ["frieze"], ["frieze", "-h"], ["frieze", "bogus"],
+    ["search", "--bogus", "enumerate"], ["-h", "frieze", "verify"],
+])
+def test_top_level_usage_matches_tree(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = parse_outcome(cli._parse_args, argv)
+    assert got[3] is None  # help or a usage error: argparse exits
+    assert got == parse_outcome(parse_with_tree, argv)
+
+
+# ---------------------------------------------------------------------------
+# the module as a program: `python -m symfrieze.cli` reads sys.argv
+
+def symfrieze_cli(*argv, stdin=""):
+    return subprocess.run([sys.executable, "-m", "symfrieze.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=60)
+
+
+def readme_output(command):
+    """The lines the README shows after `$ command`, up to a blank line or fence."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    shown = []
+    for line in lines[lines.index(f"$ {command}") + 1:]:
+        if not line or line.startswith(("$ ", "```")):
+            break
+        shown.append(line)
+    return "\n".join(shown) + "\n"
+
+
+def test_module_entry_point_matches_readme():
+    done = symfrieze_cli("search", "enumerate", "--width", "1", "--bound", "5")
+    want = readme_output("symfrieze search enumerate --width 1 --bound 5")
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+    build = "symfrieze frieze from-coeffs --a 6,3,1,3,4,2,1 --b 3,14,1,2,6,5,1"
+    built = symfrieze_cli(*build.split()[1:])
+    assert (built.returncode, built.stdout, built.stderr) == (0, readme_output(build), "")
+    done = symfrieze_cli("frieze", "verify", "-", stdin=built.stdout)
+    want = readme_output(f"{build} | symfrieze frieze verify -")
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+    done = symfrieze_cli()
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: symfrieze ")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -67,6 +68,62 @@ def test_rejects_non_skew_symmetrizable():
     ):
         with pytest.raises(NotSkewSymmetrizable):
             ExchangeMatrix(rows)
+
+
+def _random_symmetrizable(rng, m):
+    # B = D^-1 S for a positive diagonal D and a random sign pattern: d[i] * b[i][j]
+    # = -d[j] * b[j][i] holds by construction, with d the answer up to scaling
+    d = [rng.randint(1, 4) for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = rng.choice((-2, -1, 0, 0, 0, 1, 2))
+            g = gcd(d[i], d[j])
+            rows[i][j], rows[j][i] = s * d[j] // g, -s * d[i] // g
+    return tuple(map(tuple, rows)), d
+
+
+def _primitive_per_component(rows, d):
+    # d divided by its gcd on each connected component of the matrix's graph
+    m = len(rows)
+    out = list(d)
+    seen = set()
+    for root in range(m):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(m):
+                if rows[i][j] and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        g = gcd(*(d[i] for i in comp))
+        for i in comp:
+            out[i] = d[i] // g
+    return tuple(out)
+
+
+def test_symmetrizer_matches_construction():
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        rows, d = _random_symmetrizable(rng, m)
+        assert ExchangeMatrix(rows).symmetrizer == _primitive_per_component(rows, d)
+
+
+def test_mutation_keeps_the_symmetrizer():
+    # Fomin-Zelevinsky: D B skew-symmetric implies D mu_k(B) skew-symmetric
+    rng = random.Random(9)
+    for _ in range(40):
+        rows, _ = _random_symmetrizable(rng, rng.randint(2, 6))
+        M = ExchangeMatrix(rows)
+        for _ in range(8):
+            N = mutate_matrix(M, rng.randrange(M.m))
+            assert N.symmetrizer == M.symmetrizer
+            M = N
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +214,54 @@ def test_division_failures():
         X1 / LaurentPolynomial(2)
 
 
+def _random_laurent(rng, nvars, terms):
+    return LaurentPolynomial(nvars, {
+        tuple(rng.randint(-2, 2) for _ in range(nvars)): rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(terms)
+    })
+
+
+def test_arithmetic_agrees_with_evaluation():
+    rng = random.Random(17)
+    point = (Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4))
+    for _ in range(200):
+        p = _random_laurent(rng, 3, rng.randint(1, 5))
+        q = _random_laurent(rng, 3, rng.randint(1, 4))
+        if not q:
+            continue
+        pv, qv = p.evaluate(point), q.evaluate(point)
+        assert (p * q).evaluate(point) == pv * qv
+        assert (p + q).evaluate(point) == pv + qv
+        assert (p - q).evaluate(point) == pv - qv
+        assert (p * q) / q == p
+        assert ((p * q) / q).evaluate(point) == pv
+
+
+def test_monomial_divisors():
+    rng = random.Random(29)
+    for _ in range(100):
+        p = _random_laurent(rng, 3, rng.randint(1, 5))
+        exp = tuple(rng.randint(-2, 2) for _ in range(3))
+        for c in (1, -1, 2, -3):
+            mono = LaurentPolynomial(3, {exp: c})
+            assert (p * mono) / mono == p
+            if abs(c) > 1:
+                with pytest.raises(NonLaurentQuotient):
+                    (p * mono + 1) / mono
+            else:
+                assert (p * mono + 1) / mono == p + LaurentPolynomial(
+                    3, {tuple(-e for e in exp): c})
+
+
+def test_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        LaurentPolynomial.constant(2, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        LaurentPolynomial(2, {(0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        LaurentPolynomial(2, {(0, 0, 0): 1})
+
+
 def test_evaluate_and_render():
     assert str(ROW_F3.evaluate((1, 2))) == "3"
     assert str(ROW_F3) == "(x1 + x2^2 + 1)/(x1*x2)"
@@ -165,6 +270,10 @@ def test_evaluate_and_render():
 
 def test_hash_respects_equality():
     assert len({X1, X2, X1 + 0, ROW_F3, ROW_F3 * ONE}) == 3
+    # equal whatever order the terms were built in
+    a = LaurentPolynomial(2, {(1, 0): 1, (0, -1): 2})
+    b = LaurentPolynomial(2, {(0, -1): 2, (1, 0): 1})
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
