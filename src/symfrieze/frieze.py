@@ -495,7 +495,35 @@ def check_tame(grid: FriezeGrid) -> TameResult:
     and the antiperiodic seam are included; one period of positions
     covers all distinct conditions.  The first failing window, if any,
     is reported.
+
+    For an exact kind the recurrence decides first: a grid equal to
+    `propagate_from_coeffs` of its own `extract_coeffs` is tame.  Each
+    row of such a grid solves the one order-4 recurrence in its column
+    index, so five adjacent columns are dependent and every 5x5 minor
+    vanishes.  Moving a 4x4 window one column multiplies it by a
+    companion matrix of determinant one, so the 4x4 minors are
+    constant, and the window whose diagonal runs along the boundary row
+    of ones above guard zeros is unitriangular.  The equation is
+    symmetric, hence self-dual, and that makes each 3x3 minor its
+    central entry.  Any other grid, complex floats included, goes
+    through the minor scan, which alone locates the failing window.
     """
+    if _rebuilds(grid):
+        return TameResult(True, None)
+    return _scan_tame(grid)
+
+
+def _rebuilds(grid: FriezeGrid) -> bool:
+    """Whether an exact grid equals the grid grown from its coefficients."""
+    if not grid.kind.exact:
+        return False
+    try:
+        return propagate_from_coeffs(*extract_coeffs(grid), grid.kind) == grid
+    except NotSuperperiodic:
+        return False
+
+
+def _scan_tame(grid: FriezeGrid) -> TameResult:
     k, n = grid.kind, grid.period
     one, zero = k.one(), k.zero()
     return check_minors(k, grid.black, n, (

@@ -16,6 +16,7 @@ from .frieze import (
     MinorWindow,
     NotSuperperiodic,
     TameResult,
+    _rebuilds,
     adjacent_minors,
     check_minors,
 )
@@ -307,16 +308,27 @@ def symplectic_of(f: SLFrieze) -> FriezeGrid:
     Requires order 3 and checks that every adjacent 3x3 minor equals its
     central entry (MinorCondition otherwise); the half-integer entries
     are then the adjacent 2x2 minors.
+
+    For an exact kind the recurrence decides first: when the grid g
+    built from f equals the grid grown from its own coefficients, g is
+    tame by the argument in `check_tame`, so its black part passes the
+    3x3 test.  That black part is f when f's boundary rows are ones.
+    This is checked separately, because zeros next to the boundary hide
+    those rows from the white cells of g.  Otherwise the minor scan
+    decides and locates the failing window.
     """
     if f.order != 3:
         raise FriezeError(f"symplectic conversion needs order 3, got {f.order}")
+    g = FriezeGrid.from_blacks(f.kind, f.width, f.get)
+    if black_of(g) == f and _rebuilds(g):
+        return g
     found = check_minors(
         f.kind, f.get, f.period,
         ((3, range(-5, f.period - 5), lambda i, j: f.get(i + 1, j + 1)),),
     )
     if not found.ok:
         raise MinorCondition(found.window)
-    return FriezeGrid.from_blacks(f.kind, f.width, f.get)
+    return g
 
 
 def projective_dual(f: SLFrieze) -> SLFrieze:
@@ -387,8 +399,26 @@ def check_unimodular(f: SLFrieze) -> TameResult:
     """Verify the determinant conditions defining an order-k frieze.
 
     Every adjacent (k+1)x(k+1) minor must be 1 and every (k+2)x(k+2)
-    minor must vanish, windows across the guard seams included.
+    minor must vanish, windows across the guard seams included.  For an
+    exact kind the recurrence decides first: a frieze equal to
+    `from_equation` of its own `coeffs_of` is unimodular.  Its rows
+    solve one recurrence of order k+1 in the column index, so k+2
+    adjacent columns are dependent; the companion matrices have
+    determinant one, so every (k+1)-minor equals the unitriangular
+    window whose diagonal runs along the boundary row of ones.  Any
+    other frieze, complex floats included, goes through the minor scan,
+    which alone locates the failing window.
     """
+    if f.kind.exact:
+        try:
+            if from_equation(coeffs_of(f), kind=f.kind) == f:
+                return TameResult(True, None)
+        except NotSuperperiodic:
+            pass
+    return _scan_unimodular(f)
+
+
+def _scan_unimodular(f: SLFrieze) -> TameResult:
     k, n = f.order, f.period
     one, zero = f.kind.one(), f.kind.zero()
     return check_minors(f.kind, f.get, n, (

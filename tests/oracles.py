@@ -3,30 +3,95 @@
 Nothing here imports the package's linear algebra or search internals;
 these are deliberately naive so a shared bug cannot hide.  The census
 oracle builds its grids and symmetry images with the general `frieze`
-routines, the slow path that the search avoids.
+routines, the slow path that the search avoids.  The minor oracles
+expand every adjacent window by cofactors and compare with `==`, so
+they serve exact kinds only.
 """
 
 import itertools
 from fractions import Fraction
 
-from symfrieze.frieze import dihedral_images, propagate_from_zigzag, translate
+from symfrieze.frieze import (
+    MinorWindow,
+    TameResult,
+    dihedral_images,
+    propagate_from_zigzag,
+    translate,
+)
 
 
 def cofactor_det(rows):
-    """Laplace expansion along the first row. Exponential, small inputs only."""
+    """Laplace expansion along the first row.
+
+    The minor left after expanding the top rows depends only on the
+    columns still unused, so each is expanded once per column set:
+    2^n minors, exponential, small inputs only.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for c in range(n):
-        sub = [list(r[:c]) + list(r[c + 1 :]) for r in rows[1:]]
-        term = rows[0][c] * cofactor_det(sub)
-        if c % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    minors = {}
+
+    def expand(cols):
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        if cols not in minors:
+            r = n - len(cols)
+            total = None
+            for t, c in enumerate(cols):
+                term = rows[r][c] * expand(cols[:t] + cols[t + 1 :])
+                if t % 2:
+                    term = -term
+                total = term if total is None else total + term
+            minors[cols] = total
+        return minors[cols]
+
+    return expand(tuple(range(n)))
+
+
+def _first_bad_window(get, period, conditions):
+    """Cofactor scan of (size, offsets, expected) families in order: windows
+    anchored at (i, i + o), i over one period, o over `offsets`."""
+    for size, offsets, expected in conditions:
+        for i in range(period):
+            for o in offsets:
+                j = i + o
+                value = cofactor_det(
+                    [[get(i + r, j + c) for c in range(size)] for r in range(size)]
+                )
+                want = expected(i, j)
+                if value != want:
+                    return TameResult(False, MinorWindow(size, i, j, value, want))
+    return TameResult(True, None)
+
+
+def naive_tame(grid):
+    """3x3 minors equal to their centre, 4x4 equal to one, 5x5 zero, on the
+    black cells over one period of offsets starting in the guard rows."""
+    n, one, zero = grid.period, grid.kind.one(), grid.kind.zero()
+    return _first_bad_window(grid.black, n, (
+        (3, range(-6, n - 6), lambda i, j: grid.black(i + 1, j + 1)),
+        (4, range(-7, n - 7), lambda i, j: one),
+        (5, range(-8, n - 8), lambda i, j: zero),
+    ))
+
+
+def naive_unimodular(f):
+    """(k+1)-minors equal to one and (k+2)-minors zero for an order-k frieze."""
+    k, n = f.order, f.period
+    one, zero = f.kind.one(), f.kind.zero()
+    return _first_bad_window(f.get, n, (
+        (k + 1, range(-k - 2, n - k - 2), lambda i, j: one),
+        (k + 2, range(-k - 3, n - k - 3), lambda i, j: zero),
+    ))
+
+
+def naive_centres(f):
+    """3x3 minors of an order-3 frieze equal to their central entry."""
+    n = f.period
+    return _first_bad_window(f.get, n, (
+        (3, range(-5, n - 5), lambda i, j: f.get(i + 1, j + 1)),
+    ))
 
 
 def mul4(a, b):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
+from oracles import cofactor_det
 from symfrieze.diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
 from symfrieze.frieze import (
     FriezeGrid,
@@ -189,6 +191,39 @@ def test_zigzag_wrong_count():
         propagate_from_zigzag((1, 1, 1), 2)
 
 
+def test_every_zigzag_shape_rebuilds_the_grid(width2_int, width3_int):
+    # bent shapes are straightened westwards before the column sweep
+    for g in (width2_int, width3_int):
+        w, bent = g.width, 0
+        for s0 in range(2 * g.period):
+            for deltas in product((-1, 0, 1), repeat=w - 1):
+                shape = [s0]
+                for d in deltas:
+                    shape.append(shape[-1] + d)
+                entries = tuple(
+                    (GridIndex(x - o, x + o), g.cell(x, o))
+                    for o, c in enumerate(shape)
+                    for x in (c, c + 1)
+                )
+                assert all(v != 0 for _, v in entries)
+                bent += len(set(shape)) > 1
+                assert propagate_from_zigzag(ZigZag(w, entries)) == g
+        assert bent == 2 * g.period * (3 ** (w - 1) - 1)
+
+
+def test_straightening_meets_a_zero():
+    # row 0 sits two columns east of row 2 and is moved twice; the second
+    # step divides by its original west cell, which is zero
+    entries = (
+        (GridIndex(3, 3), 0), (GridIndex(4, 4), 1),
+        (GridIndex(1, 3), 1), (GridIndex(2, 4), 1),
+        (GridIndex(-1, 3), 1), (GridIndex(0, 4), 1),
+    )
+    with pytest.raises(ZeroPivot) as exc:
+        propagate_from_zigzag(ZigZag(3, entries))
+    assert exc.value.index == GridIndex(3, 3)
+
+
 # ---------------------------------------------------------------------------
 # determinant entry formula
 
@@ -296,6 +331,19 @@ def test_generic_grid_has_seed(width2_int):
 def test_extension_through_zero():
     # continuing a signed width-1 row across a zero forces a unique value
     assert extend_through_zero((-1, 1, -2, -1, -1, 0, -1), 1) == [Fraction(1)]
+
+
+def test_extension_by_the_4x4_minor():
+    # a1 * a2 = 1 kills the 3x3 coefficient, so the 4x4 minor pins the entry
+    a0, a1, a2 = Fraction(3), Fraction(2), Fraction(1, 2)
+    one, zero = Fraction(1), Fraction(0)
+    white, x = extend_through_zero((1, a0, 5, a1, 1, a2), 1)
+    window = [[a0, one, zero, zero], [one, a1, one, zero], [zero, one, a2, one], [zero, zero, one, x]]
+    assert cofactor_det(window) == 1
+    assert white == a2 * x - one  # white local rule between a2 and x, under ones
+    assert extend_through_zero((a0, 1, a1, 5, a2, white), 1, starts_with_black=True) == [x]
+    with pytest.raises(Underdetermined):
+        extend_through_zero((1, a1, 1, a2), 1)
 
 
 def test_underdetermined_extension():
