@@ -399,26 +399,8 @@ def check_unimodular(f: SLFrieze) -> TameResult:
     """Verify the determinant conditions defining an order-k frieze.
 
     Every adjacent (k+1)x(k+1) minor must be 1 and every (k+2)x(k+2)
-    minor must vanish, windows across the guard seams included.  For an
-    exact kind the recurrence decides first: a frieze equal to
-    `from_equation` of its own `coeffs_of` is unimodular.  Its rows
-    solve one recurrence of order k+1 in the column index, so k+2
-    adjacent columns are dependent; the companion matrices have
-    determinant one, so every (k+1)-minor equals the unitriangular
-    window whose diagonal runs along the boundary row of ones.  Any
-    other frieze, complex floats included, goes through the minor scan,
-    which alone locates the failing window.
+    minor must vanish, windows across the guard seams included.
     """
-    if f.kind.exact:
-        try:
-            if from_equation(coeffs_of(f), kind=f.kind) == f:
-                return TameResult(True, None)
-        except NotSuperperiodic:
-            pass
-    return _scan_unimodular(f)
-
-
-def _scan_unimodular(f: SLFrieze) -> TameResult:
     k, n = f.order, f.period
     one, zero = f.kind.one(), f.kind.zero()
     return check_minors(f.kind, f.get, n, (

@@ -76,16 +76,6 @@ def naive_tame(grid):
     ))
 
 
-def naive_unimodular(f):
-    """(k+1)-minors equal to one and (k+2)-minors zero for an order-k frieze."""
-    k, n = f.order, f.period
-    one, zero = f.kind.one(), f.kind.zero()
-    return _first_bad_window(f.get, n, (
-        (k + 1, range(-k - 2, n - k - 2), lambda i, j: one),
-        (k + 2, range(-k - 3, n - k - 3), lambda i, j: zero),
-    ))
-
-
 def naive_centres(f):
     """3x3 minors of an order-3 frieze equal to their central entry."""
     n = f.period

@@ -12,7 +12,6 @@ from symfrieze.slfrieze import (
     MinorCondition,
     SLFrieze,
     WidthParity,
-    _scan_unimodular,
     black_of,
     check_middle_symmetry,
     check_unimodular,
@@ -97,7 +96,7 @@ def test_minor_scan_reads_each_cell_once(blacks3, monkeypatch):
         return get(self, i, j)
 
     monkeypatch.setattr(SLFrieze, "get", counting_get)
-    assert _scan_unimodular(blacks3).ok
+    assert check_unimodular(blacks3).ok
     assert reads and max(reads.values()) == 1
 
 

@@ -1,10 +1,10 @@
 """Tameness verdicts: the recurrence rebuild against the minor scans.
 
-For exact kinds `check_tame`, `check_unimodular` and `symplectic_of`
-accept an object that equals the one rebuilt from its own coefficients,
-and run the adjacent-minor scan otherwise.  Every verdict and every
-reported window must equal both the private scan's and the cofactor
-oracle's, and every object the rebuild can produce must pass the scan.
+For exact kinds `check_tame` and `symplectic_of` accept a grid that
+equals the one rebuilt from its own coefficients, and run the
+adjacent-minor scan otherwise.  Every verdict and every reported window
+must equal both the private scan's and the cofactor oracle's, and every
+grid the rebuild can produce must pass the scan.
 """
 
 import random
@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import naive_centres, naive_tame, naive_unimodular
-from symfrieze import frieze, slfrieze
+from oracles import naive_centres, naive_tame
+from symfrieze import frieze
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
@@ -30,13 +30,7 @@ from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import (
     MinorCondition,
     SLFrieze,
-    _scan_unimodular,
     black_of,
-    check_unimodular,
-    coeffs_of,
-    from_equation,
-    gale_dual,
-    projective_dual,
     symplectic_of,
 )
 
@@ -84,13 +78,6 @@ def assert_tame_agrees(g):
     got = check_tame(g)
     assert got == _scan_tame(g)
     assert got == naive_tame(g)
-    return got
-
-
-def assert_unimodular_agrees(f):
-    got = check_unimodular(f)
-    assert got == _scan_unimodular(f)
-    assert got == naive_unimodular(f)
     return got
 
 
@@ -144,29 +131,7 @@ def test_degenerate_grids_agree(width2_null, width7_zero, width1_gauss, width1_s
 
 
 # ---------------------------------------------------------------------------
-# check_unimodular and symplectic_of
-
-def test_unimodular_orders_one_to_five_agree(grids):
-    # Gaussian 7x7 cofactor scans take seconds, so Gaussian stops at order 3
-    rng = random.Random(53)
-    orders = set()
-    for g in grids:
-        if g.kind is GAUSSIAN and g.width > 3:
-            continue
-        blacks = black_of(g)
-        gale = gale_dual(blacks)
-        for h in (blacks, gale, projective_dual(gale)):
-            orders.add(h.order)
-            assert assert_unimodular_agrees(h).ok
-            i, o = rng.randrange(h.period), rng.randint(-1, h.width)
-            assert_unimodular_agrees(perturbed_sl(h, i, o))
-    assert orders == {1, 2, 3, 4, 5}
-
-
-def test_unimodular_degenerate_agree(width2_null, width7_zero):
-    assert not assert_unimodular_agrees(black_of(width2_null)).ok
-    assert assert_unimodular_agrees(black_of(width7_zero)).ok
-
+# symplectic_of
 
 def assert_symplectic_agrees(f):
     want = naive_centres(f)
@@ -201,7 +166,7 @@ def test_symplectic_of_agrees(grids, width2_null, width7_zero):
 
 
 # ---------------------------------------------------------------------------
-# soundness of the fast path: whatever the rebuild returns passes the scan
+# soundness of the fast path: every grid the rebuild returns passes the scan
 
 def test_propagated_grids_pass_the_scan(grids, width7_zero):
     cycles = [WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS, SIGNED_COEFFS,
@@ -212,31 +177,18 @@ def test_propagated_grids_pass_the_scan(grids, width7_zero):
         assert _scan_tame(propagate_from_coeffs(a, b, kind)).ok
 
 
-def test_equation_friezes_pass_the_scan(grids):
-    cases = [(RATIONAL, ((1, 2, 2, 1, 3),))]
-    for g in grids:
-        blacks = black_of(g)
-        for f in (blacks, gale_dual(blacks), projective_dual(gale_dual(blacks))):
-            cases.append((f.kind, coeffs_of(f)))
-    for kind, coeffs in cases:
-        assert _scan_unimodular(from_equation(coeffs, kind=kind)).ok
-
-
 def test_complex_floats_take_the_scan(width2_int, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex floats must not be rebuilt")
 
     monkeypatch.setattr(frieze, "propagate_from_coeffs", refuse)
-    monkeypatch.setattr(slfrieze, "from_equation", refuse)
     g = FriezeGrid.from_cells(COMPLEX, 2, {xo: complex(v) for xo, v in width2_int.cells()})
     assert check_tame(g) == _scan_tame(g)
     assert check_tame(g).ok
     broken = perturbed(g, 0, 0)
     assert check_tame(broken) == _scan_tame(broken)
     assert not check_tame(broken).ok
-    f = black_of(g)
-    assert check_unimodular(f).ok
-    assert symplectic_of(f) == g
+    assert symplectic_of(black_of(g)) == g
 
 
 # ---------------------------------------------------------------------------
