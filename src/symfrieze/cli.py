@@ -116,18 +116,17 @@ _DOCUMENTS = {
 }
 
 
-def _load(args, doc_type, path: Optional[str] = None, convert: bool = True):
+def _load(args, doc_type, path: Optional[str] = None):
     """Read a `doc_type` document from `path` (default: the input argument).
 
-    Returns the live object unless `convert` is false.  A named `path`
-    prefixes the wrong-kind error.
+    Returns the live object.  A named `path` prefixes the wrong-kind error.
     """
     doc = formats.loads(_read_input(args.input if path is None else path))
     name, to_object = _DOCUMENTS[doc_type]
     if not isinstance(doc, doc_type):
         prefix = "" if path is None else f"{path}: "
         raise formats.FormatError(f"{prefix}expected {name}")
-    return to_object(doc, args.tolerance) if convert else doc
+    return to_object(doc, args.tolerance)
 
 
 def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
@@ -321,14 +320,14 @@ def _cmd_polygon_to_frieze(args) -> int:
 
 
 def _cmd_polygon_normalize(args) -> int:
-    doc = _load(args, formats.PolygonDocument, convert=False)
+    p = _load(args, formats.PolygonDocument)
     tolerance = args.tolerance if args.tolerance is not None else 1e-9
     kind = kind_by_name("complex-float", tolerance)
     form = legendrian.SymplecticForm(
-        kind.coerce(doc.form_a), doc.form_variant, kind
+        kind.coerce(p.form.a), p.form.variant, kind
     )
-    raw = [tuple(kind.coerce(x) for x in v) for v in doc.vertices]
-    p = legendrian.normalize_lift(raw, form, tolerance, doc.base)
+    raw = [tuple(kind.coerce(x) for x in v) for v in p.vertices]
+    p = legendrian.normalize_lift(raw, form, tolerance, p.base)
     _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
     return 0
 

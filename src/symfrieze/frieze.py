@@ -16,16 +16,18 @@ C = (I+1, J-1), D = (I-1, J+1)), the local rules read
     black cells:  v*v = A*B - C*D
 
 Every grid here is antiperiodic, d[i, j+n] = -d[i, j], hence genuinely
-periodic of length 2n in the display direction.  One fundamental domain
-(0 <= I < 4n, -2 <= J - I <= 2w) is stored; `get` reduces every other
-index to it with the appropriate sign.
+periodic of length 2n in the display direction.  The black entries form
+a tame order-3 SL-frieze and so do the white ones, so a grid is stored
+as two `SLFrieze` bands; the SL-frieze class and its recurrence
+(`from_equation`) live here for that reason and are re-exported by
+`slfrieze`.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, solve
+from .diffeq import SymmetricDiffEq
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
@@ -215,23 +217,174 @@ class ZigZag:
         return tuple(whites + blacks)
 
 
-class FriezeGrid:
-    """One superperiodic frieze, stored over a fundamental domain.
+class SLFrieze:
+    """One superperiodic SL-frieze over a fundamental domain.
 
-    Cells are held in a dict keyed by (I mod 4n, J - I); each value is
-    stored at both I and I + 2n so lookups never need the antiperiodic
-    sign for the stored band.  Out-of-band row offsets are reduced by
-    multiples of n with a sign flip per step, guard rows returning the
-    scalar zero.
+    `order` is k for an SL_{k+1}-frieze: diagonals satisfy a linear
+    recurrence of length k+2 whose solutions repeat with period n and a
+    sign of (-1)^k, where n = width + order + 2.  Entries are stored for
+    first index in [0, n) and offsets j - i in [-1, width]; everything
+    else is a guard zero or a signed translate.
     """
 
-    __slots__ = ("kind", "width", "period", "_cells")
+    __slots__ = ("kind", "order", "width", "period", "_cells", "_zero")
 
-    def __init__(self, kind: ScalarKind, width: int, cells: dict):
+    def __init__(self, kind: ScalarKind, order: int, width: int, cells: dict):
+        if order < 1:
+            raise ValueError(f"order must be at least 1, got {order}")
+        if width < 0:
+            raise ValueError(f"width must be nonnegative, got {width}")
         self.kind = kind
+        self.order = order
         self.width = width
-        self.period = width + 5
-        self._cells = cells
+        self.period = width + order + 2
+        n = self.period
+        store, coerce = {}, kind.coerce
+        for (i, o), v in dict(cells).items():
+            if not -1 <= o <= width:
+                raise ValueError(f"row offset {o} outside [-1, {width}]")
+            store[(i % n, o)] = coerce(v)
+        # every key lies in the domain, so a short count means a gap
+        if len(store) != n * (width + 2):
+            i, o = next(
+                (i, o) for o in range(-1, width + 1) for i in range(n) if (i, o) not in store
+            )
+            raise ValueError(f"cell ({i}, offset {o}) missing")
+        self._cells = store
+        self._zero = kind.zero()
+
+    def get(self, i: int, j: int):
+        """Entry d_{i,j}, reduced into the stored band with its sign."""
+        o = j - i
+        if -1 <= o <= self.width:
+            return self._cells[(i % self.period, o)]
+        key, flip = self._fold(i, o)
+        if key is None:
+            return self._zero
+        return -self._cells[key] if flip else self._cells[key]
+
+    def _fold(self, i: int, o: int):
+        """Stored key of the cell (i, i + o) and whether its sign flips.
+
+        The offset moves by multiples of the period, each step flipping
+        the sign when the order is odd; the key is None on a guard row.
+        """
+        n = self.period
+        steps = (o + self.order + 1) // n
+        op = o - steps * n
+        key = None if op <= -2 else (i % n, op)
+        return key, self.order % 2 == 1 and steps % 2 == 1
+
+    def row_cycle(self, o: int, start: int = 0) -> Tuple:
+        """One period of the row at offset o, by first index."""
+        return tuple(self.get(i, i + o) for i in range(start, start + self.period))
+
+    def cells(self) -> Iterator[Tuple[Tuple[int, int], object]]:
+        """All cells of the fundamental domain, row by row."""
+        for o in range(-1, self.width + 1):
+            for i in range(self.period):
+                yield (i, o), self.get(i, i + o)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SLFrieze):
+            return NotImplemented
+        if (
+            self.kind.name != other.kind.name
+            or self.order != other.order
+            or self.width != other.width
+        ):
+            return False
+        return all(
+            self.kind.eq(v, other.get(i, i + o)) for (i, o), v in self.cells()
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"SLFrieze(order={self.order}, width={self.width}, "
+            f"period={self.period}, scalar={self.kind.name})"
+        )
+
+
+def _coeff_table(coeffs, kind: ScalarKind) -> Tuple[Tuple, ...]:
+    """Coerce a sequence of coefficient cycles into a rectangular table."""
+    table = tuple(tuple(kind.coerce(v) for v in row) for row in coeffs)
+    if not table:
+        raise ValueError("need at least one coefficient cycle")
+    n = len(table[0])
+    if any(len(row) != n for row in table):
+        raise ValueError("coefficient cycles must share one period")
+    if n < len(table) + 2:
+        raise ValueError(
+            f"period {n} too short for {len(table)} coefficient cycles"
+        )
+    return table
+
+
+def from_equation(
+    coeffs,
+    order: Optional[int] = None,
+    width: Optional[int] = None,
+    kind: ScalarKind = RATIONAL,
+) -> SLFrieze:
+    """Propagate an SL-frieze from the coefficient cycles of its recurrence.
+
+    `coeffs[s-1]` holds the weight of the s-th back term; signs alternate
+    starting positive, and the trailing term of the recurrence carries
+    (-1)^order.  Each diagonal starts from a window of zeros capped by a
+    single 1 and must close up the same way, else NotSuperperiodic.
+    """
+    table = _coeff_table(coeffs, kind)
+    k = len(table)
+    n = len(table[0])
+    w = n - k - 2
+    if order is not None and order != k:
+        raise ValueError(f"order {order} does not match {k} coefficient cycles")
+    if width is not None and width != w:
+        raise ValueError(f"width {width} does not match period {n} and order {k}")
+    zero, one = kind.zero(), kind.one()
+    tail_sign = -1 if k % 2 else 1
+    cells = {}
+    for i in range(n):
+        window = [zero] * k + [one]
+        cells[(i, -1)] = one
+        for step in range(w + k + 1):
+            j = i + step
+            acc = window[-1] * table[0][j % n]
+            for s in range(2, k + 1):
+                term = window[-s] * table[s - 1][j % n]
+                acc = acc + term if s % 2 else acc - term
+            acc = acc + window[0] if tail_sign > 0 else acc - window[0]
+            window = window[1:] + [acc]
+            if step < w:
+                cells[(i, step)] = acc
+            elif step == w:
+                if not kind.eq(acc, one):
+                    raise NotSuperperiodic(i)
+                cells[(i, w)] = acc
+            elif not kind.is_zero(acc):
+                raise NotSuperperiodic(i)
+    return SLFrieze(kind, k, w, cells)
+
+
+class FriezeGrid:
+    """One superperiodic frieze, held as two order-3 SL-frieze bands.
+
+    The black cells d[i, j] form one band and the white cells
+    d[i+1/2, j+1/2] the other, both indexed by (i, j).  Each band has
+    period n = w + 5, rows at offsets -1..w, three guard rows of zeros
+    and one sign flip per period; `get` reads the band of the cell's
+    colour and leaves the reduction to `SLFrieze.get`.
+    """
+
+    __slots__ = ("kind", "width", "period", "_bands")
+
+    def __init__(self, black: SLFrieze, white: SLFrieze):
+        self.kind = black.kind
+        self.width = black.width
+        self.period = black.period
+        self._bands = (black, white)
 
     @classmethod
     def from_cells(cls, kind: ScalarKind, width: int, cells) -> "FriezeGrid":
@@ -243,29 +396,28 @@ class FriezeGrid:
         """
         n = width + 5
         rows = {}
+        bands = ({}, {})
         for (x, o), v in dict(cells).items():
             if not -1 <= o <= width:
                 raise ValueError(f"row offset {o} outside [-1, {width}]")
-            rows.setdefault(o, {})[x] = kind.coerce(v)
+            rows.setdefault(o, []).append(x)
+            I = x - o
+            bands[I % 2][(I // 2, o)] = v
         for o in range(width):
             if o not in rows:
                 raise ValueError(f"interior row {o} missing")
         one = kind.one()
         for o in (-1, width):
             if o not in rows:
-                rows[o] = {x: one for x in range(2 * n)}
-        store = {}
-        for o, row in rows.items():
-            xs = sorted(row)
-            if len(xs) != 2 * n or xs[-1] - xs[0] != 2 * n - 1:
+                rows[o] = range(2 * n)
+                for i in range(n):
+                    bands[0][(i, o)] = bands[1][(i, o)] = one
+        for o, xs in rows.items():
+            if len(xs) != 2 * n or max(xs) - min(xs) != 2 * n - 1:
                 raise ValueError(
                     f"row {o} needs {2 * n} consecutive columns, got {len(xs)}"
                 )
-            for x, v in row.items():
-                I = x - o
-                store[(I % (4 * n), 2 * o)] = v
-                store[((I + 2 * n) % (4 * n), 2 * o)] = v
-        return cls(kind, width, store)
+        return cls(*(SLFrieze(kind, 3, width, band) for band in bands))
 
     @classmethod
     def from_blacks(cls, kind: ScalarKind, width: int, blk) -> "FriezeGrid":
@@ -274,39 +426,33 @@ class FriezeGrid:
         Each white cell is the adjacent 2x2 minor of the black cells
         around it.
         """
-        cells = {}
-        for x in range(2 * (width + 5)):
+        one = kind.one()
+        black, white = {}, {}
+        for i in range(width + 5):
+            for o in (-1, width):
+                black[(i, o)] = white[(i, o)] = one
             for o in range(width):
-                i, j = (x - o) // 2, (x + o) // 2
-                if (x - o) % 2 == 0:
-                    cells[(x, o)] = blk(i, j)
-                else:
-                    cells[(x, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
-        return cls.from_cells(kind, width, cells)
+                j = i + o
+                black[(i, o)] = blk(i, j)
+                white[(i, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
+        return cls(SLFrieze(kind, 3, width, black), SLFrieze(kind, 3, width, white))
 
     def get(self, I: int, J: int):
-        """Entry at (I, J), reduced into the stored band with its sign."""
-        R = J - I
-        if R % 2 != 0:
+        """Entry at (I, J), read from the band of its colour."""
+        if (J - I) % 2 != 0:
             raise ValueError(f"mixed parity index ({I}, {J})")
-        n = self.period
-        steps = (R + 8) // (2 * n)
-        Rp = R - steps * 2 * n
-        if Rp in (-8, -6, -4):
-            return self.kind.zero()
-        v = self._cells[(I % (4 * n), Rp)]
-        return v if steps % 2 == 0 else -v
+        return self._bands[I % 2].get(I // 2, J // 2)
 
     def get_entry(self, idx: GridIndex):
         return self.get(idx.I, idx.J)
 
     def black(self, i: int, j: int):
         """d[i, j]."""
-        return self.get(2 * i, 2 * j)
+        return self._bands[0].get(i, j)
 
     def white(self, i: int, j: int):
         """d[i + 1/2, j + 1/2]."""
-        return self.get(2 * i + 1, 2 * j + 1)
+        return self._bands[1].get(i, j)
 
     def cell(self, x: int, o: int):
         """Entry in display coordinates (column x, row offset o)."""
@@ -324,28 +470,21 @@ class FriezeGrid:
 
     def with_entry(self, idx: GridIndex, value) -> "FriezeGrid":
         """Copy of the grid with one cell replaced (guards excluded)."""
-        n = self.period
-        R = idx.J - idx.I
-        steps = (R + 8) // (2 * n)
-        Rp = R - steps * 2 * n
-        if Rp in (-8, -6, -4):
+        bands = list(self._bands)
+        band = bands[idx.I % 2]
+        key, flip = band._fold(idx.I // 2, idx.offset)
+        if key is None:
             raise ValueError(f"{idx} lies in a guard row")
         v = self.kind.coerce(value)
-        if steps % 2 != 0:
-            v = -v
-        store = dict(self._cells)
-        store[(idx.I % (4 * n), Rp)] = v
-        store[((idx.I + 2 * n) % (4 * n), Rp)] = v
-        return FriezeGrid(self.kind, self.width, store)
+        cells = dict(band._cells)
+        cells[key] = -v if flip else v
+        bands[idx.I % 2] = SLFrieze(self.kind, 3, self.width, cells)
+        return FriezeGrid(*bands)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FriezeGrid):
             return NotImplemented
-        if self.kind.name != other.kind.name or self.width != other.width:
-            return False
-        return all(
-            self.kind.eq(v, other.cell(x, o)) for (x, o), v in self.cells()
-        )
+        return self._bands == other._bands
 
     __hash__ = None
 
@@ -359,29 +498,14 @@ class FriezeGrid:
 def propagate_from_coeffs(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL) -> FriezeGrid:
     """Grow the full grid of width len(a) - 5 from one coefficient period.
 
-    Each diagonal starts as (0, 0, 0, 1) and runs the recurrence of
-    `diffeq.solve`.  The diagonal must then hit (1, 0, 0, 0); the first
-    index where it does not raises NotSuperperiodic.  White cells are
-    filled in as the 2x2 minors of the black grid.
+    The black entries form the order-3 frieze of `from_equation` with
+    coefficient cycles (a, b, a shifted by one), which is the recurrence
+    of `diffeq.solve`; NotSuperperiodic names the first diagonal that
+    does not close.  White cells are the 2x2 minors of the black grid.
     """
     eq = SymmetricDiffEq(tuple(a), tuple(b), kind)
-    n = eq.n
-    w = n - 5
-    zero, one = kind.zero(), kind.one()
-    start = (zero, zero, zero, one)
-
-    diags = []
-    for i in range(n):
-        V = start + solve(eq, start, i, w + 4)  # V[4 + t] = d[i, i + t]
-        closed = kind.eq(V[4 + w], one) and all(kind.is_zero(v) for v in V[5 + w:])
-        if not closed:
-            raise NotSuperperiodic(i)
-        diags.append(V)
-
-    def blk(i: int, j: int):
-        return diags[i % n][4 + j - i]
-
-    return FriezeGrid.from_blacks(kind, w, blk)
+    f = from_equation((eq.a, eq.b, eq.a[-1:] + eq.a[:-1]), kind=kind)
+    return FriezeGrid.from_blacks(kind, f.width, f.get)
 
 
 def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind = RATIONAL) -> FriezeGrid:

@@ -4,9 +4,11 @@ An order-k frieze is a single-valued array whose adjacent (k+1)x(k+1)
 minors are all 1 and whose adjacent (k+2)x(k+2) minors all vanish.  The
 order-3 case is exactly the black subarray of a symplectic 2-frieze, and
 the two duality maps below (projective and Gale) act on the general case.
+`SLFrieze` and `from_equation` are defined in `frieze`, which stores each
+colour of a symplectic grid as an order-3 band, and re-exported here.
 """
 
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 from .scalars import RATIONAL, ScalarKind
 from .linalg import Matrix, det
@@ -14,11 +16,13 @@ from .frieze import (
     FriezeError,
     FriezeGrid,
     MinorWindow,
-    NotSuperperiodic,
+    SLFrieze,
     TameResult,
+    _coeff_table,
     _rebuilds,
     adjacent_minors,
     check_minors,
+    from_equation,
 )
 
 __all__ = [
@@ -53,145 +57,6 @@ class MinorCondition(FriezeError):
 
 class WidthParity(FriezeError):
     """The width has the wrong parity for the requested check."""
-
-
-class SLFrieze:
-    """One superperiodic SL-frieze over a fundamental domain.
-
-    `order` is k for an SL_{k+1}-frieze: diagonals satisfy a linear
-    recurrence of length k+2 whose solutions repeat with period n and a
-    sign of (-1)^k, where n = width + order + 2.  Entries are stored for
-    first index in [0, n) and offsets j - i in [-1, width]; everything
-    else is a guard zero or a signed translate.
-    """
-
-    __slots__ = ("kind", "order", "width", "period", "_cells")
-
-    def __init__(self, kind: ScalarKind, order: int, width: int, cells: dict):
-        if order < 1:
-            raise ValueError(f"order must be at least 1, got {order}")
-        if width < 0:
-            raise ValueError(f"width must be nonnegative, got {width}")
-        self.kind = kind
-        self.order = order
-        self.width = width
-        self.period = width + order + 2
-        n = self.period
-        store = {}
-        for (i, o), v in dict(cells).items():
-            if not -1 <= o <= width:
-                raise ValueError(f"row offset {o} outside [-1, {width}]")
-            store[(i % n, o)] = kind.coerce(v)
-        for o in range(-1, width + 1):
-            for i in range(n):
-                if (i, o) not in store:
-                    raise ValueError(f"cell ({i}, offset {o}) missing")
-        self._cells = store
-
-    def get(self, i: int, j: int):
-        """Entry d_{i,j}, reduced into the stored band with its sign."""
-        n = self.period
-        o = j - i
-        steps = (o + self.order + 1) // n
-        op = o - steps * n
-        if op <= -2:
-            return self.kind.zero()
-        v = self._cells[(i % n, op)]
-        if self.order % 2 and steps % 2:
-            return -v
-        return v
-
-    def row_cycle(self, o: int, start: int = 0) -> Tuple:
-        """One period of the row at offset o, by first index."""
-        return tuple(self.get(i, i + o) for i in range(start, start + self.period))
-
-    def cells(self) -> Iterator[Tuple[Tuple[int, int], object]]:
-        """All cells of the fundamental domain, row by row."""
-        for o in range(-1, self.width + 1):
-            for i in range(self.period):
-                yield (i, o), self.get(i, i + o)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SLFrieze):
-            return NotImplemented
-        if (
-            self.kind.name != other.kind.name
-            or self.order != other.order
-            or self.width != other.width
-        ):
-            return False
-        return all(
-            self.kind.eq(v, other.get(i, i + o)) for (i, o), v in self.cells()
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"SLFrieze(order={self.order}, width={self.width}, "
-            f"period={self.period}, scalar={self.kind.name})"
-        )
-
-
-def _coeff_table(coeffs, kind: ScalarKind) -> Tuple[Tuple, ...]:
-    """Coerce a sequence of coefficient cycles into a rectangular table."""
-    table = tuple(tuple(kind.coerce(v) for v in row) for row in coeffs)
-    if not table:
-        raise ValueError("need at least one coefficient cycle")
-    n = len(table[0])
-    if any(len(row) != n for row in table):
-        raise ValueError("coefficient cycles must share one period")
-    if n < len(table) + 2:
-        raise ValueError(
-            f"period {n} too short for {len(table)} coefficient cycles"
-        )
-    return table
-
-
-def from_equation(
-    coeffs,
-    order: Optional[int] = None,
-    width: Optional[int] = None,
-    kind: ScalarKind = RATIONAL,
-) -> SLFrieze:
-    """Propagate an SL-frieze from the coefficient cycles of its recurrence.
-
-    `coeffs[s-1]` holds the weight of the s-th back term; signs alternate
-    starting positive, and the trailing term of the recurrence carries
-    (-1)^order.  Each diagonal starts from a window of zeros capped by a
-    single 1 and must close up the same way, else NotSuperperiodic.
-    """
-    table = _coeff_table(coeffs, kind)
-    k = len(table)
-    n = len(table[0])
-    w = n - k - 2
-    if order is not None and order != k:
-        raise ValueError(f"order {order} does not match {k} coefficient cycles")
-    if width is not None and width != w:
-        raise ValueError(f"width {width} does not match period {n} and order {k}")
-    zero, one = kind.zero(), kind.one()
-    tail_sign = -1 if k % 2 else 1
-    cells = {}
-    for i in range(n):
-        window = [zero] * k + [one]
-        cells[(i, -1)] = one
-        for step in range(w + k + 1):
-            j = i + step
-            acc = window[-1] * table[0][j % n]
-            for s in range(2, k + 1):
-                term = window[-s] * table[s - 1][j % n]
-                acc = acc + term if s % 2 else acc - term
-            acc = acc + window[0] if tail_sign > 0 else acc - window[0]
-            window = window[1:] + [acc]
-            if step < w:
-                cells[(i, step)] = acc
-            elif step == w:
-                if not kind.eq(acc, one):
-                    raise NotSuperperiodic(i)
-                cells[(i, w)] = acc
-            elif not kind.is_zero(acc):
-                raise NotSuperperiodic(i)
-    return SLFrieze(kind, k, w, cells)
 
 
 def coeffs_of(f: SLFrieze) -> Tuple[Tuple, ...]:
@@ -292,14 +157,12 @@ def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
 
 
 def black_of(g: FriezeGrid) -> SLFrieze:
-    """The order-3 frieze formed by the integer-indexed entries of g."""
-    n = g.period
-    cells = {
-        (i, o): g.black(i, i + o)
-        for i in range(n)
-        for o in range(-1, g.width + 1)
-    }
-    return SLFrieze(g.kind, 3, g.width, cells)
+    """The order-3 frieze formed by the integer-indexed entries of g.
+
+    This is the grid's own black band, returned as is: an SLFrieze is
+    never changed in place.
+    """
+    return g._bands[0]
 
 
 def symplectic_of(f: SLFrieze) -> FriezeGrid:

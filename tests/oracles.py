@@ -20,6 +20,36 @@ from symfrieze.frieze import (
 )
 
 
+def naive_get(cells, width, I, J):
+    """Entry (I, J) of `FriezeGrid.from_cells(kind, width, cells)`.
+
+    Reads the raw display cells {(x, o): value} by the documented rules
+    alone: d[i, j+n] = -d[i, j], display period 2n, guard rows at
+    offsets -4..-2 hold zero, and an omitted boundary row holds ones.
+    Guard zeros and omitted ones come back as the ints 0 and 1, so
+    coerce before comparing.
+    """
+    if (I - J) % 2:
+        raise ValueError(f"mixed parity index ({I}, {J})")
+    n = width + 5
+    x, o = (I + J) // 2, (J - I) // 2
+    sign = 1
+    # d[i, j] = -d[i, j - n]: (x, o) moves to (x - n, o - n)
+    while o > width:
+        x, o, sign = x - n, o - n, -sign
+    while o < -4:
+        x, o, sign = x + n, o + n, -sign
+    if o < -1:
+        return 0
+    row = {c: v for (c, r), v in cells.items() if r == o}
+    if row:
+        first = min(row)
+        value = row[first + (x - first) % (2 * n)]
+    else:
+        value = 1
+    return value if sign > 0 else -value
+
+
 def cofactor_det(rows):
     """Laplace expansion along the first row.
 

@@ -195,6 +195,15 @@ def test_polygon_pipeline(w2_json, w2_text):
     assert all(abs(complex(v) - w) < 1e-9 for v, w in zip(a + b, want))
 
 
+def test_polygon_readers_validate_the_document(w2_json):
+    rc, poly_json, _ = run(["polygon", "from-frieze", "-", "--anchor", "4"], stdin=w2_json)
+    assert rc == 0 and '"period":7' in poly_json
+    short = poly_json.replace('"period":7', '"period":9')
+    for command in ("normalize", "coeffs", "to-frieze"):
+        rc, out, err = run(["polygon", command, "-"], stdin=short)
+        assert (rc, out, err) == (1, "", "verification failed: need 9 vertices, got 7\n")
+
+
 # ---------------------------------------------------------------------------
 # search commands
 
@@ -265,6 +274,21 @@ def test_exit_codes(width1_int):
         rc, out, err = run(["cluster", "evaluate", "--point", "1,1", "--path", path])
         assert rc == 2 and out == ""
         assert err == f"error: vertex {vertex} out of range for width 1\n"
+
+    rc, out, err = run(["frieze", "from-coeffs", "--a", "6,3,x,3,4,2,1", "--b", "3,14,1,2,6,5,1"])
+    assert (rc, out, err) == (2, "", "error: cannot parse 'x' as a rational value\n")
+
+    rc, out, err = run(["cluster", "mutate", "--width", "1", "--word", "0,a"])
+    assert (rc, out, err) == (2, "", "error: --word must be comma-separated integers\n")
+
+    off_variety = ["--a", "6,3,1,3,4,2,1", "--b", "3,14,1,2,6,5,2"]
+    rc, out, err = run(["eq", "monodromy"] + off_variety)
+    assert rc == 1 and err == ""
+    assert out.splitlines() == ["-1 0 1 6", "0 -1 0 0", "0 0 -1 0", "0 0 0 -1", "superperiodic: false"]
+
+    rc, out, err = run(["eq", "variety"] + off_variety)
+    assert rc == 1 and err == ""
+    assert out.splitlines()[-1] == "on variety: false"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import cofactor_det
+from oracles import cofactor_det, naive_get
+from symfrieze.cluster import formal_frieze
 from symfrieze.diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
 from symfrieze.frieze import (
     FriezeGrid,
@@ -31,8 +32,8 @@ from symfrieze.frieze import (
     sign_twist,
     translate,
 )
-from symfrieze.scalars import RATIONAL
-from symfrieze.slfrieze import black_of, check_unimodular
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, ComplexFloatKind, GaussianRational
+from symfrieze.slfrieze import black_of, check_unimodular, from_equation
 
 
 def F(values):
@@ -108,6 +109,16 @@ def test_all_ones_width1_is_not_superperiodic():
         propagate_from_coeffs((1,) * 6, (1,) * 6)
 
 
+def test_closure_rejects_a_nonzero_tail():
+    # width 0: the diagonal hits 1 at step w = 0, then a nonzero entry
+    with pytest.raises(NotSuperperiodic) as caught:
+        from_equation(((1,) * 5, (0,) * 5, (1,) * 5))
+    assert caught.value.index == 0
+    with pytest.raises(NotSuperperiodic) as caught:
+        propagate_from_coeffs((1,) * 5, (0,) * 5)
+    assert caught.value.index == 0
+
+
 def test_width0_closes():
     g = propagate_from_coeffs((1,) * 5, (1,) * 5)
     assert g.width == 0
@@ -159,6 +170,80 @@ def test_with_entry_replaces_one_cell(width2_int):
     assert check_local_rules(changed) != ()
 
 
+def _raw_cells(width, start, values, boundary):
+    """Display cells over 2n columns from `start`, one fresh value each."""
+    rows = range(-1, width + 1) if boundary else range(width)
+    return {
+        (x, o): next(values)
+        for o in rows
+        for x in range(start, start + 2 * (width + 5))
+    }
+
+
+def _band_cases():
+    rng = random.Random(11)
+    rational = (Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in count())
+    gaussian = (
+        GaussianRational(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9), 2))
+        for _ in count()
+    )
+    floats = (complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in count())
+    formal = {(x + 3, o): v for (x, o), v in formal_frieze(1).cells()}
+    return [
+        ("rational", RATIONAL, 2, _raw_cells(2, -3, rational, True)),
+        ("rational-ones", RATIONAL, 3, _raw_cells(3, 4, rational, False)),
+        ("gaussian", GAUSSIAN, 1, _raw_cells(1, 5, gaussian, False)),
+        ("complex-float", COMPLEX, 3, _raw_cells(3, 0, floats, True)),
+        ("formal", formal_frieze(1).kind, 1, formal),
+    ]
+
+
+BAND_CASES = _band_cases()
+
+
+@pytest.mark.parametrize("name, kind, width, cells", BAND_CASES, ids=[c[0] for c in BAND_CASES])
+def test_band_store_matches_naive_reduction(name, kind, width, cells):
+    g = FriezeGrid.from_cells(kind, width, cells)
+    two_n = 2 * g.period
+    for I in range(-2 * two_n, 2 * two_n):
+        for J in range(I - 2 * two_n, I + 2 * two_n, 2):
+            want = kind.coerce(naive_get(cells, width, I, J))
+            assert g.get(I, J) == want, (I, J)
+            band = g.black if I % 2 == 0 else g.white
+            assert band(I // 2, J // 2) == want, (I, J)
+    with pytest.raises(ValueError):
+        g.get(0, 1)
+
+
+@pytest.mark.parametrize("colour", [0, 1])
+def test_with_entry_one_period_off(colour):
+    _, kind, w, cells = BAND_CASES[0]
+    g = FriezeGrid.from_cells(kind, w, cells)
+    n = g.period
+    I, J = 2 + colour, 4 + colour  # offset 1, interior
+    stored = ((I + J) // 2, (J - I) // 2)  # a display cell given to from_cells
+    # d[i, j + n] = -d[i, j]; d[i + n, j - n] = d[i, j - 2n] = d[i, j]
+    for far, sign in ((GridIndex(I, J + 2 * n), -1), (GridIndex(I + 2 * n, J - 2 * n), 1)):
+        changed = g.with_entry(far, 99)
+        assert changed.get_entry(far) == 99
+        assert changed.get(I, J) == sign * 99
+        want = dict(cells)
+        want[stored] = Fraction(sign * 99)
+        for I2 in range(-2 * n, 2 * n):
+            for J2 in range(I2 - 2 * n, I2 + 2 * n, 2):
+                assert changed.get(I2, J2) == naive_get(want, w, I2, J2), (I2, J2)
+    assert g == FriezeGrid.from_cells(kind, w, cells)
+
+
+def test_with_entry_rejects_guards_and_mixed_parity(width2_int):
+    w, n = width2_int.width, width2_int.period
+    for idx in (GridIndex(0, 2 * (w + 1)), GridIndex(1, -3), GridIndex(4, 4 - 8 + 4 * n)):
+        with pytest.raises(ValueError, match="guard row"):
+            width2_int.with_entry(idx, 1)
+    with pytest.raises(ValueError, match="mixed parity"):
+        width2_int.with_entry(GridIndex(0, 1), 1)
+
+
 def test_cells_cover_fundamental_domain(width1_int):
     seen = dict(width1_int.cells())
     assert len(seen) == 12 * 3
@@ -184,6 +269,17 @@ def test_zigzag_ones_width2():
 def test_zigzag_zero_pivot():
     with pytest.raises(ZeroPivot):
         propagate_from_zigzag((0, 1), 1)
+
+
+@pytest.mark.parametrize("seed, width", [
+    ((0.3, 1.9, 0.7, 2.3), 2),
+    ((3.3, 0.01, 2.2, 5.5, 0.9, 1.7), 3),
+])
+def test_zigzag_float_drift_does_not_close(seed, width):
+    # complex-float rounding keeps the last period from matching its start exactly
+    with pytest.raises(NotClosed):
+        propagate_from_zigzag(seed, width, ComplexFloatKind(0.0))
+    assert check_local_rules(propagate_from_zigzag(seed, width, ComplexFloatKind(1e-6))) == ()
 
 
 def test_zigzag_wrong_count():
