@@ -19,6 +19,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
+from .linalg import Matrix
 from .scalars import SCALAR_NAMES, KindMismatch, kind_by_name
 
 __all__ = ["main"]
@@ -206,7 +207,7 @@ def _cmd_eq_monodromy(args) -> int:
     m = diffeq.monodromy(eq)
     for row in m.rows:
         print(" ".join(str(v) for v in row))
-    if not diffeq.is_superperiodic(eq):
+    if m != -Matrix.identity(eq.kind, 4):
         raise VerificationFailed("superperiodic: false")
     print("superperiodic: true")
     return 0

@@ -560,6 +560,20 @@ def initial_seed(width: int) -> Seed:
     return Seed(gens, c2_square_aw(width))
 
 
+def _exchange(values: Sequence, matrix: ExchangeMatrix, k: int, one):
+    """Exchange relation (M+ + M-) / values[k]; M+ and M- take each value to
+    its positive or negative entry of column k, one factor at a time."""
+    pos = neg = one
+    for v, row in zip(values, matrix.rows):
+        e = row[k]
+        for _ in range(abs(e)):
+            if e > 0:
+                pos = pos * v
+            else:
+                neg = neg * v
+    return (pos + neg) / values[k]
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Exchange the k-th cluster variable and mutate the matrix.
 
@@ -570,16 +584,8 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     matrix = seed.matrix
     if not 0 <= k < matrix.m:
         raise IndexError(f"vertex {k} out of range")
-    nvars = seed.cluster[0].nvars
-    pos = LaurentPolynomial.constant(nvars, 1)
-    neg = LaurentPolynomial.constant(nvars, 1)
-    for i, u in enumerate(seed.cluster):
-        e = matrix.rows[i][k]
-        if e > 0:
-            pos = pos * u**e
-        elif e < 0:
-            neg = neg * u ** (-e)
-    new = (pos + neg) / seed.cluster[k]
+    one = LaurentPolynomial.constant(seed.cluster[0].nvars, 1)
+    new = _exchange(seed.cluster, matrix, k, one)
     cluster = seed.cluster[:k] + (new,) + seed.cluster[k + 1 :]
     return Seed(cluster, mutate_matrix(matrix, k))
 
@@ -683,17 +689,7 @@ def evaluate_frieze(point: Sequence, path: Sequence[int] = (), kind: ScalarKind 
         mats.append(mutate_matrix(mats[-1], k))
     for t in range(len(path) - 1, -1, -1):
         k = path[t]
-        rows = mats[t + 1].rows
-        pos = kind.one()
-        neg = kind.one()
-        for i, v in enumerate(values):
-            e = rows[i][k]
-            for _ in range(abs(e)):
-                if e > 0:
-                    pos = pos * v
-                else:
-                    neg = neg * v
-        new = (pos + neg) / values[k]
+        new = _exchange(values, mats[t + 1], k, kind.one())
         if kind.is_zero(new):
             raise ZeroSubstitution(f"walking back through vertex {k} produced zero")
         values[k] = new

@@ -9,7 +9,7 @@ equations whose solution diagonals weave a frieze grid of width n - 5.
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .linalg import Matrix, mat_mul
+from .linalg import Matrix
 from .scalars import RATIONAL, ScalarKind
 
 
@@ -44,6 +44,32 @@ class SymmetricDiffEq:
         return self.b[i % self.n]
 
 
+def _table(eq: SymmetricDiffEq) -> Tuple[Tuple, ...]:
+    """Coefficient cycles (a, b, a shifted by one) of the order-3 recurrence."""
+    return (eq.a, eq.b, eq.a[-1:] + eq.a[:-1])
+
+
+def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int) -> list:
+    """Run the order-k recurrence of k coefficient cycles; the one loop
+    in the package that runs a difference equation.
+
+    V[j] = sum over s of (-1)^(s+1) table[s-1][j mod n] V[j-s], plus
+    (-1)^k V[j-k-1].  `window` holds V[first-k-1] .. V[first-1]; returns
+    V[first], ..., V[first+count-1].
+    """
+    k, n = len(table), len(table[0])
+    negate_tail = k % 2 == 1
+    seq = list(window)
+    for j in range(first, first + count):
+        r = j % n
+        acc = seq[-1] * table[0][r]
+        for s in range(2, k + 1):
+            term = seq[-s] * table[s - 1][r]
+            acc = acc + term if s % 2 else acc - term
+        seq.append(acc - seq[-k - 1] if negate_tail else acc + seq[-k - 1])
+    return seq[k + 1 :]
+
+
 def solve(eq: SymmetricDiffEq, init: Sequence, first: int, count: int) -> Tuple:
     """Run the recurrence; `init` holds V[first-4] .. V[first-1].
 
@@ -51,35 +77,13 @@ def solve(eq: SymmetricDiffEq, init: Sequence, first: int, count: int) -> Tuple:
     """
     if len(init) != 4:
         raise ValueError("exactly four initial values are required")
-    window = [eq.kind.coerce(v) for v in init]
-    out = []
-    for j in range(first, first + count):
-        v = (
-            eq.a_at(j) * window[3]
-            - eq.b_at(j) * window[2]
-            + eq.a_at(j - 1) * window[1]
-            - window[0]
-        )
-        out.append(v)
-        window = window[1:] + [v]
-    return tuple(out)
+    return tuple(_recur(_table(eq), [eq.kind.coerce(v) for v in init], first, count))
 
 
 def is_superperiodic(eq: SymmetricDiffEq) -> bool:
-    """True iff every solution satisfies V[i+n] = -V[i].
-
-    By linearity it is enough to run the four standard basis initial
-    conditions across one period and compare the final window.
-    """
-    k = eq.kind
-    zero, one = k.zero(), k.one()
-    for pos in range(4):
-        init = [one if t == pos else zero for t in range(4)]
-        seq = solve(eq, init, 0, eq.n)
-        tail = (list(init) + list(seq))[-4:]
-        if not all(k.eq(tail[t], -init[t]) for t in range(4)):
-            return False
-    return True
+    """True iff every solution satisfies V[i+n] = -V[i], that is, iff the
+    monodromy is minus the identity (by linearity)."""
+    return monodromy(eq) == -Matrix.identity(eq.kind, 4)
 
 
 def companion(eq: SymmetricDiffEq, j: int) -> Matrix:
@@ -104,15 +108,16 @@ def companion(eq: SymmetricDiffEq, j: int) -> Matrix:
 
 
 def monodromy(eq: SymmetricDiffEq) -> Matrix:
-    """Ordered product E_1 E_2 ... E_n.
+    """Ordered product E_1 E_2 ... E_n, from one run per unit window.
 
+    Row t is e_t E_1 ... E_n: the window (V[n-3], ..., V[n]) reached
+    from the t-th unit window (V[-3], ..., V[0]) after one period.
     Equals minus the identity exactly when the equation is
     superperiodic.
     """
-    m = companion(eq, 1)
-    for j in range(2, eq.n + 1):
-        m = mat_mul(m, companion(eq, j))
-    return m
+    zero, one, table = eq.kind.zero(), eq.kind.one(), _table(eq)
+    units = [[one if s == t else zero for s in range(4)] for t in range(4)]
+    return Matrix(eq.kind, [_recur(table, u, 1, eq.n)[-4:] for u in units])
 
 
 def band_determinant(eq: SymmetricDiffEq, i: int, j: int):

@@ -18,16 +18,16 @@ C = (I+1, J-1), D = (I-1, J+1)), the local rules read
 Every grid here is antiperiodic, d[i, j+n] = -d[i, j], hence genuinely
 periodic of length 2n in the display direction.  The black entries form
 a tame order-3 SL-frieze and so do the white ones, so a grid is stored
-as two `SLFrieze` bands; the SL-frieze class and its recurrence
-(`from_equation`) live here for that reason and are re-exported by
-`slfrieze`.
+as two `SLFrieze` bands; the SL-frieze class and its propagation
+(`from_equation`, which runs the recurrence loop of `diffeq`) live here
+for that reason and are re-exported by `slfrieze`.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq
+from .diffeq import SymmetricDiffEq, _recur, _table
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
@@ -239,11 +239,16 @@ class SLFrieze:
         self.width = width
         self.period = width + order + 2
         n = self.period
+        given = dict(cells)
         store, coerce = {}, kind.coerce
-        for (i, o), v in dict(cells).items():
+        for (i, o), v in given.items():
             if not -1 <= o <= width:
                 raise ValueError(f"row offset {o} outside [-1, {width}]")
             store[(i % n, o)] = coerce(v)
+        if len(store) < len(given):
+            keys = [(i % n, o) for i, o in given]
+            i, o = next(k for t, k in enumerate(keys) if k in keys[:t])
+            raise ValueError(f"cell ({i}, offset {o}) given twice")
         # every key lies in the domain, so a short count means a gap
         if len(store) != n * (width + 2):
             i, o = next(
@@ -344,27 +349,14 @@ def from_equation(
     if width is not None and width != w:
         raise ValueError(f"width {width} does not match period {n} and order {k}")
     zero, one = kind.zero(), kind.one()
-    tail_sign = -1 if k % 2 else 1
+    start = [zero] * k + [one]
     cells = {}
     for i in range(n):
-        window = [zero] * k + [one]
-        cells[(i, -1)] = one
-        for step in range(w + k + 1):
-            j = i + step
-            acc = window[-1] * table[0][j % n]
-            for s in range(2, k + 1):
-                term = window[-s] * table[s - 1][j % n]
-                acc = acc + term if s % 2 else acc - term
-            acc = acc + window[0] if tail_sign > 0 else acc - window[0]
-            window = window[1:] + [acc]
-            if step < w:
-                cells[(i, step)] = acc
-            elif step == w:
-                if not kind.eq(acc, one):
-                    raise NotSuperperiodic(i)
-                cells[(i, w)] = acc
-            elif not kind.is_zero(acc):
-                raise NotSuperperiodic(i)
+        diagonal = _recur(table, start, i, w + k + 1)
+        if not kind.eq(diagonal[w], one) or not all(map(kind.is_zero, diagonal[w + 1 :])):
+            raise NotSuperperiodic(i)
+        for o, v in enumerate([one] + diagonal[: w + 1], -1):
+            cells[(i, o)] = v
     return SLFrieze(kind, k, w, cells)
 
 
@@ -498,13 +490,12 @@ class FriezeGrid:
 def propagate_from_coeffs(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL) -> FriezeGrid:
     """Grow the full grid of width len(a) - 5 from one coefficient period.
 
-    The black entries form the order-3 frieze of `from_equation` with
-    coefficient cycles (a, b, a shifted by one), which is the recurrence
-    of `diffeq.solve`; NotSuperperiodic names the first diagonal that
-    does not close.  White cells are the 2x2 minors of the black grid.
+    The black entries form the order-3 frieze of `from_equation` on the
+    coefficient cycles (a, b, a shifted by one) of the symmetric
+    equation; NotSuperperiodic names the first diagonal that does not
+    close.  White cells are the 2x2 minors of the black grid.
     """
-    eq = SymmetricDiffEq(tuple(a), tuple(b), kind)
-    f = from_equation((eq.a, eq.b, eq.a[-1:] + eq.a[:-1]), kind=kind)
+    f = from_equation(_table(SymmetricDiffEq(tuple(a), tuple(b), kind)), kind=kind)
     return FriezeGrid.from_blacks(kind, f.width, f.get)
 
 

@@ -5,12 +5,16 @@ these are deliberately naive so a shared bug cannot hide.  The census
 oracle builds its grids and symmetry images with the general `frieze`
 routines, the slow path that the search avoids.  The minor oracles
 expand every adjacent window by cofactors and compare with `==`, so
-they serve exact kinds only.
+they serve exact kinds only.  The monodromy oracles multiply companion
+matrices and step the order-4 equation written out by hand, so they
+serve every kind; complex floats agree with the package only up to
+rounding.
 """
 
 import itertools
 from fractions import Fraction
 
+from symfrieze.diffeq import companion
 from symfrieze.frieze import (
     MinorWindow,
     TameResult,
@@ -115,11 +119,39 @@ def naive_centres(f):
 
 
 def mul4(a, b):
-    """Plain 4x4 product over nested lists."""
+    """Plain 4x4 product over nested lists, summed from the first term."""
     return [
-        [sum(a[r][k] * b[k][c] for k in range(4)) for c in range(4)]
+        [sum((a[r][k] * b[k][c] for k in range(1, 4)), a[r][0] * b[0][c]) for c in range(4)]
         for r in range(4)
     ]
+
+
+def naive_monodromy(eq):
+    """Ordered product E_1 E_2 ... E_n of the companion matrices."""
+    m = companion(eq, 1).rows
+    for j in range(2, eq.n + 1):
+        m = mul4(m, companion(eq, j).rows)
+    return m
+
+
+def naive_superperiodic(eq):
+    """Each of the four unit windows, stepped across one period by the
+    order-4 equation, must come back as minus itself."""
+    k = eq.kind
+    for pos in range(4):
+        start = [k.one() if t == pos else k.zero() for t in range(4)]
+        window = list(start)
+        for j in range(eq.n):
+            v = (
+                eq.a_at(j) * window[3]
+                - eq.b_at(j) * window[2]
+                + eq.a_at(j - 1) * window[1]
+                - window[0]
+            )
+            window = window[1:] + [v]
+        if not all(k.eq(window[t], -start[t]) for t in range(4)):
+            return False
+    return True
 
 
 def _seed_survives(seed, width):

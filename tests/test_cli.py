@@ -145,6 +145,16 @@ def test_sl_pipeline(w2_json, w2_text, width2_int):
     assert rc == 0 and loads(out).order == width2_int.width and loads(out).width == 3
 
 
+def test_sl_document_rejects_a_cell_given_twice(w2_json):
+    rc, sl_json, _ = run(["sl", "black", "-"], stdin=w2_json)
+    # key 7,7 is d[0, 0] = 6 one period on; it used to overwrite it silently
+    doubled = sl_json.replace('},"kind"', ',"7,7":"99"},"kind"', 1)
+    assert doubled != sl_json
+    rc, out, err = run(["sl", "dual", "-"], stdin=doubled)
+    assert (rc, out) == (1, "")
+    assert err == "verification failed: cell (0, offset 0) given twice\n"
+
+
 # ---------------------------------------------------------------------------
 # cluster commands
 

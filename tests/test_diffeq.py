@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS
+from oracles import naive_monodromy, naive_superperiodic
 from symfrieze.diffeq import (
     SymmetricDiffEq,
     ZeroParameter,
@@ -15,9 +17,17 @@ from symfrieze.diffeq import (
     white_band_determinant,
     width1_family,
 )
-from symfrieze.frieze import black_block, dihedral_images, propagate_from_coeffs, translate
+from symfrieze.frieze import (
+    NotSuperperiodic,
+    black_block,
+    dihedral_images,
+    extract_coeffs,
+    propagate_from_coeffs,
+    propagate_from_zigzag,
+    translate,
+)
 from symfrieze.linalg import Matrix, mat_mul
-from symfrieze.scalars import RATIONAL
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +118,12 @@ def test_variety_residuals_vanish():
     assert all(v == 0 for v in res)
 
 
+def test_variety_residuals_need_period_six():
+    with pytest.raises(ValueError, match=r"^the system needs period at least 6$") as e:
+        variety_residuals((1,) * 5, (1,) * 5)
+    assert e.type is ValueError
+
+
 def test_variety_residuals_detect_perturbation():
     a, b = WIDTH2_COEFFS
     bumped = (a[0] + 1,) + a[1:]
@@ -141,3 +157,60 @@ def test_superperiodic_family_spot_checks():
     for a in (1, 2, 3, Fraction(1, 2)):
         for b in (1, 2, Fraction(5, 3)):
             assert is_superperiodic(width1_family(a, b))
+
+
+def _oracle_equations():
+    """Superperiodic equations of widths 0-4 over three kinds, each with a
+    copy whose b[0] is bumped by one, tagged with the expected verdict."""
+    rng = random.Random(8)
+    draws = {
+        RATIONAL: lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+        GAUSSIAN: lambda: GaussianRational(
+            Fraction(rng.randint(1, 9), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), 2)
+        ),
+        COMPLEX: lambda: complex(rng.uniform(0.5, 3), rng.uniform(-1, 1)),
+    }
+    cases = []
+    for kind, draw in draws.items():
+        for w in range(5):
+            if w == 0:
+                a = b = (kind.one(),) * 5
+            else:
+                g = propagate_from_zigzag([draw() for _ in range(2 * w)], w, kind)
+                a, b = extract_coeffs(g)
+            bumped = (b[0] + kind.one(),) + tuple(b[1:])
+            cases.append((f"{kind.name}-w{w}", SymmetricDiffEq(a, b, kind), True))
+            cases.append((f"{kind.name}-w{w}-bumped", SymmetricDiffEq(a, bumped, kind), False))
+    return cases
+
+
+ORACLE_EQUATIONS = _oracle_equations()
+oracle_cases = pytest.mark.parametrize(
+    "eq,superperiodic", [c[1:] for c in ORACLE_EQUATIONS], ids=[c[0] for c in ORACLE_EQUATIONS]
+)
+
+
+@oracle_cases
+def test_monodromy_matches_companion_product(eq, superperiodic):
+    got, want = monodromy(eq).rows, naive_monodromy(eq)
+    if eq.kind is COMPLEX:
+        # one period run against a matrix product: equal up to rounding
+        assert all(abs(x - y) < 1e-9 for r, s in zip(got, want) for x, y in zip(r, s))
+    else:
+        assert got == tuple(tuple(r) for r in want)
+
+
+@oracle_cases
+def test_superperiodic_matches_four_windows(eq, superperiodic):
+    assert is_superperiodic(eq) is superperiodic
+    assert naive_superperiodic(eq) is superperiodic
+
+
+@oracle_cases
+def test_propagation_fails_exactly_off_superperiodic(eq, superperiodic):
+    if superperiodic:
+        g = propagate_from_coeffs(eq.a, eq.b, eq.kind)
+        assert all(eq.kind.eq(x, y) for x, y in zip(extract_coeffs(g)[0], eq.a))
+    else:
+        with pytest.raises(NotSuperperiodic):
+            propagate_from_coeffs(eq.a, eq.b, eq.kind)

@@ -6,7 +6,14 @@ import pytest
 from oracles import cofactor_det
 from symfrieze.cluster import LaurentKind, LaurentPolynomial
 from symfrieze.linalg import Matrix, SingularMatrix, det, mat_mul, minor, solve_linear
-from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, ComplexFloatKind, GaussianRational
+from symfrieze.scalars import (
+    COMPLEX,
+    GAUSSIAN,
+    RATIONAL,
+    ComplexFloatKind,
+    GaussianRational,
+    KindMismatch,
+)
 
 
 def rational_matrix(rng, n, span=9):
@@ -116,6 +123,21 @@ def test_laurent_det_takes_generic_bareiss():
     rows = [[zero, y, one], [x * y, x + y, y * y], [one / x, x * x, x + one]]
     assert det(Matrix(kind, rows)) == cofactor_det(rows)
     assert det(Matrix(kind, [[x, y], [x * x, x * y]])) == zero
+
+
+def test_laurent_det_with_a_zero_column_is_zero():
+    kind = LaurentKind(2)
+    x, y = (LaurentPolynomial.variable(2, v) for v in range(2))
+    zero = kind.zero()
+    # the second column has no pivot left after the first elimination step
+    rows = [[x, zero, y], [y, zero, x], [x * y, zero, kind.one()]]
+    assert det(Matrix(kind, rows)) == zero
+
+
+def test_mat_mul_rejects_mixed_kinds():
+    with pytest.raises(KindMismatch, match=r"^mixing matrices over rational and gaussian$") as e:
+        mat_mul(Matrix(RATIONAL, [[1]]), Matrix(GAUSSIAN, [[1]]))
+    assert e.type is KindMismatch
 
 
 def test_complex_float_det_uses_tolerance():

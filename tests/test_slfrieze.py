@@ -5,9 +5,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from symfrieze.frieze import MinorWindow, NotSuperperiodic, propagate_from_coeffs, propagate_from_zigzag
+from symfrieze.frieze import (
+    FriezeError,
+    MinorWindow,
+    NotSuperperiodic,
+    propagate_from_coeffs,
+    propagate_from_zigzag,
+)
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import RATIONAL
+from symfrieze.scalars import GAUSSIAN, RATIONAL
 from symfrieze.slfrieze import (
     MinorCondition,
     SLFrieze,
@@ -69,6 +75,22 @@ def test_shape_keyword_mismatches():
 def test_nonclosing_cycle():
     with pytest.raises(NotSuperperiodic):
         from_equation(((1, 1, 1, 1, 1),))
+
+
+def test_cell_given_twice_is_named():
+    cells = {(i, o): 1 for i in range(3) for o in (-1, 0)}
+    cells[(4, 0)] = 2  # (1, offset 0) one period on
+    with pytest.raises(ValueError, match=r"^cell \(1, offset 0\) given twice$") as e:
+        SLFrieze(RATIONAL, 1, 0, cells)
+    assert e.type is ValueError
+
+
+def test_equality_needs_kind_order_and_width(blacks2, blacks3):
+    assert blacks2.__eq__("frieze") is NotImplemented
+    assert blacks2 != SLFrieze(GAUSSIAN, 3, 2, dict(blacks2.cells()))
+    assert blacks2 != from_equation(((1, 2, 2, 1, 3),))  # order 1, width 2
+    assert blacks2 != blacks3  # order 3, width 3
+    assert blacks2 == SLFrieze(RATIONAL, 3, 2, dict(blacks2.cells()))
 
 
 def test_get_reduction(blacks2):
@@ -189,6 +211,20 @@ def test_symplectic_rejects_broken_minor(blacks2):
 
 # ---------------------------------------------------------------------------
 # gale dual
+
+def test_symplectic_needs_order_three():
+    f = SLFrieze(RATIONAL, 2, 0, {(i, o): 1 for i in range(4) for o in (-1, 0)})
+    with pytest.raises(FriezeError, match=r"^symplectic conversion needs order 3, got 2$") as e:
+        symplectic_of(f)
+    assert e.type is FriezeError
+
+
+def test_gale_needs_positive_width():
+    f = SLFrieze(RATIONAL, 3, 0, {(i, o): 1 for i in range(5) for o in (-1, 0)})
+    with pytest.raises(ValueError, match=r"^gale dual needs width at least 1$") as e:
+        gale_dual(f)
+    assert e.type is ValueError
+
 
 def test_gale_shape_and_rows(blacks2):
     c2 = coeffs_of(blacks2)
