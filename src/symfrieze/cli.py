@@ -344,13 +344,12 @@ def _cmd_polygon_coeffs(args) -> int:
 # search commands
 
 def _cmd_search_enumerate(args) -> int:
-    cfg = search.SearchConfig(args.width, args.bound, args.dedup)
-    found = search.enumerate_friezes(cfg)
-    orbits = search.dihedral_orbits(found) if found else []
+    found = search.census(search.SearchConfig(args.width, args.bound, args.dedup))
     print(f"width: {args.width}")
     print(f"bound: {args.bound}")
     print(f"dedup: {args.dedup}")
-    print(f"count: {len(found)}, orbits: {len(orbits)}")
+    print(f"count: {found.count}, orbits: {found.orbits}")
+    print(f"largest seed entry: {found.largest_seed}")
     return 0
 
 
@@ -437,7 +436,7 @@ _COMMANDS = {
     "search": ("enumerate positive integer friezes", {
         "enumerate": (_cmd_search_enumerate, "count friezes with seed entries up to a bound", (
             _WIDTH, _arg("--bound", type=int, required=True),
-            _arg("--dedup", choices=["none", "translation", "dihedral"], default="none"))),
+            _arg("--dedup", choices=search.DEDUP_MODES, default="none"))),
         "orbits": (_cmd_search_orbits, "group frieze documents into dihedral orbits", (
             _arg("inputs", nargs="+", help="frieze document files"),
             _arg("--tolerance", type=float, default=None))),

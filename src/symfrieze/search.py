@@ -13,6 +13,11 @@ lexicographic seed order.
 Symmetry keys never build image grids: display cells repeat with period
 2n in x, so every translate and mirror image of a frieze is a rotation
 of its column list, or of that list read backwards from column 0.
+
+`census` counts friezes and orbits from the int columns and keys of the
+survivors and builds no grids; `enumerate_friezes` builds one rational
+grid per kept survivor.  `_kept` holds the one deduplication rule both
+follow.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ from .frieze import FriezeGrid
 from .frieze import dihedral_images, propagate_from_zigzag, translate  # noqa: F401
 from .scalars import RATIONAL
 
-__all__ = ["SearchConfig", "enumerate_friezes", "dihedral_orbits"]
+__all__ = [
+    "DEDUP_MODES", "Census", "SearchConfig", "census", "enumerate_friezes", "dihedral_orbits",
+]
 
-_DEDUP_MODES = ("none", "translation", "dihedral")
+DEDUP_MODES = ("none", "translation", "dihedral")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,8 @@ class SearchConfig:
             raise ValueError("width must be positive")
         if self.bound < 1:
             raise ValueError("bound must be positive")
-        if self.dedup not in _DEDUP_MODES:
-            raise ValueError(f"dedup must be one of {_DEDUP_MODES}")
+        if self.dedup not in DEDUP_MODES:
+            raise ValueError(f"dedup must be one of {DEDUP_MODES}")
 
 
 def _int_columns(col1: List[int], col2: List[int], width: int) -> Optional[List[List[int]]]:
@@ -126,6 +133,26 @@ def _image_keys(cols: Sequence[Tuple], mirrors: bool) -> Iterator[Tuple]:
             yield tuple(itertools.chain.from_iterable(base[n2 - s:] + base[: n2 - s]))
 
 
+def _kept(
+    survivors: Iterable[Tuple[Tuple[int, ...], List[List[int]]]], dedup: str
+) -> Iterator[Tuple[List[List[int]], Tuple[int, ...]]]:
+    """(display columns x = 0..2n-1, dihedral canonical key) of each kept survivor.
+
+    Deduplication keeps the first survivor of every class, in the order
+    given; "none" keeps them all.
+    """
+    seen: set = set()
+    for _, cols in survivors:
+        cols = cols[-1:] + cols[:-1]
+        canon = min(_image_keys(cols, True))
+        if dedup != "none":
+            key = canon if dedup == "dihedral" else min(_image_keys(cols, False))
+            if key in seen:
+                continue
+            seen.add(key)
+        yield cols, canon
+
+
 def enumerate_friezes(config: SearchConfig) -> List[FriezeGrid]:
     """All positive integer friezes within the seed bound.
 
@@ -135,17 +162,45 @@ def enumerate_friezes(config: SearchConfig) -> List[FriezeGrid]:
     bound returns a superset.
     """
     w = config.width
-    out: List[FriezeGrid] = []
-    seen: set = set()
-    for _, cols in _survivors(w, config.bound):
-        if config.dedup != "none":
-            canon = min(_image_keys(cols[-1:] + cols[:-1], config.dedup == "dihedral"))
-            if canon in seen:
-                continue
-            seen.add(canon)
-        cells = {(x + 1, o): v for x, col in enumerate(cols) for o, v in enumerate(col)}
-        out.append(FriezeGrid.from_cells(RATIONAL, w, cells))
-    return out
+    return [
+        FriezeGrid.from_cells(
+            RATIONAL, w, {(x, o): v for x, col in enumerate(cols) for o, v in enumerate(col)}
+        )
+        for cols, _ in _kept(_survivors(w, config.bound), config.dedup)
+    ]
+
+
+@dataclass(frozen=True)
+class Census:
+    """Counts of one search.
+
+    `count` friezes kept by the dedup mode, in `orbits` dihedral orbits;
+    `largest_seed` is the largest seed entry of any survivor, or 0.
+    """
+
+    count: int
+    orbits: int
+    largest_seed: int
+
+
+def census(config: SearchConfig) -> Census:
+    """Counts of `enumerate_friezes(config)` and of its `dihedral_orbits`.
+
+    No grid is built.  Every kept cell is a positive int, and tuples of
+    ints order and compare exactly as the tuples of equal Fractions that
+    `dihedral_orbits` reads off the grids, so the canonical keys here are
+    the ones it would compute: the same keys are kept, and the number of
+    distinct keys is its number of orbits.  `largest_seed` is taken over
+    every survivor before deduplication; when it equals the bound, a
+    larger bound may find more friezes.
+    """
+    survivors = _survivors(config.width, config.bound)
+    keys = [canon for _, canon in _kept(survivors, config.dedup)]
+    return Census(
+        count=len(keys),
+        orbits=len(set(keys)),
+        largest_seed=max((max(seed) for seed, _ in survivors), default=0),
+    )
 
 
 def dihedral_orbits(

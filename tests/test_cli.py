@@ -20,7 +20,7 @@ from symfrieze.formats import (
     render_frieze_text,
     sl_document_of,
 )
-from symfrieze.frieze import mirror_grid, sign_twist
+from symfrieze.frieze import FriezeGrid, mirror_grid, sign_twist
 
 SRC = str(Path(symfrieze.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -220,6 +220,16 @@ def test_polygon_readers_validate_the_document(w2_json):
 def test_search_enumerate():
     rc, out, _ = run(["search", "enumerate", "--width", "1", "--bound", "5"])
     assert rc == 0 and "count: 6, orbits: 1" in out and "bound: 5" in out
+
+
+def test_search_enumerate_builds_no_grids(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search enumerate built a grid")
+
+    monkeypatch.setattr(FriezeGrid, "from_cells", refuse)
+    rc, out, err = run(["search", "enumerate", "--width", "2", "--bound", "10"])
+    assert (rc, err) == (0, "")
+    assert "count: 68, orbits: 9\nlargest seed entry: 10\n" in out
 
 
 def test_search_orbits(tmp_path, w2_json, width2_int):

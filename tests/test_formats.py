@@ -19,9 +19,9 @@ from symfrieze.formats import (
     sl_document_of,
     sl_of,
 )
-from symfrieze.frieze import propagate_from_coeffs
+from symfrieze.frieze import ZeroPivot, propagate_from_coeffs, propagate_from_zigzag
 from symfrieze.legendrian import polygon_from_frieze
-from symfrieze.scalars import COMPLEX
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import black_of
 
 from conftest import WIDTH2_COEFFS
@@ -70,6 +70,39 @@ def test_complex_round_trips():
     assert grid_of(loads(blob)) == g
     assert dumps(loads(blob)) == blob
     assert grid_of(loads(render_frieze_text(doc))) == g
+
+
+def test_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+    @hypothesis.given(
+        st.sampled_from([RATIONAL, GAUSSIAN]),
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda w: st.lists(
+                st.tuples(nonzero, st.integers(min_value=-2, max_value=2)),
+                min_size=2 * w, max_size=2 * w,
+            )
+        ),
+    )
+    # no shrink phase, as in test_tame: a failing example is reported as drawn
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None,
+        phases=(hypothesis.Phase.explicit, hypothesis.Phase.generate),
+    )
+    def check(kind, seed):
+        if kind is RATIONAL:
+            values = [re for re, _ in seed]
+        else:
+            values = [GaussianRational(re, Fraction(im)) for re, im in seed]
+        try:
+            g = propagate_from_zigzag(values, len(seed) // 2, kind)
+        except ZeroPivot:
+            hypothesis.reject()
+        assert grid_of(loads(dumps(document_of(g)))) == g
+
+    check()
 
 
 # ---------------------------------------------------------------------------

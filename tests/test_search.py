@@ -12,7 +12,7 @@ from symfrieze.frieze import (
     propagate_from_zigzag,
     translate,
 )
-from symfrieze.search import SearchConfig, dihedral_orbits, enumerate_friezes
+from symfrieze.search import DEDUP_MODES, SearchConfig, census, dihedral_orbits, enumerate_friezes
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +97,26 @@ def _same_grids(got, want):
 @pytest.mark.parametrize("dedup", ["none", "translation", "dihedral"])
 @pytest.mark.parametrize("width,bound", [(1, 30), (2, 10), (3, 4)])
 def test_census_matches_naive_oracle(width, bound, dedup):
-    _same_grids(
-        enumerate_friezes(SearchConfig(width, bound, dedup)),
-        naive_census(width, bound, dedup),
-    )
+    config = SearchConfig(width, bound, dedup)
+    naive = naive_census(width, bound, dedup)
+    _same_grids(enumerate_friezes(config), naive)
+    found = census(config)
+    assert (found.count, found.orbits) == (len(naive), len(naive_orbits(naive)))
+
+
+@pytest.mark.parametrize("dedup", DEDUP_MODES)
+@pytest.mark.parametrize("width,bound", [(2, 13), (3, 4), (4, 3)])
+def test_census_counts_the_enumerated_grids(width, bound, dedup):
+    config = SearchConfig(width, bound, dedup)
+    grids = enumerate_friezes(config)
+    found = census(config)
+    assert (found.count, found.orbits) == (len(grids), len(dihedral_orbits(grids)))
+
+
+@pytest.mark.parametrize("width,bound,largest", [(1, 5, 5), (1, 8, 5), (2, 30, 26), (3, 8, 8)])
+def test_census_largest_seed(width, bound, largest):
+    for dedup in DEDUP_MODES:
+        assert census(SearchConfig(width, bound, dedup)).largest_seed == largest
 
 
 def _same_classes(got, want, grids):
