@@ -142,10 +142,8 @@ def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
 # frieze commands
 
 def _cmd_frieze_from_coeffs(args) -> int:
-    kind = kind_by_name(args.scalar, args.tolerance)
-    a = _parse_values(args.scalar, args.a)
-    b = _parse_values(args.scalar, args.b)
-    g = frieze.propagate_from_coeffs(a, b, kind)
+    eq = _make_equation(args)
+    g = frieze.propagate_from_coeffs(eq.a, eq.b, eq.kind)
     prov = {"coefficients": {"a": args.a.split(","), "b": args.b.split(",")}}
     _emit_grid(g, args, prov if args.json else None)
     return 0
@@ -214,13 +212,11 @@ def _cmd_eq_monodromy(args) -> int:
 
 
 def _cmd_eq_variety(args) -> int:
-    kind = kind_by_name(args.scalar, args.tolerance)
-    a = _parse_values(args.scalar, args.a)
-    b = _parse_values(args.scalar, args.b)
-    residuals = diffeq.variety_residuals(a, b, kind)
+    eq = _make_equation(args)
+    residuals = diffeq.variety_residuals(eq.a, eq.b, eq.kind)
     for k, r in enumerate(residuals):
         print(f"residual[{k}]: {r}")
-    if any(not kind.is_zero(r) for r in residuals):
+    if any(not eq.kind.is_zero(r) for r in residuals):
         raise VerificationFailed("on variety: false")
     print("on variety: true")
     return 0

@@ -1,9 +1,13 @@
-"""Symmetric difference equations of order four.
+"""Symmetric difference equations of order four, and coefficient tables.
 
 The recurrence V[i] = a[i] V[i-1] - b[i] V[i-2] + a[i-1] V[i-3] - V[i-4]
 with n-periodic coefficients.  An equation is superperiodic when every
 solution is n-antiperiodic, V[i+n] = -V[i]; those are exactly the
 equations whose solution diagonals weave a frieze grid of width n - 5.
+It is the order-3 recurrence on the cycles (a, b, a shifted by one).
+`_recur` runs a table of k cycles, and `entry_det_band` (which gives
+`band_determinant`), `entry_det_complement` and `dual_equation_coeffs`
+read one; `slfrieze` re-exports those three.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +51,21 @@ class SymmetricDiffEq:
 def _table(eq: SymmetricDiffEq) -> Tuple[Tuple, ...]:
     """Coefficient cycles (a, b, a shifted by one) of the order-3 recurrence."""
     return (eq.a, eq.b, eq.a[-1:] + eq.a[:-1])
+
+
+def _coeff_table(coeffs, kind: ScalarKind) -> Tuple[Tuple, ...]:
+    """Coerce a sequence of coefficient cycles into a rectangular table."""
+    table = tuple(tuple(kind.coerce(v) for v in row) for row in coeffs)
+    if not table:
+        raise ValueError("need at least one coefficient cycle")
+    n = len(table[0])
+    if any(len(row) != n for row in table):
+        raise ValueError("coefficient cycles must share one period")
+    if n < len(table) + 2:
+        raise ValueError(
+            f"period {n} too short for {len(table)} coefficient cycles"
+        )
+    return table
 
 
 def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int) -> list:
@@ -120,35 +139,81 @@ def monodromy(eq: SymmetricDiffEq) -> Matrix:
     return Matrix(eq.kind, [_recur(table, u, 1, eq.n)[-4:] for u in units])
 
 
+def dual_equation_coeffs(coeffs, kind: ScalarKind = RATIONAL) -> Tuple[Tuple, ...]:
+    """Coefficient cycles of the recurrence satisfied by the projective dual.
+
+    The dual swaps the coefficient order end for end and shifts each
+    cycle: the s-th dual cycle at index i is the (k+1-s)-th original
+    cycle at index i+k-s.
+    """
+    table = _coeff_table(coeffs, kind)
+    k, n = len(table), len(table[0])
+    return tuple(
+        tuple(table[k - s][(i + k - s) % n] for i in range(n))
+        for s in range(1, k + 1)
+    )
+
+
+def entry_det_band(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
+    """Entry d_{i,j} as a (j-i+1)-sized determinant in the coefficients.
+
+    Row r carries a 1 below the diagonal, then the k cycles rightward
+    from the diagonal, then a closing 1; cycle s sits in column c at
+    subscript i+c.  Entries this far from the upper boundary need a
+    determinant that grows with the offset.  Offset -1 gives the empty
+    determinant 1; lower offsets raise ValueError.
+    """
+    table = _coeff_table(coeffs, kind)
+    k, n = len(table), len(table[0])
+    size = j - i + 1
+    if size < 0:
+        raise ValueError(f"offset {j - i} below the band")
+    zero, one = kind.zero(), kind.one()
+    rows = [[zero] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(max(r - 1, 0), min(r + k + 1, size)):
+            s = c - r
+            rows[r][c] = one if s in (-1, k) else table[s][(i + c) % n]
+    return Matrix(kind, rows).det()
+
+
+def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
+    """Entry d_{i,j} as a (width - (j-i))-sized coefficient determinant.
+
+    Complementary to entry_det_band: cheap near the lower boundary where
+    the band form is large.  Row r carries one subscript with the cycle
+    superscripts decreasing rightward, flanked by 1s.
+    """
+    table = _coeff_table(coeffs, kind)
+    k, n = len(table), len(table[0])
+    w = n - k - 2
+    t = j - i
+    if not -1 <= t <= w:
+        raise ValueError(f"offset {t} outside [-1, {w}]")
+    size = w - t
+    zero, one = kind.zero(), kind.one()
+    rows = [[zero] * size for _ in range(size)]
+    for r in range(size):
+        base = (i - w + t - 1 + r) % n
+        for c in range(size):
+            s = c - r
+            if s == -1 or s == k:
+                rows[r][c] = one
+            elif 0 <= s <= k - 1:
+                rows[r][c] = table[k - 1 - s][base]
+    return Matrix(kind, rows).det()
+
+
 def band_determinant(eq: SymmetricDiffEq, i: int, j: int):
     """Pentadiagonal band determinant of order j - i + 1.
 
-    Row r carries 1 below the diagonal, then a[i+r], b[i+r+1],
-    a[i+r+1], 1.  For a superperiodic equation of width w = n - 5 this
-    is the black frieze entry d[i, j] whenever 0 <= j - i < w, it is 1
-    at j - i = w, and it vanishes for the next three offsets.
+    `entry_det_band` on the cycles (a, b, a shifted by one): row r
+    carries 1 below the diagonal, then a[i+r], b[i+r+1], a[i+r+1], 1.
+    For a superperiodic equation of width w = n - 5 this is the black
+    frieze entry d[i, j] whenever 0 <= j - i < w, it is 1 at j - i = w,
+    and it vanishes for the next three offsets.
     """
-    k = eq.kind
-    m = j - i + 1
-    if m < 0:
-        raise ValueError("band must have nonnegative order")
-    if m == 0:
-        return k.one()
-    zero = k.zero()
-    rows = []
-    for r in range(m):
-        row = [zero] * m
-        if r > 0:
-            row[r - 1] = k.one()
-        row[r] = eq.a_at(i + r)
-        if r + 1 < m:
-            row[r + 1] = eq.b_at(i + r + 1)
-        if r + 2 < m:
-            row[r + 2] = eq.a_at(i + r + 1)
-        if r + 3 < m:
-            row[r + 3] = k.one()
-        rows.append(row)
-    return Matrix(k, rows).det()
+    return entry_det_band(_table(eq), i, j, eq.kind)
 
 
 def white_band_determinant(eq: SymmetricDiffEq, i: int, j: int):

@@ -19,15 +19,16 @@ Every grid here is antiperiodic, d[i, j+n] = -d[i, j], hence genuinely
 periodic of length 2n in the display direction.  The black entries form
 a tame order-3 SL-frieze and so do the white ones, so a grid is stored
 as two `SLFrieze` bands; the SL-frieze class and its propagation
-(`from_equation`, which runs the recurrence loop of `diffeq`) live here
-for that reason and are re-exported by `slfrieze`.
+(`from_equation`, which runs the recurrence loop of `diffeq` on a
+table checked by `diffeq._coeff_table`) live here for that reason
+and are re-exported by `slfrieze`.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _recur, _table
+from .diffeq import SymmetricDiffEq, _coeff_table, _recur, _table
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
@@ -312,21 +313,6 @@ class SLFrieze:
         )
 
 
-def _coeff_table(coeffs, kind: ScalarKind) -> Tuple[Tuple, ...]:
-    """Coerce a sequence of coefficient cycles into a rectangular table."""
-    table = tuple(tuple(kind.coerce(v) for v in row) for row in coeffs)
-    if not table:
-        raise ValueError("need at least one coefficient cycle")
-    n = len(table[0])
-    if any(len(row) != n for row in table):
-        raise ValueError("coefficient cycles must share one period")
-    if n < len(table) + 2:
-        raise ValueError(
-            f"period {n} too short for {len(table)} coefficient cycles"
-        )
-    return table
-
-
 def from_equation(
     coeffs,
     order: Optional[int] = None,
@@ -585,20 +571,21 @@ def extract_coeffs(grid: FriezeGrid) -> Tuple[Tuple, Tuple]:
 def check_local_rules(grid: FriezeGrid) -> Tuple[GridIndex, ...]:
     """Indices of all cells whose local rule fails.
 
-    Windows centred on every stored row and on the first guard row each
-    side are tested; further rows hold identically.
+    Windows centred on the stored rows -1..w are tested.  The guard
+    rows -2 and w+1 need no test: there the centre, its two same-row
+    neighbours and its neighbour in row -3 (row w+2) are guard zeros,
+    so the rule reads 0 = 0.
     """
-    k = grid.kind
+    get, eq = grid.get, grid.kind.eq
     bad = []
     for x in range(2 * grid.period):
-        for o in range(-2, grid.width + 2):
-            idx = GridIndex(x - o, x + o)
-            v = grid.get_entry(idx)
-            ab = grid.get(idx.I - 1, idx.J - 1) * grid.get(idx.I + 1, idx.J + 1)
-            cd = grid.get(idx.I + 1, idx.J - 1) * grid.get(idx.I - 1, idx.J + 1)
-            lhs = v * v if idx.is_black else v
-            if not k.eq(lhs, ab - cd):
-                bad.append(idx)
+        for o in range(-1, grid.width + 1):
+            I, J = x - o, x + o
+            v = get(I, J)
+            ab = get(I - 1, J - 1) * get(I + 1, J + 1)
+            cd = get(I + 1, J - 1) * get(I - 1, J + 1)
+            if not eq(v * v if I % 2 == 0 else v, ab - cd):
+                bad.append(GridIndex(I, J))
     return tuple(bad)
 
 

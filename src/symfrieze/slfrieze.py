@@ -5,12 +5,13 @@ minors are all 1 and whose adjacent (k+2)x(k+2) minors all vanish.  The
 order-3 case is exactly the black subarray of a symplectic 2-frieze, and
 the two duality maps below (projective and Gale) act on the general case.
 `SLFrieze` and `from_equation` are defined in `frieze`, which stores each
-colour of a symplectic grid as an order-3 band, and re-exported here.
+colour of a symplectic grid as an order-3 band, and re-exported here,
+as are the coefficient formulas, defined in `diffeq` with the tables.
 """
 
 from typing import Tuple
 
-from .scalars import RATIONAL, ScalarKind
+from .diffeq import dual_equation_coeffs, entry_det_band, entry_det_complement
 from .linalg import Matrix, det
 from .frieze import (
     FriezeError,
@@ -18,7 +19,6 @@ from .frieze import (
     MinorWindow,
     SLFrieze,
     TameResult,
-    _coeff_table,
     _rebuilds,
     adjacent_minors,
     check_minors,
@@ -83,77 +83,6 @@ def coeffs_of(f: SLFrieze) -> Tuple[Tuple, ...]:
             value = det(Matrix(kind, m))
             table[k - size][(i - 1) % n] = value
     return tuple(tuple(row) for row in table)
-
-
-def dual_equation_coeffs(coeffs, kind: ScalarKind = RATIONAL) -> Tuple[Tuple, ...]:
-    """Coefficient cycles of the recurrence satisfied by the projective dual.
-
-    The dual swaps the coefficient order end for end and shifts each
-    cycle: the s-th dual cycle at index i is the (k+1-s)-th original
-    cycle at index i+k-s.
-    """
-    table = _coeff_table(coeffs, kind)
-    k = len(table)
-    n = len(table[0])
-    return tuple(
-        tuple(table[k - s][(i + k - s) % n] for i in range(n))
-        for s in range(1, k + 1)
-    )
-
-
-def entry_det_band(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
-    """Entry d_{i,j} as a (j-i+1)-sized determinant in the coefficients.
-
-    Column c carries the coefficient cycles downward from a 1 on the
-    superdiagonal; entries this far from the upper boundary need a
-    determinant that grows with the offset.
-    """
-    table = _coeff_table(coeffs, kind)
-    k = len(table)
-    n = len(table[0])
-    t = j - i
-    if t < 0:
-        raise ValueError(f"offset {t} below the band")
-    size = t + 1
-    zero, one = kind.zero(), kind.one()
-    rows = [[zero] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            if c == r + 1:
-                rows[r][c] = one
-            elif 0 <= r - c <= k - 1:
-                rows[r][c] = table[r - c][(i + r) % n]
-            elif r - c == k:
-                rows[r][c] = one
-    return det(Matrix(kind, rows))
-
-
-def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
-    """Entry d_{i,j} as a (width - (j-i))-sized coefficient determinant.
-
-    Complementary to entry_det_band: cheap near the lower boundary where
-    the band form is large.  Row r carries one subscript with the cycle
-    superscripts decreasing rightward, flanked by 1s.
-    """
-    table = _coeff_table(coeffs, kind)
-    k = len(table)
-    n = len(table[0])
-    w = n - k - 2
-    t = j - i
-    if not -1 <= t <= w:
-        raise ValueError(f"offset {t} outside [-1, {w}]")
-    size = w - t
-    zero, one = kind.zero(), kind.one()
-    rows = [[zero] * size for _ in range(size)]
-    for r in range(size):
-        base = (i - w + t - 1 + r) % n
-        for c in range(size):
-            s = c - r
-            if s == -1 or s == k:
-                rows[r][c] = one
-            elif 0 <= s <= k - 1:
-                rows[r][c] = table[k - 1 - s][base]
-    return det(Matrix(kind, rows))
 
 
 def black_of(g: FriezeGrid) -> SLFrieze:

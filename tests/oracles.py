@@ -8,7 +8,8 @@ expand every adjacent window by cofactors and compare with `==`, so
 they serve exact kinds only.  The monodromy oracles multiply companion
 matrices and step the order-4 equation written out by hand, so they
 serve every kind; complex floats agree with the package only up to
-rounding.
+rounding.  The local-rule oracle reads every window of the rows -2..w+1
+through `get` and compares with the kind's `eq`, so it serves every kind.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from symfrieze.diffeq import companion
 from symfrieze.frieze import (
+    GridIndex,
     MinorWindow,
     TameResult,
     dihedral_images,
@@ -81,6 +83,57 @@ def cofactor_det(rows):
         return minors[cols]
 
     return expand(tuple(range(n)))
+
+
+def naive_band_determinant(eq, i, j):
+    """Pentadiagonal band determinant of order j - i + 1, by cofactors.
+
+    Row r carries 1 below the diagonal, then a[i+r], b[i+r+1],
+    a[i+r+1], 1; order 0 is the empty determinant 1, and a negative
+    order raises ValueError.
+    """
+    k = eq.kind
+    m = j - i + 1
+    if m < 0:
+        raise ValueError("band must have nonnegative order")
+    if m == 0:
+        return k.one()
+    zero = k.zero()
+    rows = []
+    for r in range(m):
+        row = [zero] * m
+        if r > 0:
+            row[r - 1] = k.one()
+        row[r] = eq.a_at(i + r)
+        if r + 1 < m:
+            row[r + 1] = eq.b_at(i + r + 1)
+        if r + 2 < m:
+            row[r + 2] = eq.a_at(i + r + 1)
+        if r + 3 < m:
+            row[r + 3] = k.one()
+        rows.append(row)
+    return cofactor_det(rows)
+
+
+def naive_local_rules(grid):
+    """Cells whose local rule fails, centres over one display period of
+    the rows -2..w+1, column by column.
+
+    With v the centre, A and B its west and east neighbours and C, D the
+    cells above and below, a white cell needs v = A*B - C*D and a black
+    cell v*v = A*B - C*D.
+    """
+    eq, bad = grid.kind.eq, []
+    for x in range(2 * grid.period):
+        for o in range(-2, grid.width + 2):
+            I, J = x - o, x + o
+            v = grid.get(I, J)
+            west, east = grid.get(I - 1, J - 1), grid.get(I + 1, J + 1)
+            above, below = grid.get(I + 1, J - 1), grid.get(I - 1, J + 1)
+            lhs = v * v if I % 2 == 0 else v
+            if not eq(lhs, west * east - above * below):
+                bad.append(GridIndex(I, J))
+    return tuple(bad)
 
 
 def _first_bad_window(get, period, conditions):

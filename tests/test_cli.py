@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -346,6 +347,77 @@ def test_search_orbits_rejects_wrong_kind(tmp_path, documents):
     path.write_text(documents["sl"])
     rc, out, err = run(["search", "orbits", str(path)])
     assert (rc, out, err) == (2, "", f"error: {path}: expected a frieze document\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: one case per reader branch, with its exit code and message
+
+@pytest.fixture(scope="module")
+def width1_documents(width1_int):
+    return {
+        "frieze": json.loads(dumps(document_of(width1_int))),
+        "sl": json.loads(dumps(sl_document_of(slfrieze.black_of(width1_int)))),
+        "polygon": json.loads(
+            dumps(polygon_document_of(legendrian.polygon_from_frieze(width1_int, 1)))
+        ),
+    }
+
+
+def _drop_row(o):
+    def edit(doc):
+        for key in list(doc["entries"]):
+            I, J = map(int, key.split(","))
+            if J - I == 2 * o:
+                del doc["entries"][key]
+    return edit
+
+
+TEXT_HEADER = "frieze width=1 period=6 scalar=rational\n"
+
+# (id, command, document edited or None, edit or literal text, exit code, stderr)
+MALFORMED = [
+    ("json-unknown-scalar", "frieze verify", "frieze", lambda d: d.update(scalar="real"),
+     2, "error: unknown scalar kind 'real'"),
+    ("json-missing-field", "frieze verify", "frieze", lambda d: d.pop("width"),
+     2, "error: missing field 'width'"),
+    ("json-bad-entry-key", "frieze verify", "frieze", lambda d: d["entries"].update(x="1"),
+     2, "error: bad entry key 'x', expected 'i,j'"),
+    ("json-list-value", "frieze verify", "frieze", lambda d: d["entries"].update({"0,0": [1, 2]}),
+     2, "error: bad rational value [1, 2] in entry '0,0'"),
+    ("text-empty", "frieze verify", None, "",
+     2, "error: line 1, column 1: empty input"),
+    ("text-unknown-scalar", "frieze verify", None, TEXT_HEADER.replace("rational", "real"),
+     2, "error: line 1, column 1: unknown scalar kind 'real'"),
+    ("text-too-few-rows", "frieze verify", None, TEXT_HEADER + "1 *1 1 *1 1 *1 1 *1 1 *1 1 *1\n",
+     2, "error: line 2, column 1: expected 3 rows for width 1, got 1"),
+    ("polygon-short-vertex", "polygon coeffs", "polygon",
+     lambda d: d["vertices"].__setitem__(0, d["vertices"][0][:3]),
+     2, "error: vertex 0 is not a 4-vector"),
+    ("entry-outside-band", "frieze verify", "frieze", lambda d: d["entries"].update({"0,6": "1"}),
+     1, "verification failed: index (0,6) lies outside the band"),
+    ("interior-row-missing", "frieze verify", "frieze", _drop_row(0),
+     1, "verification failed: interior row 0 missing"),
+    ("row-short", "frieze verify", "frieze", lambda d: d["entries"].pop("0,0"),
+     1, "verification failed: row 0 needs 12 consecutive columns, got 11"),
+    ("sl-period", "sl gale", "sl", lambda d: d.update(period=5),
+     1, "verification failed: period 5 does not match width 1 + order 3 + 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, document, edit, code, message",
+    [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_malformed_document(width1_documents, command, document, edit, code, message):
+    if document is None:
+        stdin = edit
+    else:
+        doc = json.loads(json.dumps(width1_documents[document]))
+        edit(doc)
+        stdin = json.dumps(doc)
+    rc, out, err = run(command.split() + ["-"], stdin=stdin)
+    assert (rc, out, err) == (code, "", message + "\n")
 
 
 # ---------------------------------------------------------------------------

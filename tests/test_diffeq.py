@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS
-from oracles import naive_monodromy, naive_superperiodic
+from oracles import naive_band_determinant, naive_monodromy, naive_superperiodic
 from symfrieze.diffeq import (
     SymmetricDiffEq,
     ZeroParameter,
+    _table,
     band_determinant,
     companion,
+    entry_det_band,
     is_superperiodic,
     monodromy,
     solve,
@@ -110,6 +112,49 @@ def test_band_determinants_reproduce_entries(eq2, width2_int):
 
 def test_empty_band(eq2):
     assert band_determinant(eq2, 0, -1) == 1
+
+
+def _band_equations():
+    rng = random.Random(31)
+    eqs = []
+    for t in range(8):
+        n = 5 + t // 2
+        if t % 2:
+            draw = lambda: GaussianRational(
+                Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 3)
+            )
+            kind = GAUSSIAN
+        else:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            kind = RATIONAL
+        a = tuple(draw() for _ in range(n))
+        b = tuple(draw() for _ in range(n))
+        eqs.append(SymmetricDiffEq(a, b, kind))
+    return eqs
+
+
+BAND_EQUATIONS = _band_equations()
+
+
+@pytest.mark.parametrize("eq", BAND_EQUATIONS, ids=lambda eq: f"{eq.kind.name}-n{eq.n}")
+def test_band_builder_matches_cofactor_band(eq):
+    table = _table(eq)
+    for i in (-2, 0, 3):
+        for off in range(-1, 9):
+            want = naive_band_determinant(eq, i, i + off)
+            assert band_determinant(eq, i, i + off) == want, (i, off)
+            assert entry_det_band(table, i, i + off, eq.kind) == want, (i, off)
+
+
+@pytest.mark.parametrize("eq", BAND_EQUATIONS[:2], ids=lambda eq: eq.kind.name)
+def test_band_builder_bounds(eq):
+    table = _table(eq)
+    assert entry_det_band(table, 4, 3, eq.kind) == eq.kind.one()
+    assert band_determinant(eq, 4, 3) == eq.kind.one()
+    with pytest.raises(ValueError):
+        band_determinant(eq, 4, 2)
+    with pytest.raises(ValueError):
+        entry_det_band(table, 4, 2, eq.kind)
 
 
 def test_variety_residuals_vanish():

@@ -5,7 +5,7 @@ from itertools import count, product
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import cofactor_det, naive_get
+from oracles import cofactor_det, naive_get, naive_local_rules
 from symfrieze.cluster import formal_frieze
 from symfrieze.diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
 from symfrieze.frieze import (
@@ -213,6 +213,39 @@ def test_band_store_matches_naive_reduction(name, kind, width, cells):
             assert band(I // 2, J // 2) == want, (I, J)
     with pytest.raises(ValueError):
         g.get(0, 1)
+
+
+def _local_rule_cases():
+    rng = random.Random(23)
+    values = {
+        RATIONAL: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        GAUSSIAN: lambda: GaussianRational(
+            Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5), 2)
+        ),
+        COMPLEX: lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+    }
+    cases = []
+    for kind, width, boundary in product(values, range(6), (True, False)):
+        draw = values[kind]
+        cells = _raw_cells(width, rng.randint(-4, 4), (draw() for _ in count()), boundary)
+        name = f"random-{kind.name}-w{width}" + ("-boundary" if boundary else "")
+        cases.append((name, FriezeGrid.from_cells(kind, width, cells)))
+    for width, coeffs in ((1, WIDTH1_COEFFS), (2, WIDTH2_COEFFS), (3, WIDTH3_COEFFS)):
+        g = propagate_from_coeffs(*coeffs)
+        cases.append((f"tame-w{width}", g))
+        for I, J in ((0, 0), (1, 1 + 2 * width), (3, 1), (2 * width, 2)):
+            if -1 <= (J - I) // 2 <= width:
+                cases.append((f"planted-w{width}-{I},{J}", g.with_entry(GridIndex(I, J), 7)))
+    cases.append(("formal-w1", formal_frieze(1)))
+    return cases
+
+
+LOCAL_RULE_CASES = _local_rule_cases()
+
+
+@pytest.mark.parametrize("grid", [c[1] for c in LOCAL_RULE_CASES], ids=[c[0] for c in LOCAL_RULE_CASES])
+def test_local_rules_match_the_full_row_scan(grid):
+    assert check_local_rules(grid) == naive_local_rules(grid)
 
 
 @pytest.mark.parametrize("colour", [0, 1])

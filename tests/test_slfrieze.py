@@ -9,11 +9,13 @@ from symfrieze.frieze import (
     FriezeError,
     MinorWindow,
     NotSuperperiodic,
+    ZeroPivot,
     propagate_from_coeffs,
     propagate_from_zigzag,
 )
+from symfrieze.legendrian import frieze_from_polygon, polygon_from_frieze
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import GAUSSIAN, RATIONAL
+from symfrieze.scalars import GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import (
     MinorCondition,
     SLFrieze,
@@ -320,3 +322,41 @@ def test_three_symplectic_criteria_agree():
         f = gale_dual(black_of(propagate_from_zigzag([rng.randint(1, 4) for _ in range(6)], 3)))
         verdicts = (_minors_are_centers(f), _sl_glide(f), _coeff_match(f))
         assert all(verdicts) or not any(verdicts)
+
+
+def test_grid_round_trips():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+    @hypothesis.given(
+        st.sampled_from([RATIONAL, GAUSSIAN]),
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda w: st.lists(
+                st.tuples(nonzero, st.integers(min_value=-2, max_value=2)),
+                min_size=2 * w, max_size=2 * w,
+            )
+        ),
+        st.integers(min_value=-8, max_value=8),
+    )
+    # no shrink phase, as in test_tame: a failing example is reported as drawn
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None,
+        phases=(hypothesis.Phase.explicit, hypothesis.Phase.generate),
+    )
+    def check(kind, seed, anchor):
+        if kind is RATIONAL:
+            values = [re for re, _ in seed]
+        else:
+            values = [GaussianRational(re, Fraction(im)) for re, im in seed]
+        try:
+            g = propagate_from_zigzag(values, len(seed) // 2, kind)
+        except ZeroPivot:
+            hypothesis.reject()
+        assert frieze_from_polygon(polygon_from_frieze(g, anchor)) == g
+        f = black_of(g)
+        assert symplectic_of(f) == g
+        twice = gale_dual(gale_dual(f))
+        assert any(twice == sl_translate(f, t) for t in range(f.period))
+
+    check()
