@@ -319,12 +319,7 @@ def _cmd_polygon_to_frieze(args) -> int:
 def _cmd_polygon_normalize(args) -> int:
     p = _load(args, formats.PolygonDocument)
     tolerance = args.tolerance if args.tolerance is not None else 1e-9
-    kind = kind_by_name("complex-float", tolerance)
-    form = legendrian.SymplecticForm(
-        kind.coerce(p.form.a), p.form.variant, kind
-    )
-    raw = [tuple(kind.coerce(x) for x in v) for v in p.vertices]
-    p = legendrian.normalize_lift(raw, form, tolerance, p.base)
+    p = legendrian.normalize_lift(p.vertices, p.form, tolerance, p.base)
     _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
     return 0
 

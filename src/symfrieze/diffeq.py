@@ -6,8 +6,9 @@ solution is n-antiperiodic, V[i+n] = -V[i]; those are exactly the
 equations whose solution diagonals weave a frieze grid of width n - 5.
 It is the order-3 recurrence on the cycles (a, b, a shifted by one).
 `_recur` runs a table of k cycles, and `entry_det_band` (which gives
-`band_determinant`), `entry_det_complement` and `dual_equation_coeffs`
-read one; `slfrieze` re-exports those three.
+`band_determinant`) and `dual_equation_coeffs` read one;
+`entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
+re-exports those three.
 """
 
 from dataclasses import dataclass, field
@@ -181,8 +182,11 @@ def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
     """Entry d_{i,j} as a (width - (j-i))-sized coefficient determinant.
 
     Complementary to entry_det_band: cheap near the lower boundary where
-    the band form is large.  Row r carries one subscript with the cycle
-    superscripts decreasing rightward, flanked by 1s.
+    the band form is large.  Projective duality (Morier-Genoud, Ovsienko,
+    Schwartz and Tabachnikov) mirrors the frieze d onto the frieze d* of
+    `dual_equation_coeffs`: d_{i,j} = d*_{j-w-k, i-k-1}, an entry at
+    offset w - 1 - (j - i), which entry_det_band gives as a determinant
+    of size w - (j - i).  Offsets outside [-1, w] raise ValueError.
     """
     table = _coeff_table(coeffs, kind)
     k, n = len(table), len(table[0])
@@ -190,18 +194,7 @@ def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
     t = j - i
     if not -1 <= t <= w:
         raise ValueError(f"offset {t} outside [-1, {w}]")
-    size = w - t
-    zero, one = kind.zero(), kind.one()
-    rows = [[zero] * size for _ in range(size)]
-    for r in range(size):
-        base = (i - w + t - 1 + r) % n
-        for c in range(size):
-            s = c - r
-            if s == -1 or s == k:
-                rows[r][c] = one
-            elif 0 <= s <= k - 1:
-                rows[r][c] = table[k - 1 - s][base]
-    return Matrix(kind, rows).det()
+    return entry_det_band(dual_equation_coeffs(table, kind), i - w + t - k, i - k - 1, kind)
 
 
 def band_determinant(eq: SymmetricDiffEq, i: int, j: int):

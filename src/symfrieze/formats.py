@@ -470,11 +470,10 @@ def loads(text: str):
     """Parse a document, auto-detecting canonical JSON vs. staggered text."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # JSON text that opens with a brace is an object or fails to parse
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormatError(e.msg, line=e.lineno, column=e.colno) from None
-        if not isinstance(obj, dict):
-            raise FormatError("top-level JSON value must be an object")
         return _from_payload(obj)
     return _parse_frieze_text(text)

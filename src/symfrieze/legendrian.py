@@ -8,12 +8,12 @@ frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 """
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .scalars import COMPLEX, RATIONAL, ScalarKind
 from .linalg import Matrix, SingularMatrix, det, solve_linear
-from .frieze import FriezeError, FriezeGrid, black_block
+from .frieze import FriezeError, FriezeGrid, SLFrieze, black_block
 
 __all__ = [
     "NormalizationViolated",
@@ -73,15 +73,13 @@ class SymplecticForm:
     a: object
     variant: str = "standard"
     kind: ScalarKind = RATIONAL
+    _matrix: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("standard", "dual"):
             raise ValueError(f"unknown form variant {self.variant!r}")
-        object.__setattr__(self, "a", self.kind.coerce(self.a))
-
-    def matrix(self) -> Matrix:
+        a = self.kind.coerce(self.a)
         zero, one = self.kind.zero(), self.kind.one()
-        a = self.a
         if self.variant == "standard":
             rows = [
                 [zero, zero, one, a],
@@ -96,7 +94,12 @@ class SymplecticForm:
                 [-one, a, zero, zero],
                 [zero, -one, zero, zero],
             ]
-        return Matrix(self.kind, rows)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_matrix", Matrix(self.kind, rows))
+
+    def matrix(self) -> Matrix:
+        """The form matrix, built once at construction."""
+        return self._matrix
 
 
 def omega_form(a, kind: ScalarKind = RATIONAL) -> SymplecticForm:
@@ -182,25 +185,32 @@ def polygon_from_frieze(g: FriezeGrid, i0: int) -> Polygon:
     return Polygon(n, i0 - 1, vertices, form)
 
 
+def _pairings(form: SymplecticForm, vertices: Sequence[Sequence], reach: int) -> list:
+    """Row t holds omega(V_t, V_{t+k}), k = 1..reach, for one period
+    V_0..V_{n-1} of an antiperiodic vertex sequence, V_{t+n} = -V_t."""
+    lift = list(vertices) + [tuple(-x for x in v) for v in vertices]
+    return [
+        [omega(form, u, lift[(t + k) % len(lift)]) for k in range(1, reach + 1)]
+        for t, u in enumerate(vertices)
+    ]
+
+
 def frieze_from_polygon(p: Polygon) -> FriezeGrid:
     """Rebuild the frieze whose integer entries pair third neighbors.
 
     Black entries are d_{i,j} = omega(V_{i-3}, V_j); half-integer
     entries are the adjacent 2x2 minors of those.  The polygon must be
     normalized: consecutive pairings zero, second-neighbor pairings one.
+    Each pairing is computed once, and k = 2..w+3 fill rows -1..w.
     """
-    kind = p.form.kind
-    n = p.period
-    for t in range(p.base, p.base + n):
-        if not kind.is_zero(omega(p.form, p.vertex(t), p.vertex(t + 1))):
+    kind, w = p.form.kind, p.width
+    pairs = _pairings(p.form, p.vertices, w + 3)
+    for t, row in enumerate(pairs, p.base):
+        if not kind.is_zero(row[0]) or not kind.eq(row[1], kind.one()):
             raise NormalizationViolated(t)
-        if not kind.eq(omega(p.form, p.vertex(t), p.vertex(t + 2)), kind.one()):
-            raise NormalizationViolated(t)
-
-    def blk(i, j):
-        return omega(p.form, p.vertex(i - 3), p.vertex(j))
-
-    return FriezeGrid.from_blacks(kind, p.width, blk)
+    band = {(t + 3, k - 3): row[k - 1]
+            for t, row in enumerate(pairs, p.base) for k in range(2, w + 4)}
+    return FriezeGrid.from_blacks(kind, w, SLFrieze(kind, 3, w, band).get)
 
 
 def _column_matrix(kind: ScalarKind, cols: Sequence[Sequence]) -> Matrix:
@@ -260,29 +270,22 @@ def normalize_lift(
     the leading scale, so a square root is unavoidable.  The period must
     be odd for the rescaling to be determined (up to one global sign,
     resolved by the principal square root); even periods raise
-    EvenPeriod.  Vanishing second-neighbor pairings raise
-    DegenerateGamma.
+    EvenPeriod.  Exact vertices are read as complex floats.  The first
+    nonzero first-neighbor pairing raises NormalizationViolated before
+    any vanishing second-neighbor pairing raises DegenerateGamma.
     """
     n = len(raw)
     if n % 2 == 0:
         raise EvenPeriod(f"period {n} is even")
-    cform = SymplecticForm(complex(form.a), form.variant, COMPLEX)
-    vs = [tuple(complex(x) for x in v) for v in raw]
-    for t in range(n):
-        u, v = vs[t], vs[(t + 1) % n]
-        val = omega(cform, u, v)
-        if t + 1 >= n:
-            val = -val
-        if abs(val) > tolerance:
+    cform = SymplecticForm(COMPLEX.coerce(form.a), form.variant, COMPLEX)
+    vs = [tuple(COMPLEX.coerce(x) for x in v) for v in raw]
+    orths, gammas = zip(*_pairings(cform, vs, 2))
+    for t, orth in enumerate(orths):
+        if abs(orth) > tolerance:
             raise NormalizationViolated(t)
-    gammas = []
-    for t in range(n):
-        val = omega(cform, vs[t], vs[(t + 2) % n])
-        if t + 2 >= n:
-            val = -val
-        if abs(val) <= tolerance:
+    for t, gamma in enumerate(gammas):
+        if abs(gamma) <= tolerance:
             raise DegenerateGamma(t)
-        gammas.append(val)
     # walk t -> t+2 covers every index once; lam_t = A_t * lam_0^(e_t)
     coeff = {0: 1.0 + 0j}
     expo = {0: 1}

@@ -10,6 +10,9 @@ matrices and step the order-4 equation written out by hand, so they
 serve every kind; complex floats agree with the package only up to
 rounding.  The local-rule oracle reads every window of the rows -2..w+1
 through `get` and compares with the kind's `eq`, so it serves every kind.
+The complement oracle builds the complementary determinant by hand; the
+polygon oracle pairs the two vertices of every cell by a form matrix
+written out here.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from symfrieze.frieze import (
     propagate_from_zigzag,
     translate,
 )
+from symfrieze.legendrian import NormalizationViolated
 
 
 def naive_get(cells, width, I, J):
@@ -113,6 +117,107 @@ def naive_band_determinant(eq, i, j):
             row[r + 3] = k.one()
         rows.append(row)
     return cofactor_det(rows)
+
+
+def naive_entry_det_complement(coeffs, i, j, kind):
+    """Entry d_{i,j} as the (w - (j-i))-sized complementary determinant,
+    expanded by cofactors.
+
+    With k cycles of period n, w = n - k - 2 and t = j - i, row r reads
+    every cycle at the one subscript i - w + t - 1 + r: a 1 below the
+    diagonal, cycles k, k-1, ..., 1 rightward from the diagonal, then a
+    closing 1.  Offsets outside [-1, w] raise ValueError.
+    """
+    table = [[kind.coerce(v) for v in row] for row in coeffs]
+    k, n = len(table), len(table[0])
+    w = n - k - 2
+    t = j - i
+    if not -1 <= t <= w:
+        raise ValueError(f"offset {t} outside [-1, {w}]")
+    size = w - t
+    if size == 0:
+        return kind.one()
+    rows = [[kind.zero()] * size for _ in range(size)]
+    for r in range(size):
+        sub = (i - w + t - 1 + r) % n
+        for c in range(size):
+            s = c - r
+            if s in (-1, k):
+                rows[r][c] = kind.one()
+            elif 0 <= s < k:
+                rows[r][c] = table[k - 1 - s][sub]
+    return cofactor_det(rows)
+
+
+def naive_pairing(form, u, v):
+    """omega(u, v) = u^t F v, with F written out for each variant."""
+    kind, a = form.kind, form.a
+    o, z = kind.one(), kind.zero()
+    if form.variant == "standard":
+        f = [[z, z, o, a], [z, z, z, o], [-o, z, z, z], [-a, -o, z, z]]
+    else:
+        f = [[z, z, o, z], [z, z, -a, o], [-o, a, z, z], [z, -o, z, z]]
+    total = z
+    for r in range(4):
+        for c in range(4):
+            if f[r][c] != z:
+                total = total + kind.coerce(u[r]) * f[r][c] * kind.coerce(v[c])
+    return total
+
+
+def _polygon_vertex(p, j):
+    """V_j of the polygon, negated once per period away from its base."""
+    steps, r = divmod(j - p.base, p.period)
+    v = p.vertices[r]
+    return tuple(-x for x in v) if steps % 2 else v
+
+
+def naive_normalization_failure(p):
+    """(t, k) of the first pairing omega(V_t, V_{t+k}), t over one period
+    from the base and k = 1 before k = 2, that is not 0 (k = 1) or 1
+    (k = 2); None when the polygon is normalized."""
+    kind = p.form.kind
+    for t in range(p.base, p.base + p.period):
+        for k, want in ((1, kind.zero()), (2, kind.one())):
+            got = naive_pairing(p.form, _polygon_vertex(p, t), _polygon_vertex(p, t + k))
+            if not kind.eq(got, want):
+                return t, k
+    return None
+
+
+def naive_frieze_from_polygon(p):
+    """Display cells {(x, o): value} of the frieze a normalized polygon
+    pairs into, over one display period of the rows -1..w.
+
+    Each black cell d[i, j] is its own pairing omega(V_{i-3}, V_j), each
+    white cell d[i+1/2, j+1/2] the 2x2 minor of the blacks d[i, j],
+    d[i+1, j+1], d[i+1, j], d[i, j+1], and the boundary rows are ones.
+    A polygon that is not normalized raises NormalizationViolated at the
+    t of `naive_normalization_failure`.
+    """
+    bad = naive_normalization_failure(p)
+    if bad is not None:
+        raise NormalizationViolated(bad[0])
+
+    pairs = {}
+
+    def blk(i, j):
+        if (i, j) not in pairs:
+            pairs[(i, j)] = naive_pairing(p.form, _polygon_vertex(p, i - 3), _polygon_vertex(p, j))
+        return pairs[(i, j)]
+
+    w, cells = p.width, {}
+    for x in range(2 * p.period):
+        for o in range(-1, w + 1):
+            I, J = x - o, x + o
+            if o in (-1, w):
+                cells[(x, o)] = p.form.kind.one()
+            elif I % 2 == 0:
+                cells[(x, o)] = blk(I // 2, J // 2)
+            else:
+                i, j = I // 2, J // 2
+                cells[(x, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
+    return cells
 
 
 def naive_local_rules(grid):

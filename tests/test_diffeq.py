@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS
-from oracles import naive_band_determinant, naive_monodromy, naive_superperiodic
+from oracles import (
+    naive_band_determinant,
+    naive_entry_det_complement,
+    naive_monodromy,
+    naive_superperiodic,
+)
 from symfrieze.diffeq import (
     SymmetricDiffEq,
     ZeroParameter,
@@ -12,6 +17,7 @@ from symfrieze.diffeq import (
     band_determinant,
     companion,
     entry_det_band,
+    entry_det_complement,
     is_superperiodic,
     monodromy,
     solve,
@@ -155,6 +161,49 @@ def test_band_builder_bounds(eq):
         band_determinant(eq, 4, 2)
     with pytest.raises(ValueError):
         entry_det_band(table, 4, 2, eq.kind)
+
+
+def _complement_tables(draw):
+    """Random tables of orders 1-4 and widths 0-3 (periods k+2..k+5)."""
+    return [
+        tuple(tuple(draw() for _ in range(k + w + 2)) for _ in range(k))
+        for k in range(1, 5)
+        for w in range(4)
+    ]
+
+
+def _complement_cases():
+    rng = random.Random(31)
+    return [
+        (RATIONAL, _complement_tables(lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))),
+        (GAUSSIAN, _complement_tables(lambda: GaussianRational(
+            Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 3)))),
+        (COMPLEX, _complement_tables(lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))),
+    ]
+
+
+@pytest.mark.parametrize("kind,tables", _complement_cases(), ids=["rational", "gaussian", "complex"])
+def test_complement_builder_matches_cofactor_complement(kind, tables):
+    for table in tables:
+        k, n = len(table), len(table[0])
+        w = n - k - 2
+        for i in range(-n, n):
+            for t in range(-1, w + 1):
+                got = entry_det_complement(table, i, i + t, kind)
+                want = naive_entry_det_complement(table, i, i + t, kind)
+                if kind.exact:
+                    assert got == want, (k, n, i, t)
+                else:
+                    assert abs(got - want) <= 1e-9, (k, n, i, t)
+
+
+def test_complement_builder_bounds():
+    table = ((1, 2, 3, 4, 5, 6), (2, 1, 1, 3, 1, 2))  # order 2, width 2
+    assert entry_det_complement(table, 3, 5) == 1
+    for t in (-2, 3):
+        for build in (entry_det_complement, naive_entry_det_complement):
+            with pytest.raises(ValueError, match=rf"^offset {t} outside \[-1, 2\]$"):
+                build(table, 3, 3 + t, RATIONAL)
 
 
 def test_variety_residuals_vanish():

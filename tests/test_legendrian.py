@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import WIDTH2_COEFFS, WIDTH3_COEFFS
+from oracles import naive_frieze_from_polygon, naive_normalization_failure
+from symfrieze import legendrian
 from symfrieze.diffeq import SymmetricDiffEq, companion
-from symfrieze.frieze import GridIndex
+from symfrieze.frieze import GridIndex, ZeroPivot, propagate_from_zigzag
 from symfrieze.legendrian import (
     DegenerateGamma,
     EvenPeriod,
@@ -23,7 +25,7 @@ from symfrieze.legendrian import (
     polygon_from_frieze,
 )
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import RATIONAL
+from symfrieze.scalars import GAUSSIAN, RATIONAL, GaussianRational
 
 V_COLUMNS = [
     (1, 4, 3, 1, 0, 0, 0),
@@ -133,6 +135,78 @@ def test_block_intertwining(width2_int, width3_int, width1_signed):
     )
 
 
+def _zigzag_grid(rng, width, kind):
+    """A random zig-zag grid of the kind, drawn again on a zero pivot."""
+    while True:
+        if kind is RATIONAL:
+            values = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)) for _ in range(2 * width)]
+        else:
+            values = [
+                GaussianRational(Fraction(rng.randint(1, 3)), Fraction(rng.randint(-2, 2), 2))
+                for _ in range(2 * width)
+            ]
+        try:
+            return propagate_from_zigzag(values, width, kind)
+        except ZeroPivot:
+            continue
+
+
+@pytest.fixture(scope="module")
+def polygon_grids(width1_int, width2_int, width3_int):
+    rng = random.Random(41)
+    grids = [width1_int, width2_int, width3_int, propagate_from_zigzag([1] * 8, 4)]
+    return grids + [_zigzag_grid(rng, w, kind) for w in range(1, 5) for kind in (RATIONAL, GAUSSIAN)]
+
+
+def test_polygon_frieze_matches_pairing_oracle(polygon_grids):
+    anchors = [(0, 9)] * 4 + [(2,), (-1,)] * 4
+    for g, some in zip(polygon_grids, anchors):
+        for anchor in some:
+            p = polygon_from_frieze(g, anchor)
+            got = frieze_from_polygon(p)
+            assert got == g
+            for (x, o), want in naive_frieze_from_polygon(p).items():
+                assert got.cell(x, o) == want, (g, anchor, x, o)
+
+
+def test_polygon_frieze_pairs_each_vertex_pair_once(monkeypatch, poly2):
+    calls = []
+    pair = legendrian.omega
+    monkeypatch.setattr(legendrian, "omega", lambda *args: calls.append(args) or pair(*args))
+    frieze_from_polygon(poly2)
+    assert len(calls) == poly2.period * (poly2.width + 3)
+
+
+def _planted(p, j, vertex):
+    """Copy of p with the stored vertex at absolute index j replaced."""
+    vertices = list(p.vertices)
+    vertices[j - p.base] = vertex
+    return Polygon(p.period, p.base, tuple(vertices), p.form)
+
+
+def test_polygon_normalization_failures_match_oracle(polygon_grids):
+    # the width-2 and width-3 fixtures and the random width-2 Gaussian grid
+    for g in (polygon_grids[1], polygon_grids[2], polygon_grids[7]):
+        p = polygon_from_frieze(g, 1)
+        for j in (p.base, p.base + 4):
+            # adding V_{j-2} keeps the pairings of V_{j-2} and V_{j-1} with V_j but adds
+            # d[j+1, j+1] to omega(V_j, V_{j+1}); doubling V_j breaks only second neighbors
+            v, back = p.vertex(j), p.vertex(j - 2)
+            plants = (
+                (1, _planted(p, j, tuple(x + y for x, y in zip(v, back)))),
+                (2, _planted(p, j, tuple(x + x for x in v))),
+            )
+            for k, bad in plants:
+                t, broken = naive_normalization_failure(bad)
+                assert broken == k
+                with pytest.raises(NormalizationViolated) as e:
+                    frieze_from_polygon(bad)
+                assert e.value.index == t
+                with pytest.raises(NormalizationViolated) as e:
+                    naive_frieze_from_polygon(bad)
+                assert e.value.index == t
+
+
 # ---------------------------------------------------------------------------
 # float normalization
 
@@ -169,6 +243,35 @@ def test_normalize_rejections(poly2):
     raw[2] = (5 + 0j, 1 + 0j, 2 + 0j, 0j)
     with pytest.raises(NormalizationViolated):
         normalize_lift(raw, poly2.form, base=poly2.base)
+
+
+def test_normalize_error_order(poly2):
+    raw = [tuple(complex(x) for x in v) for v in poly2.vertices]
+    # V_2 = 0 makes the second-neighbor pairing at t = 0 vanish
+    raw[2] = (0j,) * 4
+    with pytest.raises(DegenerateGamma) as e:
+        normalize_lift(raw, poly2.form, base=poly2.base)
+    assert e.value.index == 0
+    # omega(V_3, V_4 + V_5) = omega(V_3, V_5) = 1 breaks orthogonality at t = 3
+    raw[4] = tuple(x + y for x, y in zip(raw[4], raw[5]))
+    with pytest.raises(NormalizationViolated) as e:
+        normalize_lift(raw, poly2.form, base=poly2.base)
+    assert e.value.index == 3
+    with pytest.raises(EvenPeriod):
+        normalize_lift(raw + [raw[0]], poly2.form, base=poly2.base)
+
+
+def test_normalize_gaussian_polygon():
+    g = _zigzag_grid(random.Random(43), 2, GAUSSIAN)
+    p = polygon_from_frieze(g, 2)
+    scales = [GaussianRational(Fraction(s + 1), Fraction(s % 3 - 1, 2)) for s in range(p.period)]
+    raw = [tuple(c * x for x in v) for c, v in zip(scales, p.vertices)]
+    pn = normalize_lift(raw, p.form, base=p.base)
+    want = [tuple(complex(x.re, x.im) for x in v) for v in p.vertices]
+    sign = 1 if abs(pn.vertices[0][0] - want[0][0]) < 1e-9 else -1
+    for s in range(p.period):
+        assert close(pn.vertices[s], tuple(sign * x for x in want[s]))
+    assert pn.form.kind.name == "complex-float" and pn.base == p.base
 
 
 # ---------------------------------------------------------------------------
