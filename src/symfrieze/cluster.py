@@ -13,7 +13,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .frieze import FriezeError, FriezeGrid, ZigZag, propagate_from_zigzag
+from .frieze import FriezeError, FriezeGrid, ZigZag, _west_steps, propagate_from_zigzag
 from .scalars import RATIONAL, ScalarKind
 
 __all__ = [
@@ -467,29 +467,8 @@ class ValuedQuiver:
         object.__setattr__(self, "arrows", tuple(sorted(norm)))
 
     def mutate(self, k: int) -> "ValuedQuiver":
-        """Arrow-level mutation: compose the paths through k, then
-        reverse every arrow incident with k."""
-        if not 0 <= k < self.m:
-            raise IndexError(f"vertex {k} out of range")
-        val: Dict[Tuple[int, int], int] = {}
-        for tail, head, (p, q) in self.arrows:
-            val[(tail, head)] = p
-            val[(head, tail)] = -q
-        new = dict(val)
-        into = [(t, p, q) for t, h, (p, q) in self.arrows if h == k]
-        outof = [(h, p, q) for t, h, (p, q) in self.arrows if t == k]
-        for i, a, b in into:
-            for j, c, d in outof:
-                new[(i, j)] = new.get((i, j), 0) + a * c
-                new[(j, i)] = new.get((j, i), 0) - b * d
-        for tail, head, _ in self.arrows:
-            if k in (tail, head):
-                new[(tail, head)] = -val[(tail, head)]
-                new[(head, tail)] = -val[(head, tail)]
-        arrows = tuple(
-            (i, j, (v, -new[(j, i)])) for (i, j), v in sorted(new.items()) if v > 0
-        )
-        return ValuedQuiver(self.m, arrows)
+        """Mutation at vertex k: `mutate_matrix` on the exchange matrix."""
+        return quiver_of(mutate_matrix(matrix_of(self), k))
 
 
 def quiver_of(matrix: Union[ExchangeMatrix, Sequence[Sequence[int]]]) -> ValuedQuiver:
@@ -653,17 +632,10 @@ def zigzag_quiver(shape: Union[ZigZag, Sequence[int]]) -> ValuedQuiver:
     for o in range(1, w):
         if abs(cols[o] - cols[o - 1]) > 1:
             raise ValueError(f"rows {o - 1} and {o} are not linked")
-    target = min(cols)
-    moves = []
-    while max(cols) > target:
-        col = max(cols)
-        o = cols.index(col)
-        # the west step vacates the east cell at column col + 1
-        east_is_white = (col + 1 - o) % 2 != 0
-        moves.append(o if east_is_white else w + o)
-        cols[o] = col - 1
+    # each west step vacates the east cell at column col + 1, white when col + 1 - o is odd
+    moves = [o if (col + 1 - o) % 2 else w + o for o, col in _west_steps(cols)]
     base = c2_square_aw(w)
-    if target % 2 == 0:
+    if cols[0] % 2 == 0:
         base = base.opposite()
     for k in reversed(moves):
         base = mutate_matrix(base, k)

@@ -8,7 +8,9 @@ It is the order-3 recurrence on the cycles (a, b, a shifted by one).
 `_recur` runs a table of k cycles, and `entry_det_band` (which gives
 `band_determinant`) and `dual_equation_coeffs` read one;
 `entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
-re-exports those three.
+re-exports those three, and `entry_det_band` also builds the matrices of
+`slfrieze.coeffs_of` and `frieze.extend_through_zero`;
+`white_band_determinant` is the one other builder.
 """
 
 from dataclasses import dataclass, field

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _coeff_table, _recur, _table
+from .diffeq import SymmetricDiffEq, _coeff_table, _recur, _table, entry_det_band
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
@@ -421,9 +421,6 @@ class FriezeGrid:
             raise ValueError(f"mixed parity index ({I}, {J})")
         return self._bands[I % 2].get(I // 2, J // 2)
 
-    def get_entry(self, idx: GridIndex):
-        return self.get(idx.I, idx.J)
-
     def black(self, i: int, j: int):
         """d[i, j]."""
         return self._bands[0].get(i, j)
@@ -485,6 +482,21 @@ def propagate_from_coeffs(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL)
     return FriezeGrid.from_blacks(kind, f.width, f.get)
 
 
+def _west_steps(shape: list) -> Iterator[Tuple[int, int]]:
+    """Straighten a zig-zag shape westwards, one cell exchange at a time.
+
+    `shape` holds the west column of each row.  Yields (row, column) of
+    the first row at the easternmost column, then moves that row one
+    column west in place, until every row sits at the westernmost one.
+    """
+    target = min(shape)
+    while max(shape) > target:
+        col = max(shape)
+        o = shape.index(col)
+        yield o, col
+        shape[o] = col - 1
+
+
 def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind = RATIONAL) -> FriezeGrid:
     """Grow the full grid from a double zig-zag of cell values.
 
@@ -530,16 +542,12 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
         lhs = v * v if (col - o) % 2 == 0 else v
         return (lhs + above * below) / known
 
-    target = min(s)
-    while max(s) > target:
-        m = max(s)
-        o = s.index(m)
+    for o, m in _west_steps(s):
         pivot, east = vals[o]
         above, below = at(o - 1, m), at(o + 1, m)
         vals[o] = [step(o, m, pivot, above, below, east, m + 1), pivot]
-        s[o] = m - 1
 
-    c = target
+    c = s[0]
     cols = {c: [vals[o][0] for o in range(w)], c + 1: [vals[o][1] for o in range(w)]}
     for x in range(c + 2, c + 2 * n + 2):
         prev, cur = cols[x - 2], cols[x - 1]
@@ -709,20 +717,12 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
         if len(blacks) < 3:
             raise Underdetermined("degenerate 3x3 minor and no third black entry")
         a0 = blacks[-3]
-        zero = kind.zero()
 
         def det4(x):
-            return Matrix(
-                kind,
-                [
-                    [a0, one, zero, zero],
-                    [one, a1, one, zero],
-                    [zero, one, a2, one],
-                    [zero, zero, one, x],
-                ],
-            ).det()
+            # the order-1 band: a0, a1, a2, x on the diagonal, ones beside it
+            return entry_det_band(((a0, a1, a2, x),), 0, 3, kind)
 
-        f0 = det4(zero)
+        f0 = det4(kind.zero())
         slope = det4(one) - f0
         if kind.is_zero(slope):
             raise Underdetermined("4x4 minor does not see the next entry")

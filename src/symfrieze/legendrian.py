@@ -21,8 +21,6 @@ __all__ = [
     "DegenerateGamma",
     "SingularFrame",
     "SymplecticForm",
-    "omega_form",
-    "omega_dual_form",
     "omega",
     "Polygon",
     "polygon_from_frieze",
@@ -102,16 +100,6 @@ class SymplecticForm:
         return self._matrix
 
 
-def omega_form(a, kind: ScalarKind = RATIONAL) -> SymplecticForm:
-    """The standard-variant form with parameter a."""
-    return SymplecticForm(a, "standard", kind)
-
-
-def omega_dual_form(a, kind: ScalarKind = RATIONAL) -> SymplecticForm:
-    """The dual-variant form with parameter a; equals -inverse of standard."""
-    return SymplecticForm(a, "dual", kind)
-
-
 def omega(form: SymplecticForm, u: Sequence, v: Sequence):
     """The pairing u^t F v."""
     if len(u) != 4 or len(v) != 4:
@@ -181,7 +169,7 @@ def polygon_from_frieze(g: FriezeGrid, i0: int) -> Polygon:
         tuple(g.black(i0 + r, j) for r in range(4))
         for j in range(i0 - 1, i0 - 1 + n)
     )
-    form = omega_dual_form(g.black(i0, i0), g.kind)
+    form = SymplecticForm(g.black(i0, i0), "dual", g.kind)
     return Polygon(n, i0 - 1, vertices, form)
 
 
@@ -248,12 +236,12 @@ def block_symplectic_check(g: FriezeGrid) -> bool:
     kind = g.kind
     a = [g.black(i, i) for i in range(n)]
     for i in range(n):
-        if black_block(g, i, i) != omega_form(a[i], kind).matrix():
+        if black_block(g, i, i) != SymplecticForm(a[i], "standard", kind).matrix():
             return False
-        dual_m = omega_dual_form(a[i], kind).matrix()
+        dual_m = SymplecticForm(a[i], "dual", kind).matrix()
         for j in range(i, i + n + 1):
             d = black_block(g, i, j)
-            if d.transpose() * dual_m * d != omega_form(a[j % n], kind).matrix():
+            if d.transpose() * dual_m * d != SymplecticForm(a[j % n], "standard", kind).matrix():
                 return False
     return True
 

@@ -7,12 +7,16 @@ the two duality maps below (projective and Gale) act on the general case.
 `SLFrieze` and `from_equation` are defined in `frieze`, which stores each
 colour of a symplectic grid as an order-3 band, and re-exported here,
 as are the coefficient formulas, defined in `diffeq` with the tables.
+`coeffs_of` reads the coefficients back through `entry_det_band`: by
+Gale duality the rows next to the lower boundary serve as coefficient
+cycles.
 """
 
 from typing import Tuple
 
 from .diffeq import dual_equation_coeffs, entry_det_band, entry_det_complement
-from .linalg import Matrix, det
+# bound here for the benchmark tracer, which expects slfrieze to bind it
+from .linalg import det  # noqa: F401
 from .frieze import (
     FriezeError,
     FriezeGrid,
@@ -62,27 +66,18 @@ class WidthParity(FriezeError):
 def coeffs_of(f: SLFrieze) -> Tuple[Tuple, ...]:
     """Recover the recurrence coefficient cycles from the frieze entries.
 
-    The s-th cycle is read off as a (k+1-s)x(k+1-s) determinant in the
-    entries next to the upper boundary; the 1x1 case is the top cycle
-    itself.
+    Gale duality (Morier-Genoud, Ovsienko, Schwartz and Tabachnikov):
+    cycle s (from 0) at subscript x is the (k-s)-sized `entry_det_band`
+    determinant over the k rows of f read up from the lower boundary,
+    offsets w-1 down to w-k; when k > w they run on through the upper
+    boundary row and the guard zeros beyond it.
     """
-    k, w, n = f.order, f.width, f.period
-    kind = f.kind
-    zero, one = kind.zero(), kind.one()
-    table = [[zero] * n for _ in range(k)]
-    for i in range(n):
-        for size in range(1, k + 1):
-            # size = j+1 recovers superscript k-j at subscript i-1
-            m = [[zero] * size for _ in range(size)]
-            for r in range(size):
-                for c in range(size):
-                    if c <= r:
-                        m[r][c] = f.get(i + 1 + r, i + w + c)
-                    elif c == r + 1:
-                        m[r][c] = one
-            value = det(Matrix(kind, m))
-            table[k - size][(i - 1) % n] = value
-    return tuple(tuple(row) for row in table)
+    k, w = f.order, f.width
+    rows = [f.row_cycle(w - 1 - s) for s in range(k)]
+    return tuple(
+        tuple(entry_det_band(rows, x + 2, x + 1 + k - s, f.kind) for x in range(f.period))
+        for s in range(k)
+    )
 
 
 def black_of(g: FriezeGrid) -> SLFrieze:

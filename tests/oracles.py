@@ -12,12 +12,16 @@ rounding.  The local-rule oracle reads every window of the rows -2..w+1
 through `get` and compares with the kind's `eq`, so it serves every kind.
 The complement oracle builds the complementary determinant by hand; the
 polygon oracle pairs the two vertices of every cell by a form matrix
-written out here.
+written out here.  The coefficient oracle expands the lower-Hessenberg
+determinants next to the upper boundary by cofactors, so it serves every
+kind.  The quiver oracle mutates arrow by arrow, without exchange
+matrices.
 """
 
 import itertools
 from fractions import Fraction
 
+from symfrieze.cluster import ValuedQuiver
 from symfrieze.diffeq import companion
 from symfrieze.frieze import (
     GridIndex,
@@ -147,6 +151,58 @@ def naive_entry_det_complement(coeffs, i, j, kind):
             elif 0 <= s < k:
                 rows[r][c] = table[k - 1 - s][sub]
     return cofactor_det(rows)
+
+
+def naive_coeffs_of(f):
+    """Coefficient cycles of an SLFrieze, by cofactors.
+
+    Cycle k - size at subscript i - 1 is the size x size determinant
+    with f.get(i + 1 + r, i + w + c) on and below the diagonal, ones
+    just above it and zeros beyond, for sizes 1..k.
+    """
+    k, w, n = f.order, f.width, f.period
+    one, zero = f.kind.one(), f.kind.zero()
+    table = [[None] * n for _ in range(k)]
+    for i in range(n):
+        for size in range(1, k + 1):
+            rows = [
+                [f.get(i + 1 + r, i + w + c) if c <= r else one if c == r + 1 else zero
+                 for c in range(size)]
+                for r in range(size)
+            ]
+            table[k - size][(i - 1) % n] = cofactor_det(rows)
+    return tuple(tuple(row) for row in table)
+
+
+def naive_quiver_mutate(quiver, k):
+    """Arrow-level mutation of a ValuedQuiver at vertex k.
+
+    Every path i -> k -> j with weights (a, b) and (c, d) adds a*c to
+    the weight from i to j and b*d to the one back; then each arrow at
+    k is reversed.  Opposite weights cancel, and a pair whose forward
+    weight is positive becomes one arrow.
+    """
+    if not 0 <= k < quiver.m:
+        raise IndexError(f"vertex {k} out of range")
+    val = {}
+    for tail, head, (p, q) in quiver.arrows:
+        val[(tail, head)] = p
+        val[(head, tail)] = -q
+    new = dict(val)
+    into = [(t, p, q) for t, h, (p, q) in quiver.arrows if h == k]
+    outof = [(h, p, q) for t, h, (p, q) in quiver.arrows if t == k]
+    for i, a, b in into:
+        for j, c, d in outof:
+            new[(i, j)] = new.get((i, j), 0) + a * c
+            new[(j, i)] = new.get((j, i), 0) - b * d
+    for tail, head, _ in quiver.arrows:
+        if k in (tail, head):
+            new[(tail, head)] = -val[(tail, head)]
+            new[(head, tail)] = -val[(head, tail)]
+    arrows = tuple(
+        (i, j, (v, -new[(j, i)])) for (i, j), v in sorted(new.items()) if v > 0
+    )
+    return ValuedQuiver(quiver.m, arrows)
 
 
 def naive_pairing(form, u, v):

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from oracles import naive_quiver_mutate
 from symfrieze.cluster import (
     ExchangeMatrix,
     LaurentPolynomial,
@@ -11,6 +12,7 @@ from symfrieze.cluster import (
     NotBipartite,
     NotSkewSymmetrizable,
     Seed,
+    ValuedQuiver,
     ZeroSubstitution,
     belt_step,
     c2_square_aw,
@@ -177,10 +179,19 @@ def test_quiver_mutation_matches_matrix_mutation():
     for _ in range(40):
         base = seen[rng.randrange(len(seen))]
         k = rng.randrange(base.m)
-        got = matrix_of(quiver_of(base).mutate(k))
-        want = mutate_matrix(base, k)
-        assert got == want
-        seen.append(want)
+        q = quiver_of(base)
+        assert q.mutate(k) == naive_quiver_mutate(q, k)
+        seen.append(mutate_matrix(base, k))
+
+
+def test_quiver_mutation_needs_a_symmetrizer():
+    # the matrix ((0, 1, -2), (-2, 0, 1), (1, -2, 0)) has no symmetrizer
+    q = ValuedQuiver(3, ((0, 1, (1, 2)), (1, 2, (1, 2)), (2, 0, (1, 2))))
+    with pytest.raises(NotSkewSymmetrizable):
+        q.mutate(0)
+    for k in (-1, 4):
+        with pytest.raises(IndexError, match=f"vertex {k} out of range"):
+            quiver_of(c2_square_aw(2)).mutate(k)
 
 
 def test_one_sided_mutation_reverses_arrows():

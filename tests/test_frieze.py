@@ -165,7 +165,7 @@ def test_guard_rows_are_zero(width2_int):
 def test_with_entry_replaces_one_cell(width2_int):
     idx = GridIndex(2, 4)
     changed = width2_int.with_entry(idx, Fraction(99))
-    assert changed.get_entry(idx) == 99
+    assert changed.get(idx.I, idx.J) == 99
     assert changed != width2_int
     assert check_local_rules(changed) != ()
 
@@ -258,7 +258,7 @@ def test_with_entry_one_period_off(colour):
     # d[i, j + n] = -d[i, j]; d[i + n, j - n] = d[i, j - 2n] = d[i, j]
     for far, sign in ((GridIndex(I, J + 2 * n), -1), (GridIndex(I + 2 * n, J - 2 * n), 1)):
         changed = g.with_entry(far, 99)
-        assert changed.get_entry(far) == 99
+        assert changed.get(far.I, far.J) == 99
         assert changed.get(I, J) == sign * 99
         want = dict(cells)
         want[stored] = Fraction(sign * 99)

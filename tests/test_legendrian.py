@@ -14,14 +14,13 @@ from symfrieze.legendrian import (
     NormalizationViolated,
     Polygon,
     SingularFrame,
+    SymplecticForm,
     block_symplectic_check,
     coeffs_from_polygon,
     frieze_entries_by_4x4,
     frieze_from_polygon,
     normalize_lift,
     omega,
-    omega_dual_form,
-    omega_form,
     polygon_from_frieze,
 )
 from symfrieze.linalg import Matrix, det
@@ -48,15 +47,15 @@ def test_forms_are_skew_inverse_pairs():
     minus = Matrix.identity(RATIONAL, 4).scaled(Fraction(-1))
     for _ in range(20):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        std = omega_form(a).matrix()
-        alt = omega_dual_form(a).matrix()
+        std = SymplecticForm(a).matrix()
+        alt = SymplecticForm(a, "dual").matrix()
         assert alt * std == minus
         assert det(std) == 1 and det(alt) == 1
         assert std.transpose() == -std and alt.transpose() == -alt
 
 
 def test_pairing_of_vector_with_itself_vanishes():
-    assert omega(omega_dual_form(4), (1, 2, 3, 4), (1, 2, 3, 4)) == 0
+    assert omega(SymplecticForm(4, "dual"), (1, 2, 3, 4), (1, 2, 3, 4)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def test_named_pairings(poly2):
 def test_first_frame_is_standard(poly2):
     cols = [poly2.vertex(1 + c) for c in range(4)]
     frame = Matrix(RATIONAL, [[cols[c][r] for c in range(4)] for r in range(4)])
-    assert frame == omega_form(Fraction(4)).matrix()
+    assert frame == SymplecticForm(Fraction(4)).matrix()
 
 
 def test_vertex_antiperiodic(poly2):

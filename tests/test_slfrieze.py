@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
+from oracles import naive_coeffs_of
 from symfrieze.frieze import (
     FriezeError,
     MinorWindow,
@@ -15,7 +16,7 @@ from symfrieze.frieze import (
 )
 from symfrieze.legendrian import frieze_from_polygon, polygon_from_frieze
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import GAUSSIAN, RATIONAL, GaussianRational
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import (
     MinorCondition,
     SLFrieze,
@@ -140,6 +141,38 @@ def test_coeffs_of_random_round_trips():
         w = rng.randint(1, 3)
         f = black_of(propagate_from_zigzag([rng.randint(1, 4) for _ in range(2 * w)], w))
         assert from_equation(coeffs_of(f)) == f
+
+
+def _arbitrary_friezes(kind, draw):
+    """One SLFrieze of arbitrary cells, boundary rows included, per order
+    1-5 and width 0-5."""
+    return [
+        SLFrieze(kind, k, w, {(i, o): draw() for i in range(k + w + 2) for o in range(-1, w + 1)})
+        for k in range(1, 6)
+        for w in range(6)
+    ]
+
+
+def _coeff_cases():
+    rng = random.Random(41)
+    return [
+        (RATIONAL, _arbitrary_friezes(RATIONAL, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))),
+        (GAUSSIAN, _arbitrary_friezes(GAUSSIAN, lambda: GaussianRational(
+            Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 3)))),
+        (COMPLEX, _arbitrary_friezes(COMPLEX, lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))),
+    ]
+
+
+@pytest.mark.parametrize("kind,friezes", _coeff_cases(), ids=["rational", "gaussian", "complex"])
+def test_coeffs_of_matches_cofactor_oracle(kind, friezes):
+    for f in friezes:
+        got, want = coeffs_of(f), naive_coeffs_of(f)
+        if kind.exact:
+            assert got == want, f
+        else:
+            assert [len(row) for row in got] == [len(row) for row in want], f
+            for g_row, w_row in zip(got, want):
+                assert all(abs(g - v) <= 1e-9 for g, v in zip(g_row, w_row)), f
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def random_grid(rng, kind, width):
 def perturbed(grid, x, o):
     """Copy of `grid` with one added to the cell at column x of row o."""
     idx = GridIndex(x - o, x + o)
-    return grid.with_entry(idx, grid.get_entry(idx) + grid.kind.one())
+    return grid.with_entry(idx, grid.cell(x, o) + grid.kind.one())
 
 
 def perturbed_sl(f, i, o):
