@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
 from .linalg import Matrix
-from .scalars import SCALAR_NAMES, KindMismatch, kind_by_name
+from .scalars import SCALAR_NAMES, KindMismatch, ScalarKind, kind_by_name
 
 __all__ = ["main"]
 
@@ -47,15 +47,15 @@ def _write_output(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _parse_values(scalar: str, text: str) -> tuple:
+def _parse_values(kind: ScalarKind, text: str) -> tuple:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         try:
-            out.append(formats._decode_value(scalar, tok))
+            out.append(kind.coerce(tok))
         except (ValueError, ZeroDivisionError):
             raise formats.FormatError(
-                f"cannot parse {tok!r} as a {scalar} value"
+                f"cannot parse {tok!r} as a {kind.name} value"
             ) from None
     return tuple(out)
 
@@ -151,7 +151,7 @@ def _cmd_frieze_from_coeffs(args) -> int:
 
 def _cmd_frieze_from_zigzag(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
-    values = _parse_values(args.scalar, args.values)
+    values = _parse_values(kind, args.values)
     g = frieze.propagate_from_zigzag(values, args.width, kind)
     prov = {"seed": args.values.split(",")}
     _emit_grid(g, args, prov if args.json else None)
@@ -187,8 +187,8 @@ def _cmd_frieze_twist(args) -> int:
 
 def _make_equation(args) -> diffeq.SymmetricDiffEq:
     kind = kind_by_name(args.scalar, args.tolerance)
-    a = _parse_values(args.scalar, args.a)
-    b = _parse_values(args.scalar, args.b)
+    a = _parse_values(kind, args.a)
+    b = _parse_values(kind, args.b)
     return diffeq.SymmetricDiffEq(a, b, kind)
 
 
@@ -294,7 +294,7 @@ def _cmd_cluster_formal(args) -> int:
 
 def _cmd_cluster_evaluate(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
-    point = _parse_values(args.scalar, args.point)
+    point = _parse_values(kind, args.point)
     path = _parse_word(args.path, "--path", len(point) // 2)
     g = cluster.evaluate_frieze(point, path, kind)
     _emit_grid(g, args)

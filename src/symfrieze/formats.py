@@ -1,4 +1,4 @@
-"""Document types and lossless serialization for the CLI.
+"""Frieze, SL-frieze and polygon documents, serialized losslessly.
 
 Two on-disk shapes are supported and auto-detected:
 
@@ -10,20 +10,20 @@ Two on-disk shapes are supported and auto-detected:
   than the one above it, cells separated by spaces, black cells marked
   with a ``*`` prefix.
 
-Loading a frieze document rebuilds the grid and replays the defining
-local relations; a violated cell is reported by its grid index.
+Scalar text is parsed by the kind's own `coerce`; here are only the
+JSON rules of which raw types each kind accepts.  Loading a frieze
+document rebuilds the grid and replays the defining local relations; a
+violated cell is reported by its grid index.
 """
 
 import json
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from .diffeq import SymmetricDiffEq
 from .frieze import FriezeError, FriezeGrid, check_local_rules
 from .legendrian import Polygon, SymplecticForm
-from .scalars import SCALAR_NAMES, GaussianRational, ScalarKind, kind_by_name
+from .scalars import SCALAR_NAMES, ScalarKind, kind_by_name
 from .slfrieze import SLFrieze
 
 __all__ = [
@@ -32,15 +32,12 @@ __all__ = [
     "FriezeDocument",
     "SLDocument",
     "PolygonDocument",
-    "EquationDocument",
     "document_of",
     "grid_of",
     "sl_document_of",
     "sl_of",
     "polygon_document_of",
     "polygon_of",
-    "equation_document_of",
-    "equation_of",
     "dumps",
     "loads",
     "render_frieze_text",
@@ -75,26 +72,21 @@ def _encode_value(scalar: str, v) -> Any:
     return str(v)
 
 
-def _decode_value(scalar: str, raw) -> Any:
-    # bool subclasses int, but JSON true and false are never scalars
-    if isinstance(raw, bool) or (
-        isinstance(raw, list) and any(isinstance(x, bool) for x in raw)
-    ):
-        raise ValueError(f"cannot read {raw!r} as a {scalar} value")
-    if scalar == "rational":
-        if isinstance(raw, (str, int)):
-            return Fraction(raw)
-    elif scalar == "gaussian":
-        if isinstance(raw, int):
-            return GaussianRational(Fraction(raw), Fraction(0))
-        if isinstance(raw, str):
-            return GaussianRational.parse(raw)
-    elif scalar == "complex-float":
-        if isinstance(raw, (list, tuple)) and len(raw) == 2:
-            return complex(float(raw[0]), float(raw[1]))
-        if isinstance(raw, (int, float, str)):
-            return complex(str(raw).replace("i", "j").replace(" ", ""))
-    raise ValueError(f"cannot read {raw!r} as a {scalar} value")
+def _decode_value(kind: ScalarKind, raw) -> Any:
+    """One raw JSON value as a scalar of `kind`, parsed by `kind.coerce`.
+
+    Exact kinds read strings and ints.  Complex floats also read floats,
+    by their JSON text as the text layout does, and ``[re, im]`` pairs.
+    Exact type tests keep out JSON true and false, as bool subclasses int.
+    """
+    if kind.exact:
+        if type(raw) in (str, int):
+            return kind.coerce(raw)
+    elif type(raw) in (str, int, float):
+        return kind.coerce(str(raw))
+    elif type(raw) is list and len(raw) == 2 and all(type(x) in (str, int, float) for x in raw):
+        return kind.coerce(complex(float(raw[0]), float(raw[1])))
+    raise ValueError(f"cannot read {raw!r} as a {kind.name} value")
 
 
 def _cell_token(scalar: str, v) -> str:
@@ -146,26 +138,13 @@ class PolygonDocument:
     vertices: Tuple[Tuple[Any, Any, Any, Any], ...]
 
 
-@dataclass(frozen=True)
-class EquationDocument:
-    """The two coefficient cycles of a self-dual difference equation."""
-
-    a: Tuple[Any, ...]
-    b: Tuple[Any, ...]
-    scalar: str
-
-
 # ---------------------------------------------------------------------------
 # conversions to and from live objects
 
 def document_of(grid: FriezeGrid, provenance: Optional[Dict[str, Any]] = None) -> FriezeDocument:
     """Capture display columns 0..2n-1, rows -1..w, of a grid."""
-    n = grid.period
-    entries = {}
-    for o in range(-1, grid.width + 1):
-        for x in range(2 * n):
-            entries[(x - o, x + o)] = grid.cell(x, o)
-    return FriezeDocument(grid.width, n, grid.kind.name, entries, provenance)
+    entries = {(x - o, x + o): v for (x, o), v in grid.cells()}
+    return FriezeDocument(grid.width, grid.period, grid.kind.name, entries, provenance)
 
 
 def grid_of(doc: FriezeDocument, tolerance: Optional[float] = None) -> FriezeGrid:
@@ -232,18 +211,6 @@ def polygon_of(doc: PolygonDocument, tolerance: Optional[float] = None) -> Polyg
         raise InvalidDocument(str(e)) from None
 
 
-def equation_document_of(eq: SymmetricDiffEq) -> EquationDocument:
-    return EquationDocument(tuple(eq.a), tuple(eq.b), eq.kind.name)
-
-
-def equation_of(doc: EquationDocument, tolerance: Optional[float] = None) -> SymmetricDiffEq:
-    kind = kind_by_name(_check_scalar(doc.scalar), tolerance)
-    try:
-        return SymmetricDiffEq(tuple(doc.a), tuple(doc.b), kind)
-    except ValueError as e:
-        raise InvalidDocument(str(e)) from None
-
-
 # ---------------------------------------------------------------------------
 # canonical JSON
 
@@ -288,13 +255,6 @@ def _payload(doc) -> Dict[str, Any]:
                 [_encode_value(doc.scalar, x) for x in v] for v in doc.vertices
             ],
         }
-    if isinstance(doc, EquationDocument):
-        return {
-            "kind": "equation",
-            "scalar": doc.scalar,
-            "a": [_encode_value(doc.scalar, x) for x in doc.a],
-            "b": [_encode_value(doc.scalar, x) for x in doc.b],
-        }
     raise TypeError(f"not a document: {doc!r}")
 
 
@@ -323,11 +283,12 @@ def _want(obj: Dict[str, Any], key: str, types) -> Any:
 def _from_payload(obj: Dict[str, Any]):
     doc_kind = _want(obj, "kind", str)
     scalar = _check_scalar(_want(obj, "scalar", str))
+    kind = kind_by_name(scalar)
 
     def val(raw, where: str):
         try:
-            return _decode_value(scalar, raw)
-        except (ValueError, ZeroDivisionError):
+            return _decode_value(kind, raw)
+        except (ValueError, ArithmeticError):
             raise FormatError(f"bad {scalar} value {raw!r} in {where}") from None
 
     if doc_kind == "frieze":
@@ -368,12 +329,6 @@ def _from_payload(obj: Dict[str, Any]):
             _want(form, "variant", str),
             val(_want(form, "a", (str, int, list)), "form parameter"),
             tuple(vertices),
-        )
-    if doc_kind == "equation":
-        return EquationDocument(
-            tuple(val(x, "a") for x in _want(obj, "a", list)),
-            tuple(val(x, "b") for x in _want(obj, "b", list)),
-            scalar,
         )
     raise FormatError(f"unknown document kind {doc_kind!r}")
 
@@ -416,6 +371,7 @@ def _parse_frieze_text(text: str) -> FriezeDocument:
     width, period, scalar = int(m.group(1)), int(m.group(2)), m.group(3)
     if scalar not in SCALAR_NAMES:
         raise FormatError(f"unknown scalar kind {scalar!r}", line=1, column=1)
+    coerce = kind_by_name(scalar).coerce
     rows = lines[1:]
     if len(rows) != width + 2:
         raise FormatError(
@@ -455,7 +411,7 @@ def _parse_frieze_text(text: str) -> FriezeDocument:
             if black:
                 word = word[1:]
             try:
-                v = _decode_value(scalar, word)
+                v = coerce(word)
             except (ValueError, ZeroDivisionError):
                 raise FormatError(
                     f"cannot parse {word!r} as a {scalar} value",

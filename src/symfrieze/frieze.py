@@ -15,8 +15,9 @@ C = (I+1, J-1), D = (I-1, J+1)), the local rules read
     white cells:  v   = A*B - C*D
     black cells:  v*v = A*B - C*D
 
-Every grid here is antiperiodic, d[i, j+n] = -d[i, j], hence genuinely
-periodic of length 2n in the display direction.  The black entries form
+Black cells are antiperiodic, d[i, j+n] = -d[i, j]; white cells, the
+2x2 minors of four black cells that flip together, are periodic.  Both
+repeat with length 2n in the display direction.  The black entries form
 a tame order-3 SL-frieze and so do the white ones, so a grid is stored
 as two `SLFrieze` bands; the SL-frieze class and its propagation
 (`from_equation`, which runs the recurrence loop of `diffeq` on a
@@ -24,6 +25,7 @@ table checked by `diffeq._coeff_table`) live here for that reason
 and are re-exported by `slfrieze`.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
@@ -225,10 +227,11 @@ class SLFrieze:
     recurrence of length k+2 whose solutions repeat with period n and a
     sign of (-1)^k, where n = width + order + 2.  Entries are stored for
     first index in [0, n) and offsets j - i in [-1, width]; everything
-    else is a guard zero or a signed translate.
+    else is a guard zero or a signed translate (unsigned in a grid's
+    white band, whose `_flips` is off).
     """
 
-    __slots__ = ("kind", "order", "width", "period", "_cells", "_zero")
+    __slots__ = ("kind", "order", "width", "period", "_cells", "_zero", "_flips")
 
     def __init__(self, kind: ScalarKind, order: int, width: int, cells: dict):
         if order < 1:
@@ -258,6 +261,7 @@ class SLFrieze:
             raise ValueError(f"cell ({i}, offset {o}) missing")
         self._cells = store
         self._zero = kind.zero()
+        self._flips = order % 2 == 1
 
     def get(self, i: int, j: int):
         """Entry d_{i,j}, reduced into the stored band with its sign."""
@@ -273,17 +277,17 @@ class SLFrieze:
         """Stored key of the cell (i, i + o) and whether its sign flips.
 
         The offset moves by multiples of the period, each step flipping
-        the sign when the order is odd; the key is None on a guard row.
+        the sign when `_flips` is set; the key is None on a guard row.
         """
         n = self.period
         steps = (o + self.order + 1) // n
         op = o - steps * n
         key = None if op <= -2 else (i % n, op)
-        return key, self.order % 2 == 1 and steps % 2 == 1
+        return key, self._flips and steps % 2 == 1
 
-    def row_cycle(self, o: int, start: int = 0) -> Tuple:
+    def row_cycle(self, o: int) -> Tuple:
         """One period of the row at offset o, by first index."""
-        return tuple(self.get(i, i + o) for i in range(start, start + self.period))
+        return tuple(self.get(i, i + o) for i in range(self.period))
 
     def cells(self) -> Iterator[Tuple[Tuple[int, int], object]]:
         """All cells of the fundamental domain, row by row."""
@@ -351,9 +355,10 @@ class FriezeGrid:
 
     The black cells d[i, j] form one band and the white cells
     d[i+1/2, j+1/2] the other, both indexed by (i, j).  Each band has
-    period n = w + 5, rows at offsets -1..w, three guard rows of zeros
-    and one sign flip per period; `get` reads the band of the cell's
-    colour and leaves the reduction to `SLFrieze.get`.
+    period n = w + 5, rows at offsets -1..w and three guard rows of
+    zeros.  The black band flips sign once per period, the white band,
+    of 2x2 minors of blacks, does not.  `get` reads the band of the
+    cell's colour and leaves the reduction to `SLFrieze.get`.
     """
 
     __slots__ = ("kind", "width", "period", "_bands")
@@ -362,6 +367,8 @@ class FriezeGrid:
         self.kind = black.kind
         self.width = black.width
         self.period = black.period
+        white = copy(white)
+        white._flips = False
         self._bands = (black, white)
 
     @classmethod
@@ -433,9 +440,9 @@ class FriezeGrid:
         """Entry in display coordinates (column x, row offset o)."""
         return self.get(x - o, x + o)
 
-    def row_cycle(self, o: int, start: int = 0) -> Tuple:
-        """One display period of row o, starting at column `start`."""
-        return tuple(self.cell(x, o) for x in range(start, start + 2 * self.period))
+    def row_cycle(self, o: int) -> Tuple:
+        """One display period of row o, from column 0."""
+        return tuple(self.cell(x, o) for x in range(2 * self.period))
 
     def cells(self) -> Iterator[Tuple[Tuple[int, int], object]]:
         """All cells of the display fundamental domain, row by row."""

@@ -15,7 +15,9 @@ polygon oracle pairs the two vertices of every cell by a form matrix
 written out here.  The coefficient oracle expands the lower-Hessenberg
 determinants next to the upper boundary by cofactors, so it serves every
 kind.  The quiver oracle mutates arrow by arrow, without exchange
-matrices.
+matrices.  The decoder oracle reads raw JSON values with one branch per
+scalar kind, building Fractions and Gaussian rationals itself instead
+of going through the kinds' `coerce`.
 """
 
 import itertools
@@ -32,13 +34,15 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.legendrian import NormalizationViolated
+from symfrieze.scalars import GaussianRational
 
 
 def naive_get(cells, width, I, J):
     """Entry (I, J) of `FriezeGrid.from_cells(kind, width, cells)`.
 
     Reads the raw display cells {(x, o): value} by the documented rules
-    alone: d[i, j+n] = -d[i, j], display period 2n, guard rows at
+    alone: d[i, j+n] = -d[i, j] for black cells (I even) while white
+    cells repeat without a sign, display period 2n, guard rows at
     offsets -4..-2 hold zero, and an omitted boundary row holds ones.
     Guard zeros and omitted ones come back as the ints 0 and 1, so
     coerce before comparing.
@@ -47,12 +51,12 @@ def naive_get(cells, width, I, J):
         raise ValueError(f"mixed parity index ({I}, {J})")
     n = width + 5
     x, o = (I + J) // 2, (J - I) // 2
-    sign = 1
-    # d[i, j] = -d[i, j - n]: (x, o) moves to (x - n, o - n)
+    sign, flip = 1, (-1 if I % 2 == 0 else 1)
+    # d[i, j] = flip * d[i, j - n]: (x, o) moves to (x - n, o - n)
     while o > width:
-        x, o, sign = x - n, o - n, -sign
+        x, o, sign = x - n, o - n, sign * flip
     while o < -4:
-        x, o, sign = x + n, o + n, -sign
+        x, o, sign = x + n, o + n, sign * flip
     if o < -1:
         return 0
     row = {c: v for (c, r), v in cells.items() if r == o}
@@ -62,6 +66,35 @@ def naive_get(cells, width, I, J):
     else:
         value = 1
     return value if sign > 0 else -value
+
+
+def naive_decode_value(scalar, raw):
+    """A raw JSON value (or text token) as a value of the named kind.
+
+    Rationals read strings and ints; Gaussian rationals the same, with
+    ``a+bi`` text; complex floats also floats and ``[re, im]`` pairs,
+    reading numbers by their text.  JSON true and false are rejected,
+    also inside a pair.  Raises ValueError, and lets the TypeError or
+    OverflowError of a malformed pair escape.
+    """
+    if isinstance(raw, bool) or (
+        isinstance(raw, list) and any(isinstance(x, bool) for x in raw)
+    ):
+        raise ValueError(f"cannot read {raw!r} as a {scalar} value")
+    if scalar == "rational":
+        if isinstance(raw, (str, int)):
+            return Fraction(raw)
+    elif scalar == "gaussian":
+        if isinstance(raw, int):
+            return GaussianRational(Fraction(raw), Fraction(0))
+        if isinstance(raw, str):
+            return GaussianRational.parse(raw)
+    elif scalar == "complex-float":
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
+            return complex(float(raw[0]), float(raw[1]))
+        if isinstance(raw, (int, float, str)):
+            return complex(str(raw).replace("i", "j").replace(" ", ""))
+    raise ValueError(f"cannot read {raw!r} as a {scalar} value")
 
 
 def cofactor_det(rows):

@@ -384,6 +384,11 @@ MALFORMED = [
      2, "error: bad entry key 'x', expected 'i,j'"),
     ("json-list-value", "frieze verify", "frieze", lambda d: d["entries"].update({"0,0": [1, 2]}),
      2, "error: bad rational value [1, 2] in entry '0,0'"),
+    ("json-pair-beyond-float", "sl gale", "sl",
+     lambda d: d.update(scalar="complex-float", entries={**d["entries"], "0,0": [10**400, 0]}),
+     2, f"error: bad complex-float value [{10**400}, 0] in entry '0,0'"),
+    ("json-equation-kind", "frieze verify", None, '{"kind":"equation","scalar":"rational","a":[],"b":[]}',
+     2, "error: unknown document kind 'equation'"),
     ("text-empty", "frieze verify", None, "",
      2, "error: line 1, column 1: empty input"),
     ("text-unknown-scalar", "frieze verify", None, TEXT_HEADER.replace("rational", "real"),

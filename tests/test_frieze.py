@@ -255,8 +255,10 @@ def test_with_entry_one_period_off(colour):
     n = g.period
     I, J = 2 + colour, 4 + colour  # offset 1, interior
     stored = ((I + J) // 2, (J - I) // 2)  # a display cell given to from_cells
-    # d[i, j + n] = -d[i, j]; d[i + n, j - n] = d[i, j - 2n] = d[i, j]
-    for far, sign in ((GridIndex(I, J + 2 * n), -1), (GridIndex(I + 2 * n, J - 2 * n), 1)):
+    # d[i, j + n] = -d[i, j] for a black cell, +d[i, j] for a white one;
+    # d[i + n, j - n] = d[i, j - 2n] = d[i, j] for both
+    flip = 1 if colour else -1
+    for far, sign in ((GridIndex(I, J + 2 * n), flip), (GridIndex(I + 2 * n, J - 2 * n), 1)):
         changed = g.with_entry(far, 99)
         assert changed.get(far.I, far.J) == 99
         assert changed.get(I, J) == sign * 99
@@ -266,6 +268,38 @@ def test_with_entry_one_period_off(colour):
             for J2 in range(I2 - 2 * n, I2 + 2 * n, 2):
                 assert changed.get(I2, J2) == naive_get(want, w, I2, J2), (I2, J2)
     assert g == FriezeGrid.from_cells(kind, w, cells)
+
+
+def _tame_colour_cases():
+    gauss = tuple(GAUSSIAN.coerce(v) for v in ("1+1i", "2", "1-1i", "3"))
+    floats = (1 + 1j, 2 - 0.5j, 0.5 + 1j, 3, 1 - 2j, 2 + 1j)
+    return [
+        ("rational", propagate_from_coeffs(*WIDTH2_COEFFS)),
+        ("gaussian", propagate_from_zigzag(gauss, 2, GAUSSIAN)),
+        ("complex-float", propagate_from_zigzag(floats, 3, COMPLEX)),
+    ]
+
+
+TAME_COLOUR_CASES = _tame_colour_cases()
+
+
+@pytest.mark.parametrize("g", [c[1] for c in TAME_COLOUR_CASES], ids=[c[0] for c in TAME_COLOUR_CASES])
+def test_white_cells_are_black_minors_on_every_row(g):
+    # both local rules, read at any row and period: a white cell is the
+    # 2x2 minor of its black neighbours, a black cell squared that of its
+    # white ones
+    eq, b, w, n = g.kind.eq, g.black, g.white, g.period
+    cells = list(product(range(-3 * n, 3 * n), repeat=2))
+    bad = [
+        (i, o) for i, o in cells
+        if not eq(w(i, i + o), b(i, i + o) * b(i + 1, i + o + 1) - b(i + 1, i + o) * b(i, i + o + 1))
+    ]
+    assert not bad, f"{len(bad)} of {len(cells)} white cells differ, first {bad[0]}"
+    bad = [
+        (i, o) for i, o in cells
+        if not eq(b(i, i + o) * b(i, i + o), w(i - 1, i + o - 1) * w(i, i + o) - w(i, i + o - 1) * w(i - 1, i + o))
+    ]
+    assert not bad, f"{len(bad)} of {len(cells)} black cells differ, first {bad[0]}"
 
 
 def test_with_entry_rejects_guards_and_mixed_parity(width2_int):
