@@ -403,9 +403,6 @@ class ExchangeMatrix:
         """Positive diagonal d with d[i]*b[i][j] == -d[j]*b[j][i]."""
         return self._symmetrizer
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def opposite(self) -> "ExchangeMatrix":
         return ExchangeMatrix(tuple(tuple(-v for v in row) for row in self.rows))
 

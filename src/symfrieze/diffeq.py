@@ -8,15 +8,16 @@ It is the order-3 recurrence on the cycles (a, b, a shifted by one).
 `_recur` runs a table of k cycles, and `entry_det_band` (which gives
 `band_determinant`) and `dual_equation_coeffs` read one;
 `entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
-re-exports those three, and `entry_det_band` also builds the matrices of
-`slfrieze.coeffs_of` and `frieze.extend_through_zero`;
-`white_band_determinant` is the one other builder.
+re-exports those three.  `_coeff_table` coerces and checks a caller's table;
+`band_determinant`, `entry_det_complement`, `slfrieze.coeffs_of` and
+`frieze.extend_through_zero` hand checked ones to `_band_det`, as
+`entry_det_band` does.  `white_band_determinant` is the one other builder.
 """
 
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .linalg import Matrix
+from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
 
@@ -118,7 +119,7 @@ def companion(eq: SymmetricDiffEq, j: int) -> Matrix:
     """
     k = eq.kind
     z, o = k.zero(), k.one()
-    return Matrix(
+    return Matrix._of(
         k,
         [
             [z, z, z, -o],
@@ -139,7 +140,7 @@ def monodromy(eq: SymmetricDiffEq) -> Matrix:
     """
     zero, one, table = eq.kind.zero(), eq.kind.one(), _table(eq)
     units = [[one if s == t else zero for s in range(4)] for t in range(4)]
-    return Matrix(eq.kind, [_recur(table, u, 1, eq.n)[-4:] for u in units])
+    return Matrix._of(eq.kind, [_recur(table, u, 1, eq.n)[-4:] for u in units])
 
 
 def dual_equation_coeffs(coeffs, kind: ScalarKind = RATIONAL) -> Tuple[Tuple, ...]:
@@ -166,7 +167,11 @@ def entry_det_band(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
     determinant that grows with the offset.  Offset -1 gives the empty
     determinant 1; lower offsets raise ValueError.
     """
-    table = _coeff_table(coeffs, kind)
+    return _band_det(_coeff_table(coeffs, kind), i, j, kind)
+
+
+def _band_det(table: Sequence[Sequence], i: int, j: int, kind: ScalarKind):
+    # entry_det_band on a table of values of `kind` that _coeff_table accepts
     k, n = len(table), len(table[0])
     size = j - i + 1
     if size < 0:
@@ -177,7 +182,7 @@ def entry_det_band(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
         for c in range(max(r - 1, 0), min(r + k + 1, size)):
             s = c - r
             rows[r][c] = one if s in (-1, k) else table[s][(i + c) % n]
-    return Matrix(kind, rows).det()
+    return det(Matrix._of(kind, rows))
 
 
 def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
@@ -190,13 +195,13 @@ def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
     offset w - 1 - (j - i), which entry_det_band gives as a determinant
     of size w - (j - i).  Offsets outside [-1, w] raise ValueError.
     """
-    table = _coeff_table(coeffs, kind)
-    k, n = len(table), len(table[0])
+    dual = dual_equation_coeffs(coeffs, kind)
+    k, n = len(dual), len(dual[0])
     w = n - k - 2
     t = j - i
     if not -1 <= t <= w:
         raise ValueError(f"offset {t} outside [-1, {w}]")
-    return entry_det_band(dual_equation_coeffs(table, kind), i - w + t - k, i - k - 1, kind)
+    return _band_det(dual, i - w + t - k, i - k - 1, kind)
 
 
 def band_determinant(eq: SymmetricDiffEq, i: int, j: int):
@@ -208,7 +213,7 @@ def band_determinant(eq: SymmetricDiffEq, i: int, j: int):
     frieze entry d[i, j] whenever 0 <= j - i < w, it is 1 at j - i = w,
     and it vanishes for the next three offsets.
     """
-    return entry_det_band(_table(eq), i, j, eq.kind)
+    return _band_det(_table(eq), i, j, eq.kind)
 
 
 def white_band_determinant(eq: SymmetricDiffEq, i: int, j: int):
@@ -234,7 +239,7 @@ def white_band_determinant(eq: SymmetricDiffEq, i: int, j: int):
             if 0 <= c < m:
                 row[c] = one
         rows.append(row)
-    return Matrix(k, rows).det()
+    return det(Matrix._of(k, rows))
 
 
 def variety_residuals(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL) -> Tuple:

@@ -22,15 +22,16 @@ a tame order-3 SL-frieze and so do the white ones, so a grid is stored
 as two `SLFrieze` bands; the SL-frieze class and its propagation
 (`from_equation`, which runs the recurrence loop of `diffeq` on a
 table checked by `diffeq._coeff_table`) live here for that reason
-and are re-exported by `slfrieze`.
+and are re-exported by `slfrieze`.  `SLFrieze(...)`, `from_cells` and
+`with_entry` coerce a caller's values; bands the package computes go
+through the private `SLFrieze._of`, and into the `FriezeGrid` constructor.
 """
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _coeff_table, _recur, _table, entry_det_band
+from .diffeq import SymmetricDiffEq, _band_det, _coeff_table, _recur, _table
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
@@ -126,13 +127,13 @@ class TameResult:
 def adjacent_minors(
     kind: ScalarKind, get, size: int, period: int, offsets
 ) -> Iterator[Tuple[int, int, object]]:
-    """Yield (i, j, det) for the size x size windows of `get` anchored at
-    (i, i + o), for i over one period and o over `offsets` in order."""
+    """Yield (i, j, det) for the size x size windows of `get` (values of
+    `kind`) at (i, i + o), i over one period and o over `offsets` in order."""
     for i in range(period):
         for o in offsets:
             j = i + o
             rows = [[get(i + r, j + c) for c in range(size)] for r in range(size)]
-            yield i, j, det(Matrix(kind, rows))
+            yield i, j, det(Matrix._of(kind, rows))
 
 
 def check_minors(kind: ScalarKind, get, period: int, conditions) -> TameResult:
@@ -238,11 +239,7 @@ class SLFrieze:
             raise ValueError(f"order must be at least 1, got {order}")
         if width < 0:
             raise ValueError(f"width must be nonnegative, got {width}")
-        self.kind = kind
-        self.order = order
-        self.width = width
-        self.period = width + order + 2
-        n = self.period
+        n = width + order + 2
         given = dict(cells)
         store, coerce = {}, kind.coerce
         for (i, o), v in given.items():
@@ -259,9 +256,16 @@ class SLFrieze:
                 (i, o) for o in range(-1, width + 1) for i in range(n) if (i, o) not in store
             )
             raise ValueError(f"cell ({i}, offset {o}) missing")
-        self._cells = store
-        self._zero = kind.zero()
-        self._flips = order % 2 == 1
+        self.kind, self.order, self.width, self.period = kind, order, width, n
+        self._cells, self._zero, self._flips = store, kind.zero(), order % 2 == 1
+
+    @classmethod
+    def _of(cls, kind: ScalarKind, order: int, width: int, store: dict) -> "SLFrieze":
+        # store, owned by the result: values of `kind` at every (i mod n, o)
+        f = object.__new__(cls)
+        f.kind, f.order, f.width, f.period = kind, order, width, width + order + 2
+        f._cells, f._zero, f._flips = store, kind.zero(), order % 2 == 1
+        return f
 
     def get(self, i: int, j: int):
         """Entry d_{i,j}, reduced into the stored band with its sign."""
@@ -308,8 +312,6 @@ class SLFrieze:
             self.kind.eq(v, other.get(i, i + o)) for (i, o), v in self.cells()
         )
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return (
             f"SLFrieze(order={self.order}, width={self.width}, "
@@ -347,7 +349,7 @@ def from_equation(
             raise NotSuperperiodic(i)
         for o, v in enumerate([one] + diagonal[: w + 1], -1):
             cells[(i, o)] = v
-    return SLFrieze(kind, k, w, cells)
+    return SLFrieze._of(kind, k, w, cells)
 
 
 class FriezeGrid:
@@ -358,18 +360,17 @@ class FriezeGrid:
     period n = w + 5, rows at offsets -1..w and three guard rows of
     zeros.  The black band flips sign once per period, the white band,
     of 2x2 minors of blacks, does not.  `get` reads the band of the
-    cell's colour and leaves the reduction to `SLFrieze.get`.
+    cell's colour and leaves the reduction to `SLFrieze.get`.  Only the
+    classmethods call the constructor, with two `SLFrieze._of` stores.
     """
 
     __slots__ = ("kind", "width", "period", "_bands")
 
-    def __init__(self, black: SLFrieze, white: SLFrieze):
-        self.kind = black.kind
-        self.width = black.width
-        self.period = black.period
-        white = copy(white)
-        white._flips = False
-        self._bands = (black, white)
+    def __init__(self, kind: ScalarKind, width: int, black: dict, white: dict):
+        self.kind, self.width, self.period = kind, width, width + 5
+        white_band = SLFrieze._of(kind, 3, width, white)
+        white_band._flips = False
+        self._bands = (SLFrieze._of(kind, 3, width, black), white_band)
 
     @classmethod
     def from_cells(cls, kind: ScalarKind, width: int, cells) -> "FriezeGrid":
@@ -387,7 +388,7 @@ class FriezeGrid:
                 raise ValueError(f"row offset {o} outside [-1, {width}]")
             rows.setdefault(o, []).append(x)
             I = x - o
-            bands[I % 2][(I // 2, o)] = v
+            bands[I % 2][(I // 2 % n, o)] = kind.coerce(v)
         for o in range(width):
             if o not in rows:
                 raise ValueError(f"interior row {o} missing")
@@ -402,14 +403,15 @@ class FriezeGrid:
                 raise ValueError(
                     f"row {o} needs {2 * n} consecutive columns, got {len(xs)}"
                 )
-        return cls(*(SLFrieze(kind, 3, width, band) for band in bands))
+        # 2n distinct consecutive columns per row give each band key once
+        return cls(kind, width, *bands)
 
     @classmethod
     def from_blacks(cls, kind: ScalarKind, width: int, blk) -> "FriezeGrid":
         """Build a grid from its black entries, blk(i, j) = d[i, j].
 
-        Each white cell is the adjacent 2x2 minor of the black cells
-        around it.
+        `blk` returns values of `kind`.  Each white cell is the adjacent
+        2x2 minor of the black cells around it.
         """
         one = kind.one()
         black, white = {}, {}
@@ -420,7 +422,7 @@ class FriezeGrid:
                 j = i + o
                 black[(i, o)] = blk(i, j)
                 white[(i, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
-        return cls(SLFrieze(kind, 3, width, black), SLFrieze(kind, 3, width, white))
+        return cls(kind, width, black, white)
 
     def get(self, I: int, J: int):
         """Entry at (I, J), read from the band of its colour."""
@@ -452,23 +454,19 @@ class FriezeGrid:
 
     def with_entry(self, idx: GridIndex, value) -> "FriezeGrid":
         """Copy of the grid with one cell replaced (guards excluded)."""
-        bands = list(self._bands)
-        band = bands[idx.I % 2]
-        key, flip = band._fold(idx.I // 2, idx.offset)
+        stores = [band._cells for band in self._bands]
+        colour = idx.I % 2
+        key, flip = self._bands[colour]._fold(idx.I // 2, idx.offset)
         if key is None:
             raise ValueError(f"{idx} lies in a guard row")
         v = self.kind.coerce(value)
-        cells = dict(band._cells)
-        cells[key] = -v if flip else v
-        bands[idx.I % 2] = SLFrieze(self.kind, 3, self.width, cells)
-        return FriezeGrid(*bands)
+        stores[colour] = {**stores[colour], key: -v if flip else v}
+        return FriezeGrid(self.kind, self.width, *stores)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FriezeGrid):
             return NotImplemented
         return self._bands == other._bands
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (
@@ -727,7 +725,7 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
 
         def det4(x):
             # the order-1 band: a0, a1, a2, x on the diagonal, ones beside it
-            return entry_det_band(((a0, a1, a2, x),), 0, 3, kind)
+            return _band_det(((a0, a1, a2, x),), 0, 3, kind)
 
         f0 = det4(kind.zero())
         slope = det4(one) - f0
@@ -795,7 +793,7 @@ def dihedral_images(grid: FriezeGrid) -> Iterator[FriezeGrid]:
 
 def black_block(grid: FriezeGrid, i: int, j: int):
     """4x4 matrix of black entries, rows i..i+3 against columns j-3..j."""
-    return Matrix(
+    return Matrix._of(
         grid.kind,
         [[grid.black(i + r, j - 3 + c) for c in range(4)] for r in range(4)],
     )

@@ -7,7 +7,6 @@ frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 4x4 windows of the frieze intertwine the two form variants.
 """
 
-import cmath
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -93,7 +92,7 @@ class SymplecticForm:
                 [zero, -one, zero, zero],
             ]
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_matrix", Matrix(self.kind, rows))
+        object.__setattr__(self, "_matrix", Matrix._of(self.kind, rows))
 
     def matrix(self) -> Matrix:
         """The form matrix, built once at construction."""
@@ -191,18 +190,18 @@ def frieze_from_polygon(p: Polygon) -> FriezeGrid:
     normalized: consecutive pairings zero, second-neighbor pairings one.
     Each pairing is computed once, and k = 2..w+3 fill rows -1..w.
     """
-    kind, w = p.form.kind, p.width
+    kind, w, n = p.form.kind, p.width, p.period
     pairs = _pairings(p.form, p.vertices, w + 3)
     for t, row in enumerate(pairs, p.base):
         if not kind.is_zero(row[0]) or not kind.eq(row[1], kind.one()):
             raise NormalizationViolated(t)
-    band = {(t + 3, k - 3): row[k - 1]
+    band = {((t + 3) % n, k - 3): row[k - 1]
             for t, row in enumerate(pairs, p.base) for k in range(2, w + 4)}
-    return FriezeGrid.from_blacks(kind, w, SLFrieze(kind, 3, w, band).get)
+    return FriezeGrid.from_blacks(kind, w, SLFrieze._of(kind, 3, w, band).get)
 
 
 def _column_matrix(kind: ScalarKind, cols: Sequence[Sequence]) -> Matrix:
-    return Matrix(kind, [[col[r] for col in cols] for r in range(4)])
+    return Matrix._of(kind, [[col[r] for col in cols] for r in range(4)])
 
 
 def frieze_entries_by_4x4(p: Polygon, i: int, j: int) -> Tuple:
@@ -265,7 +264,7 @@ def normalize_lift(
     n = len(raw)
     if n % 2 == 0:
         raise EvenPeriod(f"period {n} is even")
-    cform = SymplecticForm(COMPLEX.coerce(form.a), form.variant, COMPLEX)
+    cform = SymplecticForm(form.a, form.variant, COMPLEX)
     vs = [tuple(COMPLEX.coerce(x) for x in v) for v in raw]
     orths, gammas = zip(*_pairings(cform, vs, 2))
     for t, orth in enumerate(orths):
@@ -285,7 +284,7 @@ def normalize_lift(
         t = nxt
     # closing equation: lam_t * lam_0 * gamma_t = 1 with expo[t] == 1
     closing = 1.0 / (gammas[t] * coeff[t])
-    lam0 = cmath.sqrt(closing)
+    lam0 = COMPLEX.sqrt(closing)
     lams = [coeff[s] * (lam0 if expo[s] > 0 else 1.0 / lam0) for s in range(n)]
     scaled = tuple(
         tuple(lams[s] * x for x in vs[s]) for s in range(n)

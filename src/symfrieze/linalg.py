@@ -14,6 +14,8 @@ by the kind:
 - complex floats: partial-pivot LU, with the kind's tolerance as zero test.
 
 Every exact path returns the same value as Bareiss over the kind itself.
+`Matrix(kind, rows)` coerces its entries; the package builds its own
+matrices, of values already in the kind, through the private `Matrix._of`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,16 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @classmethod
+    def _of(cls, kind: ScalarKind, rows: Iterable[Iterable[Any]]) -> "Matrix":
+        # rows: equal-length rows of values already of `kind`
+        m = object.__new__(cls)
+        m.kind, m.rows = kind, tuple(map(tuple, rows))
+        return m
+
+    @classmethod
     def identity(cls, kind: ScalarKind, n: int) -> "Matrix":
         one, zero = kind.one(), kind.zero()
-        return cls(kind, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(kind, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -58,14 +67,14 @@ class Matrix:
         return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.kind, zip(*self.rows))
+        return Matrix._of(self.kind, zip(*self.rows))
 
     def scaled(self, c: Any) -> "Matrix":
         c = self.kind.coerce(c)
-        return Matrix(self.kind, [[c * v for v in row] for row in self.rows])
+        return Matrix._of(self.kind, [[c * v for v in row] for row in self.rows])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.kind, [[-v for v in row] for row in self.rows])
+        return Matrix._of(self.kind, [[-v for v in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -80,16 +89,10 @@ class Matrix:
             eq(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    def __hash__(self):
-        raise TypeError("Matrix is not hashable")
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.kind, [[self.rows[i][j] for j in col_idx] for i in row_idx]
         )
-
-    def det(self) -> Any:
-        return det(self)
 
     def _check_kind(self, other: "Matrix") -> None:
         if self.kind is not other.kind:
@@ -112,7 +115,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         out.append(
             [_dot(a.kind, row, col) for col in bt]
         )
-    return Matrix(a.kind, out)
+    return Matrix._of(a.kind, out)
 
 
 def _dot(kind: ScalarKind, u: Sequence[Any], v: Sequence[Any]) -> Any:
@@ -237,11 +240,6 @@ def _det_lu(m: Matrix) -> Any:
     return acc
 
 
-def minor(m: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Any:
-    """Determinant of the submatrix picked out by the given index lists."""
-    return det(m.submatrix(row_idx, col_idx))
-
-
 def solve_linear(a: Matrix, b: Sequence[Any]) -> tuple[Any, ...]:
     """Solve a @ x = b by Cramer's rule. Raises SingularMatrix on det = 0."""
     if a.nrows != a.ncols:
@@ -259,5 +257,5 @@ def solve_linear(a: Matrix, b: Sequence[Any]) -> tuple[Any, ...]:
             [b[i] if c == j else a.rows[i][c] for c in range(a.ncols)]
             for i in range(a.nrows)
         ]
-        out.append(det(Matrix(kind, cols)) / d)
+        out.append(det(Matrix._of(kind, cols)) / d)
     return tuple(out)

@@ -198,7 +198,8 @@ class ComplexFloatKind:
         if isinstance(value, (int, float, complex, Fraction)):
             return complex(value)
         if isinstance(value, str):
-            return complex(value.replace("i", "j").replace(" ", ""))
+            text = value.replace(" ", "")  # only a trailing i is the unit: "inf" stays
+            return complex(text[:-1] + "j" if text.endswith("i") else text)
         raise KindMismatch(f"cannot interpret {value!r} as a complex float")
 
     def is_zero(self, value: complex) -> bool:

@@ -9,12 +9,12 @@ colour of a symplectic grid as an order-3 band, and re-exported here,
 as are the coefficient formulas, defined in `diffeq` with the tables.
 `coeffs_of` reads the coefficients back through `entry_det_band`: by
 Gale duality the rows next to the lower boundary serve as coefficient
-cycles.
+cycles.  The maps build their results through the private `SLFrieze._of`.
 """
 
 from typing import Tuple
 
-from .diffeq import dual_equation_coeffs, entry_det_band, entry_det_complement
+from .diffeq import _band_det, dual_equation_coeffs, entry_det_band, entry_det_complement
 # bound here for the benchmark tracer, which expects slfrieze to bind it
 from .linalg import det  # noqa: F401
 from .frieze import (
@@ -75,7 +75,7 @@ def coeffs_of(f: SLFrieze) -> Tuple[Tuple, ...]:
     k, w = f.order, f.width
     rows = [f.row_cycle(w - 1 - s) for s in range(k)]
     return tuple(
-        tuple(entry_det_band(rows, x + 2, x + 1 + k - s, f.kind) for x in range(f.period))
+        tuple(_band_det(rows, x + 2, x + 1 + k - s, f.kind) for x in range(f.period))
         for s in range(k)
     )
 
@@ -131,7 +131,7 @@ def projective_dual(f: SLFrieze) -> SLFrieze:
             f.kind, f.get, f.order, f.period, range(-1, f.width + 1)
         )
     }
-    return SLFrieze(f.kind, f.order, f.width, cells)
+    return SLFrieze._of(f.kind, f.order, f.width, cells)
 
 
 def gale_dual(f: SLFrieze) -> SLFrieze:
@@ -153,7 +153,7 @@ def gale_dual(f: SLFrieze) -> SLFrieze:
         cells[(i, k)] = one
         for o in range(k):
             cells[(i, o)] = table[o][(i + o) % n]
-    return SLFrieze(f.kind, f.width, k, cells)
+    return SLFrieze._of(f.kind, f.width, k, cells)
 
 
 def sl_translate(f: SLFrieze, t: int) -> SLFrieze:
@@ -163,7 +163,7 @@ def sl_translate(f: SLFrieze, t: int) -> SLFrieze:
         for i in range(f.period)
         for o in range(-1, f.width + 1)
     }
-    return SLFrieze(f.kind, f.order, f.width, cells)
+    return SLFrieze._of(f.kind, f.order, f.width, cells)
 
 
 def check_middle_symmetry(f: SLFrieze) -> bool:

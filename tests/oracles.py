@@ -73,9 +73,10 @@ def naive_decode_value(scalar, raw):
 
     Rationals read strings and ints; Gaussian rationals the same, with
     ``a+bi`` text; complex floats also floats and ``[re, im]`` pairs,
-    reading numbers by their text.  JSON true and false are rejected,
-    also inside a pair.  Raises ValueError, and lets the TypeError or
-    OverflowError of a malformed pair escape.
+    reading numbers by their text, where only a trailing ``i`` is the
+    imaginary unit (``inf`` is infinity).  JSON true and false are
+    rejected, also inside a pair.  Raises ValueError, and lets the
+    TypeError or OverflowError of a malformed pair escape.
     """
     if isinstance(raw, bool) or (
         isinstance(raw, list) and any(isinstance(x, bool) for x in raw)
@@ -93,7 +94,10 @@ def naive_decode_value(scalar, raw):
         if isinstance(raw, (list, tuple)) and len(raw) == 2:
             return complex(float(raw[0]), float(raw[1]))
         if isinstance(raw, (int, float, str)):
-            return complex(str(raw).replace("i", "j").replace(" ", ""))
+            text = str(raw).replace(" ", "")
+            if text.endswith("i"):
+                text = text[:-1] + "j"
+            return complex(text)
     raise ValueError(f"cannot read {raw!r} as a {scalar} value")
 
 

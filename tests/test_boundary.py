@@ -1,0 +1,144 @@
+"""Values are coerced into their scalar kind once, where they enter.
+
+The public constructors and entry points still reject a float in an exact
+computation.  The package's own builders hand on values already in the
+kind, through `Matrix._of`, `SLFrieze._of` and the `FriezeGrid`
+constructor, so reading a frieze coerces nothing.  An `ast` scan keeps the
+set of functions that coerce to the boundary listed here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from conftest import WIDTH2_COEFFS
+from symfrieze.diffeq import SymmetricDiffEq, dual_equation_coeffs, entry_det_band, solve
+from symfrieze.frieze import (
+    FriezeGrid,
+    GridIndex,
+    check_local_rules,
+    check_tame,
+    extract_coeffs,
+    from_equation,
+    propagate_from_coeffs,
+    propagate_from_zigzag,
+)
+from symfrieze.legendrian import Polygon, SymplecticForm, omega
+from symfrieze.linalg import Matrix
+from symfrieze.scalars import GAUSSIAN, RATIONAL, KindMismatch, RationalKind
+from symfrieze.slfrieze import SLFrieze, black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "symfrieze"
+
+# each takes (kind, a width-2 grid of that kind, a float) and must raise
+ENTRY_POINTS = {
+    "Matrix": lambda k, g, x: Matrix(k, [[1, x], [0, 1]]),
+    "SLFrieze": lambda k, g, x: SLFrieze(k, 3, 2, {**dict(black_of(g).cells()), (0, 0): x}),
+    "FriezeGrid.from_cells": lambda k, g, x: FriezeGrid.from_cells(k, 2, {**dict(g.cells()), (0, 0): x}),
+    "with_entry": lambda k, g, x: g.with_entry(GridIndex(0, 0), x),
+    "from_equation": lambda k, g, x: from_equation(((x, 1, 1),), kind=k),
+    "entry_det_band": lambda k, g, x: entry_det_band(((x, 1, 1),), 0, 0, k),
+    "dual_equation_coeffs": lambda k, g, x: dual_equation_coeffs(((x, 1, 1),), k),
+    "SymmetricDiffEq": lambda k, g, x: SymmetricDiffEq((x,) * 7, extract_coeffs(g)[1], k),
+    "solve": lambda k, g, x: solve(SymmetricDiffEq(*extract_coeffs(g), k), (0, 0, 0, x), 0, 3),
+    "propagate_from_zigzag": lambda k, g, x: propagate_from_zigzag((1, 1, x, 1), width=2, kind=k),
+    "Polygon": lambda k, g, x: Polygon(5, 0, ((x, 0, 0, 0),) * 5, SymplecticForm(1, kind=k)),
+    "SymplecticForm": lambda k, g, x: SymplecticForm(x, kind=k),
+    "omega": lambda k, g, x: omega(SymplecticForm(1, kind=k), (x, 0, 0, 0), (0, 0, 0, 1)),
+}
+
+GRIDS = {kind.name: propagate_from_coeffs(*WIDTH2_COEFFS, kind) for kind in (RATIONAL, GAUSSIAN)}
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN], ids=lambda k: k.name)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_reject_a_float(entry, kind):
+    with pytest.raises(KindMismatch):
+        ENTRY_POINTS[entry](kind, GRIDS[kind.name], 0.5)
+
+
+def test_reading_a_frieze_coerces_only_its_coefficients(monkeypatch):
+    # the README's width-2 frieze; a rebuild coerces the 2n coefficients
+    # of its equation and the 3n of its order-3 table
+    g = GRIDS["rational"]
+    f = black_of(g)
+    calls = []
+    coerce = RationalKind.coerce
+
+    def counted(self, value):
+        calls.append(value)
+        return coerce(self, value)
+
+    monkeypatch.setattr(RationalKind, "coerce", counted)
+
+    def count(fn, arg):
+        calls.clear()
+        fn(arg)
+        return len(calls)
+
+    for fn in (coeffs_of, projective_dual, gale_dual):
+        assert count(fn, f) == 0, fn.__name__
+    assert count(check_local_rules, g) == 0
+    assert count(check_tame, g) <= 5 * g.period
+    assert count(symplectic_of, f) <= 5 * g.period
+
+
+# functions that coerce a caller's values: parsers, public constructors and
+# entry points, and the Laurent kind, whose values are ints or polynomials
+BOUNDARY = {
+    "cli._parse_values",
+    "formats._decode_value",
+    "formats._parse_frieze_text",
+    "diffeq._coeff_table",
+    "diffeq.SymmetricDiffEq.__post_init__",
+    "diffeq.solve",
+    "diffeq.width1_family",
+    "linalg.Matrix.__init__",
+    "linalg.Matrix.scaled",
+    "linalg.solve_linear",
+    "frieze.SLFrieze.__init__",
+    "frieze.FriezeGrid.from_cells",
+    "frieze.FriezeGrid.with_entry",
+    "frieze.propagate_from_zigzag",
+    "frieze.extend_through_zero",
+    "legendrian.SymplecticForm.__post_init__",
+    "legendrian.Polygon.__post_init__",
+    "legendrian.omega",
+    "legendrian.normalize_lift",
+    "cluster.LaurentPolynomial.evaluate",
+    "cluster.LaurentKind.is_zero",
+    "cluster.LaurentKind.eq",
+    "cluster.evaluate_frieze",
+}
+
+
+def _coercing_functions():
+    """`module.[Class.]function` of every top-level function or method
+    that reads an attribute named `coerce`; nested code counts for the
+    function around it, and code outside any function for its class or
+    module."""
+    found = set()
+
+    def scan(node, name):
+        if any(isinstance(n, ast.Attribute) and n.attr == "coerce" for n in ast.walk(node)):
+            found.add(name)
+
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        scan(item, f"{module}.{node.name}.{item.name}")
+                    else:
+                        scan(item, f"{module}.{node.name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(node, f"{module}.{node.name}")
+            else:
+                scan(node, module)
+    return found
+
+
+def test_only_the_boundary_coerces():
+    assert _coercing_functions() == BOUNDARY

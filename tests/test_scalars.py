@@ -81,6 +81,15 @@ def test_complex_coerce_accepts_exact_values():
     assert COMPLEX.coerce("1+2i") == 1 + 2j
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1+2i", 1 + 2j), (" 1 - 2i ", 1 - 2j), ("2i", 2j), ("i", 1j), ("-i", -1j),
+    ("inf", complex("inf")), ("-inf", complex("-inf")), ("Infinity", complex("inf")),
+    ("1e400", complex("inf")), ("-infi", complex(0, float("-inf"))),
+])
+def test_complex_text_reads_only_a_trailing_i_as_the_unit(text, want):
+    assert COMPLEX.coerce(text) == want
+
+
 def test_kind_by_name():
     assert kind_by_name("rational") is RATIONAL
     assert kind_by_name("gaussian") is GAUSSIAN
