@@ -284,10 +284,7 @@ def _cmd_cluster_mutate(args) -> int:
 
 def _cmd_cluster_formal(args) -> int:
     g = cluster.formal_frieze(args.width)
-    lines = []
-    for o in range(-1, g.width + 1):
-        for x in range(2 * g.period):
-            lines.append(f"{x},{o}: {g.cell(x, o)}")
+    lines = [f"{x},{o}: {v}" for (x, o), v in g.cells()]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -66,7 +66,7 @@ class LaurentPolynomial:
     whose dicts are clean by construction.
     """
 
-    __slots__ = ("nvars", "terms", "_sorted")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Union[Dict, Iterable] = ()):
         cleaned: Dict[Tuple[int, ...], int] = {}
@@ -80,7 +80,6 @@ class LaurentPolynomial:
                 cleaned[exp] = coeff
         self.nvars = nvars
         self.terms = cleaned
-        self._sorted = None
 
     @classmethod
     def _of(cls, nvars: int, terms: Dict[Tuple[int, ...], int]) -> "LaurentPolynomial":
@@ -88,7 +87,6 @@ class LaurentPolynomial:
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
-        p._sorted = None
         return p
 
     @classmethod
@@ -124,9 +122,7 @@ class LaurentPolynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.terms.items()))
-        return hash((self.nvars, self._sorted))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -326,10 +322,10 @@ class LaurentKind:
         raise TypeError(f"cannot treat {value!r} as a Laurent polynomial")
 
     def is_zero(self, value) -> bool:
-        return not self.coerce(value).terms
+        return not value
 
     def eq(self, a, b) -> bool:
-        return self.coerce(a) == self.coerce(b)
+        return a == b
 
 
 def _find_symmetrizer(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
@@ -557,13 +553,11 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     column k; the division must be exact, anything else is a bug in the
     caller's seed and surfaces as NonLaurentQuotient.
     """
-    matrix = seed.matrix
-    if not 0 <= k < matrix.m:
-        raise IndexError(f"vertex {k} out of range")
+    mutated = mutate_matrix(seed.matrix, k)
     one = LaurentPolynomial.constant(seed.cluster[0].nvars, 1)
-    new = _exchange(seed.cluster, matrix, k, one)
+    new = _exchange(seed.cluster, seed.matrix, k, one)
     cluster = seed.cluster[:k] + (new,) + seed.cluster[k + 1 :]
-    return Seed(cluster, mutate_matrix(matrix, k))
+    return Seed(cluster, mutated)
 
 
 def _bipartition(matrix: ExchangeMatrix) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

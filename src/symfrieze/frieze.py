@@ -24,7 +24,9 @@ as two `SLFrieze` bands; the SL-frieze class and its propagation
 table checked by `diffeq._coeff_table`) live here for that reason
 and are re-exported by `slfrieze`.  `SLFrieze(...)`, `from_cells` and
 `with_entry` coerce a caller's values; bands the package computes go
-through the private `SLFrieze._of`, and into the `FriezeGrid` constructor.
+through the private `SLFrieze._of`, and into the `FriezeGrid` constructor,
+which only this module calls: the grid maps write the two band stores
+(`_store`, `FriezeGrid._remap`) and the symmetry tests read them.
 """
 
 from dataclasses import dataclass
@@ -221,6 +223,11 @@ class ZigZag:
         return tuple(whites + blacks)
 
 
+def _store(period: int, width: int, read) -> dict:
+    """Band store {(i, j - i): read(i, j)}: i in [0, period), offsets -1..width."""
+    return {(i, o): read(i, i + o) for i in range(period) for o in range(-1, width + 1)}
+
+
 class SLFrieze:
     """One superperiodic SL-frieze over a fundamental domain.
 
@@ -319,12 +326,7 @@ class SLFrieze:
         )
 
 
-def from_equation(
-    coeffs,
-    order: Optional[int] = None,
-    width: Optional[int] = None,
-    kind: ScalarKind = RATIONAL,
-) -> SLFrieze:
+def from_equation(coeffs, kind: ScalarKind = RATIONAL) -> SLFrieze:
     """Propagate an SL-frieze from the coefficient cycles of its recurrence.
 
     `coeffs[s-1]` holds the weight of the s-th back term; signs alternate
@@ -336,10 +338,6 @@ def from_equation(
     k = len(table)
     n = len(table[0])
     w = n - k - 2
-    if order is not None and order != k:
-        raise ValueError(f"order {order} does not match {k} coefficient cycles")
-    if width is not None and width != w:
-        raise ValueError(f"width {width} does not match period {n} and order {k}")
     zero, one = kind.zero(), kind.one()
     start = [zero] * k + [one]
     cells = {}
@@ -360,8 +358,9 @@ class FriezeGrid:
     period n = w + 5, rows at offsets -1..w and three guard rows of
     zeros.  The black band flips sign once per period, the white band,
     of 2x2 minors of blacks, does not.  `get` reads the band of the
-    cell's colour and leaves the reduction to `SLFrieze.get`.  Only the
-    classmethods call the constructor, with two `SLFrieze._of` stores.
+    cell's colour and leaves the reduction to `SLFrieze.get`.  Only code
+    in this module calls the constructor, with two band stores of values
+    already in the kind; stores are never changed once handed over.
     """
 
     __slots__ = ("kind", "width", "period", "_bands")
@@ -423,6 +422,22 @@ class FriezeGrid:
                 black[(i, o)] = blk(i, j)
                 white[(i, o)] = blk(i, j) * blk(i + 1, j + 1) - blk(i + 1, j) * blk(i, j + 1)
         return cls(kind, width, black, white)
+
+    def _remap(self, to) -> "FriezeGrid":
+        """The grid whose entry at (I, J) is this one's at to(I, J), colours kept."""
+        get, n, w = self.get, self.period, self.width
+        black = _store(n, w, lambda i, j: get(*to(2 * i, 2 * j)))
+        white = _store(n, w, lambda i, j: get(*to(2 * i + 1, 2 * j + 1)))
+        return FriezeGrid(self.kind, w, black, white)
+
+    def _fixed_by(self, to) -> bool:
+        """Whether each stored entry equals the one at to(I, J); stops at a miss."""
+        get, eq = self.get, self.kind.eq
+        return all(
+            eq(v, get(*to(2 * i + c, 2 * (i + o) + c)))
+            for c, band in enumerate(self._bands)
+            for (i, o), v in band._cells.items()
+        )
 
     def get(self, I: int, J: int):
         """Entry at (I, J), read from the band of its colour."""
@@ -655,24 +670,18 @@ def check_glide(grid: FriezeGrid) -> bool:
     included verbatim.  Applying the glide twice is the diagonal period.
     """
     s = 2 * grid.width + 4
-    return all(
-        grid.kind.eq(v, grid.get((x + o) + 6, (x - o) + s))
-        for (x, o), v in grid.cells()
-    )
+    return grid._fixed_by(lambda I, J: (J + 6, I + s))
 
 
 def check_periodicity(grid: FriezeGrid) -> int:
     """Smallest display period: minimal even divisor p of 2n with
     d[i + p/2, j + p/2] equal to d[i, j] everywhere.  Odd shifts swap
-    the two cell colours, so only even p qualify."""
-    k = grid.kind
+    the two cell colours, so only even p qualify; p = 2n always does."""
     two_n = 2 * grid.period
-    for p in range(2, two_n + 1, 2):
-        if two_n % p:
-            continue
-        if all(k.eq(v, grid.cell(x + p, o)) for (x, o), v in grid.cells()):
-            return p
-    raise AssertionError("grid is not periodic over its own domain")
+    return next(
+        p for p in range(2, two_n + 1, 2)
+        if two_n % p == 0 and grid._fixed_by(lambda I, J: (I + p, J + p))
+    )
 
 
 def sign_twist(grid: FriezeGrid) -> FriezeGrid:
@@ -681,13 +690,9 @@ def sign_twist(grid: FriezeGrid) -> FriezeGrid:
     the result satisfies all local rules; for even width the flip
     fights the antiperiodic seam and only the involution survives.
     """
-    cells = {}
-    for (x, o), v in grid.cells():
-        if (x - o) % 2 == 0 and o % 2 == 0:  # black cell, even row
-            cells[(x, o)] = -v
-        else:
-            cells[(x, o)] = v
-    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+    black, white = (band._cells for band in grid._bands)
+    flipped = {(i, o): -v if o % 2 == 0 else v for (i, o), v in black.items()}
+    return FriezeGrid(grid.kind, grid.width, flipped, white)
 
 
 def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONAL, starts_with_black: bool = False):
@@ -772,14 +777,12 @@ def find_nonzero_double_zigzag(grid: FriezeGrid) -> Optional[ZigZag]:
 
 def translate(grid: FriezeGrid, t: int) -> FriezeGrid:
     """Shift by t diagonal steps: new d[i, j] = old d[i - t, j - t]."""
-    cells = {(x, o): grid.cell(x - 2 * t, o) for (x, o), _ in grid.cells()}
-    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+    return grid._remap(lambda I, J: (I - 2 * t, J - 2 * t))
 
 
 def mirror_grid(grid: FriezeGrid, axis: int = 0) -> FriezeGrid:
     """Reflect columns through x = axis; rows stay put."""
-    cells = {(x, o): grid.cell(2 * axis - x, o) for (x, o), _ in grid.cells()}
-    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+    return grid._remap(lambda I, J: (2 * axis - J, 2 * axis - I))
 
 
 def dihedral_images(grid: FriezeGrid) -> Iterator[FriezeGrid]:

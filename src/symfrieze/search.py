@@ -203,17 +203,14 @@ def census(config: SearchConfig) -> Census:
     )
 
 
-def dihedral_orbits(
-    friezes: Iterable[FriezeGrid], n: Optional[int] = None
-) -> List[List[FriezeGrid]]:
+def dihedral_orbits(friezes: Iterable[FriezeGrid]) -> List[List[FriezeGrid]]:
     """Partition friezes by translation and mirror symmetry.
 
-    All inputs must share one width and the rational kind; `n`, when
-    given, must equal their period (the orbits are classes of that
-    dihedral group's action).  Classes come back sorted by their
-    canonical key, least first, and each class lists its members in the
-    same order, so classes[i][0] is the canonical representative present
-    in the input.
+    All inputs must share one width and the rational kind; the orbits
+    are classes of the dihedral group of order 2n, n their period.
+    Classes come back sorted by their canonical key, least first, and
+    each class lists its members in the same order, so classes[i][0] is
+    the canonical representative present in the input.
     """
     grids = list(friezes)
     if not grids:
@@ -226,9 +223,6 @@ def dihedral_orbits(
             raise ValueError(f"kind mismatch: {g.kind.name} != {kind}")
     if kind != RATIONAL.name:
         raise ValueError(f"orbits need rational friezes, got {kind}")
-    period = grids[0].period
-    if n is not None and n != period:
-        raise ValueError(f"dihedral order {n} does not match period {period}")
     buckets: Dict[Tuple, List[Tuple[Tuple, FriezeGrid]]] = {}
     for g in grids:
         cols = _columns(g)

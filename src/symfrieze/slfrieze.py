@@ -24,6 +24,7 @@ from .frieze import (
     SLFrieze,
     TameResult,
     _rebuilds,
+    _store,
     adjacent_minors,
     check_minors,
     from_equation,
@@ -147,22 +148,13 @@ def gale_dual(f: SLFrieze) -> SLFrieze:
     table = coeffs_of(f)
     k, n = f.order, f.period
     one = f.kind.one()
-    cells = {}
-    for i in range(n):
-        cells[(i, -1)] = one
-        cells[(i, k)] = one
-        for o in range(k):
-            cells[(i, o)] = table[o][(i + o) % n]
+    cells = _store(n, k, lambda i, j: table[j - i][j % n] if 0 <= j - i < k else one)
     return SLFrieze._of(f.kind, f.width, k, cells)
 
 
 def sl_translate(f: SLFrieze, t: int) -> SLFrieze:
     """Copy of f slid t steps along its rows."""
-    cells = {
-        (i, o): f.get(i - t, i - t + o)
-        for i in range(f.period)
-        for o in range(-1, f.width + 1)
-    }
+    cells = _store(f.period, f.width, lambda i, j: f.get(i - t, j - t))
     return SLFrieze._of(f.kind, f.order, f.width, cells)
 
 

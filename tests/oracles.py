@@ -17,7 +17,10 @@ determinants next to the upper boundary by cofactors, so it serves every
 kind.  The quiver oracle mutates arrow by arrow, without exchange
 matrices.  The decoder oracle reads raw JSON values with one branch per
 scalar kind, building Fractions and Gaussian rationals itself instead
-of going through the kinds' `coerce`.
+of going through the kinds' `coerce`.  The map oracles walk the display
+cells of a grid and rebuild through the public, coercing `from_cells`
+(or the `SLFrieze` constructor), as the package did before its maps
+wrote the band stores; they serve every kind.
 """
 
 import itertools
@@ -26,8 +29,10 @@ from fractions import Fraction
 from symfrieze.cluster import ValuedQuiver
 from symfrieze.diffeq import companion
 from symfrieze.frieze import (
+    FriezeGrid,
     GridIndex,
     MinorWindow,
+    SLFrieze,
     TameResult,
     dihedral_images,
     propagate_from_zigzag,
@@ -479,3 +484,68 @@ def naive_orbits(grids):
     for g in grids:
         buckets.setdefault(canonical_key(g, "dihedral"), []).append(g)
     return [sorted(buckets[k], key=grid_key) for k in sorted(buckets)]
+
+
+def naive_translate(grid, t):
+    """Display cells shifted by 2t columns: new d[i, j] = old d[i - t, j - t]."""
+    cells = {(x, o): grid.cell(x - 2 * t, o) for (x, o), _ in grid.cells()}
+    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+
+
+def naive_mirror_grid(grid, axis=0):
+    """Display columns reflected through x = axis."""
+    cells = {(x, o): grid.cell(2 * axis - x, o) for (x, o), _ in grid.cells()}
+    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+
+
+def naive_sign_twist(grid):
+    """Every black display cell of an even row negated."""
+    cells = {}
+    for (x, o), v in grid.cells():
+        black_even = (x - o) % 2 == 0 and o % 2 == 0
+        cells[(x, o)] = -v if black_even else v
+    return FriezeGrid.from_cells(grid.kind, grid.width, cells)
+
+
+def naive_check_glide(grid):
+    """Every display cell (x, o) equals the entry at (x + o + 6, x - o + 2w + 4)."""
+    s = 2 * grid.width + 4
+    return all(
+        grid.kind.eq(v, grid.get((x + o) + 6, (x - o) + s))
+        for (x, o), v in grid.cells()
+    )
+
+
+def naive_check_periodicity(grid):
+    """Least even divisor p of 2n that shifts every display cell onto itself."""
+    two_n = 2 * grid.period
+    for p in range(2, two_n + 1, 2):
+        if two_n % p:
+            continue
+        if all(grid.kind.eq(v, grid.cell(x + p, o)) for (x, o), v in grid.cells()):
+            return p
+    raise AssertionError("grid is not periodic over its own domain")
+
+
+def naive_sl_translate(f, t):
+    """Every stored cell (i, o) read t steps back along its row."""
+    cells = {
+        (i, o): f.get(i - t, i - t + o)
+        for i in range(f.period)
+        for o in range(-1, f.width + 1)
+    }
+    return SLFrieze(f.kind, f.order, f.width, cells)
+
+
+def naive_gale_dual(f):
+    """Row o holds cycle o of `naive_coeffs_of`, staggered by o, framed by ones."""
+    table = naive_coeffs_of(f)
+    k, n = f.order, f.period
+    one = f.kind.one()
+    cells = {}
+    for i in range(n):
+        cells[(i, -1)] = one
+        cells[(i, k)] = one
+        for o in range(k):
+            cells[(i, o)] = table[o][(i + o) % n]
+    return SLFrieze(f.kind, f.width, k, cells)

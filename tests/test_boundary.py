@@ -3,8 +3,11 @@
 The public constructors and entry points still reject a float in an exact
 computation.  The package's own builders hand on values already in the
 kind, through `Matrix._of`, `SLFrieze._of` and the `FriezeGrid`
-constructor, so reading a frieze coerces nothing.  An `ast` scan keeps the
-set of functions that coerce to the boundary listed here.
+constructor, so reading a frieze, or translating, mirroring or twisting
+it, coerces nothing.  `ast` scans keep the set of functions that coerce
+to the boundary listed here, the callers of the coercing
+`FriezeGrid.from_cells` to the three that start from display cells, and
+the calls of the `FriezeGrid` constructor inside `frieze`.
 """
 
 import ast
@@ -21,8 +24,11 @@ from symfrieze.frieze import (
     check_tame,
     extract_coeffs,
     from_equation,
+    mirror_grid,
     propagate_from_coeffs,
     propagate_from_zigzag,
+    sign_twist,
+    translate,
 )
 from symfrieze.legendrian import Polygon, SymplecticForm, omega
 from symfrieze.linalg import Matrix
@@ -80,12 +86,14 @@ def test_reading_a_frieze_coerces_only_its_coefficients(monkeypatch):
     for fn in (coeffs_of, projective_dual, gale_dual):
         assert count(fn, f) == 0, fn.__name__
     assert count(check_local_rules, g) == 0
+    for fn in (lambda g: translate(g, 3), lambda g: mirror_grid(g, 1), sign_twist):
+        assert count(fn, g) == 0
     assert count(check_tame, g) <= 5 * g.period
     assert count(symplectic_of, f) <= 5 * g.period
 
 
 # functions that coerce a caller's values: parsers, public constructors and
-# entry points, and the Laurent kind, whose values are ints or polynomials
+# entry points, and the Laurent evaluations, whose values are ints or polynomials
 BOUNDARY = {
     "cli._parse_values",
     "formats._decode_value",
@@ -107,21 +115,19 @@ BOUNDARY = {
     "legendrian.omega",
     "legendrian.normalize_lift",
     "cluster.LaurentPolynomial.evaluate",
-    "cluster.LaurentKind.is_zero",
-    "cluster.LaurentKind.eq",
     "cluster.evaluate_frieze",
 }
 
 
-def _coercing_functions():
+def _functions_where(test):
     """`module.[Class.]function` of every top-level function or method
-    that reads an attribute named `coerce`; nested code counts for the
+    holding a node that passes `test`; nested code counts for the
     function around it, and code outside any function for its class or
     module."""
     found = set()
 
     def scan(node, name):
-        if any(isinstance(n, ast.Attribute) and n.attr == "coerce" for n in ast.walk(node)):
+        if any(test(n) for n in ast.walk(node)):
             found.add(name)
 
     for path in sorted(SRC.glob("*.py")):
@@ -141,4 +147,27 @@ def _coercing_functions():
 
 
 def test_only_the_boundary_coerces():
-    assert _coercing_functions() == BOUNDARY
+    assert _functions_where(lambda n: isinstance(n, ast.Attribute) and n.attr == "coerce") == BOUNDARY
+
+
+def test_only_display_cell_builders_call_from_cells():
+    # translations, mirrors and the sign twist write the band stores instead
+    found = _functions_where(lambda n: isinstance(n, ast.Attribute) and n.attr == "from_cells")
+    assert found == {
+        "formats.grid_of",
+        "search.enumerate_friezes",
+        "frieze.propagate_from_zigzag",
+    }
+
+
+def test_only_frieze_calls_the_grid_constructor():
+    def constructs(n):
+        if not isinstance(n, ast.Call):
+            return False
+        f = n.func
+        return (isinstance(f, ast.Name) and f.id == "FriezeGrid") or (
+            isinstance(f, ast.Attribute) and f.attr == "FriezeGrid"
+        )
+
+    found = _functions_where(constructs)
+    assert found and {name.split(".")[0] for name in found} == {"frieze"}

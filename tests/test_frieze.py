@@ -5,7 +5,18 @@ from itertools import count, product
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import cofactor_det, naive_get, naive_local_rules
+from oracles import (
+    cofactor_det,
+    naive_check_glide,
+    naive_check_periodicity,
+    naive_gale_dual,
+    naive_get,
+    naive_local_rules,
+    naive_mirror_grid,
+    naive_sign_twist,
+    naive_sl_translate,
+    naive_translate,
+)
 from symfrieze.cluster import formal_frieze
 from symfrieze.diffeq import SymmetricDiffEq, band_determinant, white_band_determinant
 from symfrieze.frieze import (
@@ -33,7 +44,7 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, ComplexFloatKind, GaussianRational
-from symfrieze.slfrieze import black_of, check_unimodular, from_equation
+from symfrieze.slfrieze import black_of, check_unimodular, from_equation, gale_dual, sl_translate
 
 
 def F(values):
@@ -441,6 +452,43 @@ def test_dihedral_image_count(width1_int):
     images = list(dihedral_images(width1_int))
     assert len(images) == 12
     assert all(check_tame(h).ok for h in images)
+
+
+def _map_grids(kind):
+    """All-ones zig-zag friezes of widths 1-4 and the empty width-0 grid,
+    each also with one planted cell, which breaks its glide and period."""
+    grids = [FriezeGrid.from_cells(kind, 0, {})]
+    grids += [propagate_from_zigzag((1,) * (2 * w), width=w, kind=kind) for w in range(1, 5)]
+    return grids + [g.with_entry(GridIndex(g.width % 2, g.width % 2), 7) for g in grids]
+
+
+def _same_cells(got, want):
+    assert (got.kind, got.width) == (want.kind, want.width)
+    assert list(got.cells()) == list(want.cells())
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN, COMPLEX], ids=lambda k: k.name)
+def test_store_maps_match_display_cell_oracles(kind):
+    periods, glides = set(), set()
+    for g in _map_grids(kind):
+        n = g.period
+        for t in range(-n, 2 * n):
+            _same_cells(translate(g, t), naive_translate(g, t))
+        for axis in range(-2, 2 * n + 2):
+            _same_cells(mirror_grid(g, axis), naive_mirror_grid(g, axis))
+        _same_cells(sign_twist(g), naive_sign_twist(g))
+        glide, period = check_glide(g), check_periodicity(g)
+        assert (glide, period) == (naive_check_glide(g), naive_check_periodicity(g))
+        glides.add(glide)
+        periods.add((period, 2 * n))
+        f = black_of(g)
+        for t in range(-n, 2 * n):
+            _same_cells(sl_translate(f, t), naive_sl_translate(f, t))
+        if g.width:
+            assert gale_dual(f) == naive_gale_dual(f)
+    # both glide outcomes, and the periods 2, 6 and 8 below 2n
+    assert glides == {True, False}
+    assert {(2, 10), (6, 12), (8, 16)} <= periods
 
 
 def test_black_block_is_4x4(width2_int):

@@ -68,13 +68,6 @@ def test_order_one_frieze():
     assert f.row_cycle(0) == tuple(Fraction(v) for v in (1, 2, 2, 1, 3))
 
 
-def test_shape_keyword_mismatches():
-    with pytest.raises(ValueError):
-        from_equation(((1, 2, 2, 1, 3),), order=2)
-    with pytest.raises(ValueError):
-        from_equation(((1, 2, 2, 1, 3),), width=1)
-
-
 def test_nonclosing_cycle():
     with pytest.raises(NotSuperperiodic):
         from_equation(((1, 1, 1, 1, 1),))
