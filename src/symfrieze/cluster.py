@@ -1,9 +1,11 @@
-"""Exchange matrices, valued quivers, and seed mutation.
+"""Exchange matrices and seed mutation.
 
 The cells of a frieze are Laurent polynomials in the cells of any one
 double zig-zag.  This module supplies the exact Laurent arithmetic, the
 skew-symmetrizable exchange matrices that drive mutation, and the
 bipartite belt that walks a straight zig-zag around the whole pattern.
+An exchange matrix is the one representation of a valued quiver: arrow
+i -> j carries the weights (b[i][j], -b[j][i]) wherever b[i][j] > 0.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ __all__ = [
     "LaurentPolynomial",
     "LaurentKind",
     "ExchangeMatrix",
-    "ValuedQuiver",
     "Seed",
     "mutate_matrix",
-    "quiver_of",
-    "matrix_of",
     "c2_square_aw",
     "initial_seed",
     "mutate_seed",
@@ -429,62 +428,6 @@ def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(rows))
 
 
-Arrow = Tuple[int, int, Tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class ValuedQuiver:
-    """Quiver with a weight pair on every arrow.
-
-    An arrow (tail, head, (p, q)) records matrix entries p = b[tail][head]
-    and q = -b[head][tail], both positive.  A pair of vertices carries at
-    most one arrow, so there are no 2-cycles.
-    """
-
-    m: int
-    arrows: Tuple[Arrow, ...]
-
-    def __post_init__(self):
-        seen = set()
-        norm = []
-        for tail, head, (p, q) in self.arrows:
-            if not (0 <= tail < self.m and 0 <= head < self.m) or tail == head:
-                raise ValueError(f"bad arrow ({tail},{head})")
-            if p <= 0 or q <= 0:
-                raise ValueError("arrow weights must be positive")
-            pair = frozenset((tail, head))
-            if pair in seen:
-                raise ValueError(f"second arrow between {tail} and {head}")
-            seen.add(pair)
-            norm.append((tail, head, (p, q)))
-        object.__setattr__(self, "arrows", tuple(sorted(norm)))
-
-    def mutate(self, k: int) -> "ValuedQuiver":
-        """Mutation at vertex k: `mutate_matrix` on the exchange matrix."""
-        return quiver_of(mutate_matrix(matrix_of(self), k))
-
-
-def quiver_of(matrix: Union[ExchangeMatrix, Sequence[Sequence[int]]]) -> ValuedQuiver:
-    """The valued quiver of a skew-symmetrizable matrix."""
-    if not isinstance(matrix, ExchangeMatrix):
-        matrix = ExchangeMatrix(tuple(tuple(row) for row in matrix))
-    arrows = []
-    for i in range(matrix.m):
-        for j in range(matrix.m):
-            if matrix.rows[i][j] > 0:
-                arrows.append((i, j, (matrix.rows[i][j], -matrix.rows[j][i])))
-    return ValuedQuiver(matrix.m, tuple(arrows))
-
-
-def matrix_of(quiver: ValuedQuiver) -> ExchangeMatrix:
-    """Inverse of quiver_of."""
-    rows = [[0] * quiver.m for _ in range(quiver.m)]
-    for tail, head, (p, q) in quiver.arrows:
-        rows[tail][head] = p
-        rows[head][tail] = -q
-    return ExchangeMatrix(tuple(tuple(row) for row in rows))
-
-
 def c2_square_aw(width: int) -> ExchangeMatrix:
     """Exchange matrix of a straight double zig-zag.
 
@@ -605,8 +548,9 @@ def formal_frieze(width: int) -> FriezeGrid:
     return propagate_from_zigzag(gens, width, LaurentKind(nvars))
 
 
-def zigzag_quiver(shape: Union[ZigZag, Sequence[int]]) -> ValuedQuiver:
-    """Valued quiver attached to a double zig-zag shape.
+def zigzag_quiver(shape: Union[ZigZag, Sequence[int]]) -> ExchangeMatrix:
+    """Valued quiver attached to a double zig-zag shape, as the exchange
+    matrix that is that quiver.
 
     Accepts a ZigZag or its tuple of west columns.  Straightening the
     shape westwards exchanges one zig-zag cell per step, which mutates
@@ -630,7 +574,7 @@ def zigzag_quiver(shape: Union[ZigZag, Sequence[int]]) -> ValuedQuiver:
         base = base.opposite()
     for k in reversed(moves):
         base = mutate_matrix(base, k)
-    return quiver_of(base)
+    return base
 
 
 def evaluate_frieze(point: Sequence, path: Sequence[int] = (), kind: ScalarKind = RATIONAL) -> FriezeGrid:

@@ -21,10 +21,6 @@ from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind
 
 
-class ZeroParameter(ValueError):
-    """A closed-form family was evaluated at an excluded parameter."""
-
-
 @dataclass(frozen=True)
 class SymmetricDiffEq:
     """One period of coefficients; access is n-periodic via a_at/b_at."""
@@ -263,21 +259,3 @@ def variety_residuals(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL) -> 
     for t in range(4):
         out.append(band_determinant(eq, t, n - 3 + t))
     return tuple(out)
-
-
-def width1_family(a, b, kind: ScalarKind = RATIONAL) -> SymmetricDiffEq:
-    """Closed-form superperiodic coefficients of width 1 (period 6).
-
-    Two free parameters a, b, both nonzero, determine the whole
-    3-periodic-doubled coefficient table; every member is
-    superperiodic by construction.
-    """
-    av, bv = kind.coerce(a), kind.coerce(b)
-    if kind.is_zero(av) or kind.is_zero(bv):
-        raise ZeroParameter("the family is defined for nonzero a, b")
-    one = kind.one()
-    a2 = (one + bv + av * av) / (av * bv)
-    a3 = (one + bv) / av
-    b2 = (one + av * av) / bv
-    b3 = ((one + bv) * (one + bv) + av * av) / (av * av * bv)
-    return SymmetricDiffEq((av, a2, a3, av, a2, a3), (bv, b2, b3, bv, b2, b3), kind)

@@ -215,13 +215,6 @@ class ZigZag:
         """West column of each row, top to bottom."""
         return tuple(self.entries[2 * o][0].x for o in range(self.width))
 
-    def cluster_values(self) -> Tuple:
-        """Values in cluster order (whites top to bottom, then blacks)."""
-        whites, blacks = [], []
-        for idx, val in self.entries:
-            (blacks if idx.is_black else whites).append(val)
-        return tuple(whites + blacks)
-
 
 def _store(period: int, width: int, read) -> dict:
     """Band store {(i, j - i): read(i, j)}: i in [0, period), offsets -1..width."""

@@ -15,14 +15,13 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 
 class KindMismatch(TypeError):
     """A value from one scalar kind leaked into another kind's computation."""
 
 
-@runtime_checkable
 class ScalarKind(Protocol):
     """Factory and comparator for one coefficient domain."""
 
@@ -73,9 +72,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -181,6 +177,8 @@ class ComplexFloatKind:
     exact = False
 
     def __init__(self, tolerance: float = 1e-9):
+        if not 0 <= tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
         self.tolerance = tolerance
 
     def zero(self) -> complex:

@@ -26,7 +26,6 @@ wrote the band stores; they serve every kind.
 import itertools
 from fractions import Fraction
 
-from symfrieze.cluster import ValuedQuiver
 from symfrieze.diffeq import companion
 from symfrieze.frieze import (
     FriezeGrid,
@@ -216,35 +215,44 @@ def naive_coeffs_of(f):
     return tuple(tuple(row) for row in table)
 
 
-def naive_quiver_mutate(quiver, k):
-    """Arrow-level mutation of a ValuedQuiver at vertex k.
+def naive_quiver_mutate(matrix, k):
+    """Arrow-level mutation of the valued quiver of an exchange matrix at
+    vertex k, returned as matrix rows.
 
-    Every path i -> k -> j with weights (a, b) and (c, d) adds a*c to
-    the weight from i to j and b*d to the one back; then each arrow at
-    k is reversed.  Opposite weights cancel, and a pair whose forward
-    weight is positive becomes one arrow.
+    The quiver has an arrow i -> j with weights (b[i][j], -b[j][i])
+    wherever b[i][j] > 0.  Every path i -> k -> j with weights (a, b) and
+    (c, d) adds a*c to the weight from i to j and b*d to the one back;
+    then each arrow at k is reversed.  Opposite weights cancel, and a pair
+    whose forward weight is positive becomes one arrow.
     """
-    if not 0 <= k < quiver.m:
+    m = len(matrix.rows)
+    if not 0 <= k < m:
         raise IndexError(f"vertex {k} out of range")
+    arrows = [
+        (i, j, (matrix.rows[i][j], -matrix.rows[j][i]))
+        for i in range(m) for j in range(m) if matrix.rows[i][j] > 0
+    ]
     val = {}
-    for tail, head, (p, q) in quiver.arrows:
+    for tail, head, (p, q) in arrows:
         val[(tail, head)] = p
         val[(head, tail)] = -q
     new = dict(val)
-    into = [(t, p, q) for t, h, (p, q) in quiver.arrows if h == k]
-    outof = [(h, p, q) for t, h, (p, q) in quiver.arrows if t == k]
+    into = [(t, p, q) for t, h, (p, q) in arrows if h == k]
+    outof = [(h, p, q) for t, h, (p, q) in arrows if t == k]
     for i, a, b in into:
         for j, c, d in outof:
             new[(i, j)] = new.get((i, j), 0) + a * c
             new[(j, i)] = new.get((j, i), 0) - b * d
-    for tail, head, _ in quiver.arrows:
+    for tail, head, _ in arrows:
         if k in (tail, head):
             new[(tail, head)] = -val[(tail, head)]
             new[(head, tail)] = -val[(head, tail)]
-    arrows = tuple(
-        (i, j, (v, -new[(j, i)])) for (i, j), v in sorted(new.items()) if v > 0
-    )
-    return ValuedQuiver(quiver.m, arrows)
+    rows = [[0] * m for _ in range(m)]
+    for (i, j), v in new.items():
+        if v > 0:
+            rows[i][j] = v
+            rows[j][i] = new[(j, i)]
+    return tuple(tuple(row) for row in rows)
 
 
 def naive_pairing(form, u, v):

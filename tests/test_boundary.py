@@ -101,7 +101,6 @@ BOUNDARY = {
     "diffeq._coeff_table",
     "diffeq.SymmetricDiffEq.__post_init__",
     "diffeq.solve",
-    "diffeq.width1_family",
     "linalg.Matrix.__init__",
     "linalg.Matrix.scaled",
     "linalg.solve_linear",

@@ -88,6 +88,23 @@ def test_verify_rejects_corruption(w2_json):
     assert rc == 1 and "local relation" in err
 
 
+@pytest.mark.parametrize("tolerance, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_verify_rejects_a_bad_tolerance(tolerance, shown):
+    docs = {}
+    for scalar in ("complex-float", "rational", "gaussian"):
+        rc, docs[scalar], _ = run(["frieze", "from-zigzag", "--values=1,2", "--width", "1",
+                                   "--scalar", scalar, "--json"])
+        assert rc == 0
+    doc = docs.pop("complex-float")
+    assert run(["frieze", "verify", "-", "--tolerance", "1e-6"], stdin=doc)[0] == 0
+    rc, out, err = run(["frieze", "verify", "-", "--tolerance", tolerance], stdin=doc)
+    assert (rc, out, err) == (2, "", f"error: tolerance must be finite and non-negative, got {shown}\n")
+    # exact kinds ignore --tolerance
+    for exact in docs.values():
+        rc, out, err = run(["frieze", "verify", "-", "--tolerance", tolerance], stdin=exact)
+        assert (rc, out.splitlines()[0], err) == (0, "local rules: ok", "")
+
+
 def test_verify_reports_wild_grid(width2_null):
     rc, out, _ = run(["frieze", "verify", "-"], stdin=dumps(document_of(width2_null)))
     assert rc == 1 and "tame: false" in out

