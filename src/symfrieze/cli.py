@@ -117,17 +117,18 @@ _DOCUMENTS = {
 }
 
 
-def _load(args, doc_type, path: Optional[str] = None):
+def _load(args, doc_type, path: Optional[str] = None, to_object=None):
     """Read a `doc_type` document from `path` (default: the input argument).
 
-    Returns the live object.  A named `path` prefixes the wrong-kind error.
+    Returns the live object, built by `to_object` (default: the document
+    type's converter).  A named `path` prefixes the wrong-kind error.
     """
     doc = formats.loads(_read_input(args.input if path is None else path))
-    name, to_object = _DOCUMENTS[doc_type]
+    name, convert = _DOCUMENTS[doc_type]
     if not isinstance(doc, doc_type):
         prefix = "" if path is None else f"{path}: "
         raise formats.FormatError(f"{prefix}expected {name}")
-    return to_object(doc, args.tolerance)
+    return (to_object or convert)(doc, args.tolerance)
 
 
 def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
@@ -159,9 +160,10 @@ def _cmd_frieze_from_zigzag(args) -> int:
 
 
 def _cmd_frieze_verify(args) -> int:
-    g = _load(args, formats.FriezeDocument)
+    g = _load(args, formats.FriezeDocument, to_object=formats._unchecked_grid)
+    bad, tame = frieze._verdict(g)
+    formats._reject_failed_rules(bad)
     print("local rules: ok")
-    tame = frieze.check_tame(g)
     if not tame.ok:
         raise VerificationFailed(f"tame: false at {tame.window}")
     print("tame: true")

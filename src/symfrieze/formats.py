@@ -13,7 +13,8 @@ Two on-disk shapes are supported and auto-detected:
 Scalar text is parsed by the kind's own `coerce`; here are only the
 JSON rules of which raw types each kind accepts.  Loading a frieze
 document rebuilds the grid and replays the defining local relations; a
-violated cell is reported by its grid index.
+violated cell is reported by its grid index.  `frieze verify` loads
+without the replay and decides the relations with tameness (`grid_of`).
 """
 
 import json
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from .frieze import FriezeError, FriezeGrid, check_local_rules
+from .frieze import FriezeError, FriezeGrid, GridIndex, check_local_rules
 from .legendrian import Polygon, SymplecticForm
 from .scalars import SCALAR_NAMES, ScalarKind, kind_by_name
 from .slfrieze import SLFrieze
@@ -148,7 +149,19 @@ def document_of(grid: FriezeGrid, provenance: Optional[Dict[str, Any]] = None) -
 
 
 def grid_of(doc: FriezeDocument, tolerance: Optional[float] = None) -> FriezeGrid:
-    """Rebuild the grid and check every defining local relation."""
+    """Rebuild the grid and check every defining local relation.
+
+    `frieze verify` reads through `_unchecked_grid` instead and, for an
+    exact kind, decides the relations by one rebuild from the grid's
+    coefficients (`frieze._verdict`), scanning them only on a mismatch.
+    """
+    grid = _unchecked_grid(doc, tolerance)
+    _reject_failed_rules(check_local_rules(grid))
+    return grid
+
+
+def _unchecked_grid(doc: FriezeDocument, tolerance: Optional[float]) -> FriezeGrid:
+    """The grid of a document, its shape checked but not its local relations."""
     if doc.period != doc.width + 5:
         raise InvalidDocument(
             f"period {doc.period} does not match width {doc.width} + 5"
@@ -163,13 +176,15 @@ def grid_of(doc: FriezeDocument, tolerance: Optional[float] = None) -> FriezeGri
             raise InvalidDocument(f"index ({I},{J}) lies outside the band")
         cells[((I + J) // 2, o)] = v
     try:
-        grid = FriezeGrid.from_cells(kind, doc.width, cells)
+        return FriezeGrid.from_cells(kind, doc.width, cells)
     except ValueError as e:
         raise InvalidDocument(str(e)) from None
-    bad = check_local_rules(grid)
+
+
+def _reject_failed_rules(bad: Tuple[GridIndex, ...]) -> None:
+    """Raise InvalidDocument at the first of the failing local rules `bad`."""
     if bad:
         raise InvalidDocument(f"local relation fails at {bad[0]}")
-    return grid
 
 
 def sl_document_of(f: SLFrieze) -> SLDocument:

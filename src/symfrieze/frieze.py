@@ -630,10 +630,30 @@ def check_tame(grid: FriezeGrid) -> TameResult:
     symmetric, hence self-dual, and that makes each 3x3 minor its
     central entry.  Any other grid, complex floats included, goes
     through the minor scan, which alone locates the failing window.
+    On an exact kind, `frieze verify` decides the local rules and
+    tameness by this one rebuild (`_verdict`), and scans the rules only
+    on a mismatch.
     """
     if _rebuilds(grid):
         return TameResult(True, None)
     return _scan_tame(grid)
+
+
+def _verdict(grid: FriezeGrid) -> Tuple[Tuple[GridIndex, ...], Optional[TameResult]]:
+    """The failing local rules of a grid, then its tameness if none fail.
+
+    A grid that `_rebuilds` satisfies every local rule: its white cells
+    are the 2x2 minors of its black cells, and each black rule
+    v*v = A*B - C*D is the Desnanot-Jacobi identity (Dodgson
+    condensation) on the 3x3 black window around v, whose minor equals
+    v on a tame grid.  So one rebuild decides both.  Any other grid,
+    complex floats included, has its rules scanned and, if they all
+    hold, its minors, as `check_local_rules` and `check_tame` would.
+    """
+    if _rebuilds(grid):
+        return (), TameResult(True, None)
+    bad = check_local_rules(grid)
+    return bad, None if bad else _scan_tame(grid)
 
 
 def _rebuilds(grid: FriezeGrid) -> bool:

@@ -10,7 +10,7 @@ frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .scalars import COMPLEX, RATIONAL, ScalarKind
+from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind
 from .linalg import Matrix, SingularMatrix, det, solve_linear
 from .frieze import FriezeError, FriezeGrid, SLFrieze, black_block
 
@@ -259,8 +259,10 @@ def normalize_lift(
     resolved by the principal square root); even periods raise
     EvenPeriod.  Exact vertices are read as complex floats.  The first
     nonzero first-neighbor pairing raises NormalizationViolated before
-    any vanishing second-neighbor pairing raises DegenerateGamma.
+    any vanishing second-neighbor pairing raises DegenerateGamma.  A
+    tolerance that `ComplexFloatKind` rejects raises its ValueError first.
     """
+    ComplexFloatKind(tolerance)  # the one check of a tolerance
     n = len(raw)
     if n % 2 == 0:
         raise EvenPeriod(f"period {n} is even")

@@ -153,7 +153,7 @@ def test_only_display_cell_builders_call_from_cells():
     # translations, mirrors and the sign twist write the band stores instead
     found = _functions_where(lambda n: isinstance(n, ast.Attribute) and n.attr == "from_cells")
     assert found == {
-        "formats.grid_of",
+        "formats._unchecked_grid",
         "search.enumerate_friezes",
         "frieze.propagate_from_zigzag",
     }

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import symfrieze
-from symfrieze import cli, legendrian, slfrieze
+from conftest import WIDTH2_COEFFS
+from symfrieze import cli, formats, frieze, legendrian, slfrieze
 from symfrieze.cli import main
 from symfrieze.formats import (
     document_of,
@@ -21,7 +22,15 @@ from symfrieze.formats import (
     render_frieze_text,
     sl_document_of,
 )
-from symfrieze.frieze import FriezeGrid, mirror_grid, sign_twist
+from symfrieze.frieze import (
+    FriezeGrid,
+    GridIndex,
+    mirror_grid,
+    propagate_from_coeffs,
+    propagate_from_zigzag,
+    sign_twist,
+)
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL
 
 SRC = str(Path(symfrieze.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -105,9 +114,68 @@ def test_verify_rejects_a_bad_tolerance(tolerance, shown):
         assert (rc, out.splitlines()[0], err) == (0, "local rules: ok", "")
 
 
-def test_verify_reports_wild_grid(width2_null):
-    rc, out, _ = run(["frieze", "verify", "-"], stdin=dumps(document_of(width2_null)))
-    assert rc == 1 and "tame: false" in out
+@pytest.mark.parametrize("tolerance, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_polygon_normalize_rejects_a_bad_tolerance(w2_json, tolerance, shown):
+    rc, poly_json, _ = run(["polygon", "from-frieze", "-", "--anchor", "4"], stdin=w2_json)
+    assert rc == 0
+    assert run(["polygon", "normalize", "-", "--tolerance", "1e-6"], stdin=poly_json)[0] == 0
+    rc, out, err = run(["polygon", "normalize", "-", "--tolerance", tolerance], stdin=poly_json)
+    assert (rc, out, err) == (2, "", f"error: tolerance must be finite and non-negative, got {shown}\n")
+
+
+@pytest.fixture
+def verify_counts(monkeypatch):
+    """Calls of the local-rule scan (any binding) and of the rebuild during one verify."""
+    counts = {"scan": 0, "rebuild": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    scan = counted("scan", frieze.check_local_rules)
+    monkeypatch.setattr(frieze, "check_local_rules", scan)
+    monkeypatch.setattr(formats, "check_local_rules", scan)
+    monkeypatch.setattr(frieze, "propagate_from_coeffs", counted("rebuild", frieze.propagate_from_coeffs))
+    return counts
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN], ids=lambda k: k.name)
+def test_verify_decides_an_exact_frieze_by_one_rebuild(verify_counts, kind):
+    doc = dumps(document_of(propagate_from_coeffs(*WIDTH2_COEFFS, kind)))
+    verify_counts.update(scan=0, rebuild=0)
+    rc, out, err = run(["frieze", "verify", "-"], stdin=doc)
+    assert (rc, out, err) == (0, "local rules: ok\ntame: true\nglide: true\nminimal period: 14\n", "")
+    assert verify_counts == {"scan": 0, "rebuild": 1}
+
+
+def test_verify_scans_a_complex_float_frieze(verify_counts):
+    doc = dumps(document_of(propagate_from_zigzag((1, 2), 1, COMPLEX)))
+    verify_counts.update(scan=0, rebuild=0)
+    rc, out, err = run(["frieze", "verify", "-"], stdin=doc)
+    assert (rc, out, err) == (0, "local rules: ok\ntame: true\nglide: true\nminimal period: 6\n", "")
+    assert verify_counts == {"scan": 1, "rebuild": 0}
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN], ids=lambda k: k.name)
+def test_verify_reports_a_corrupted_white_cell(verify_counts, kind):
+    g = propagate_from_coeffs(*WIDTH2_COEFFS, kind)
+    doc = dumps(document_of(g.with_entry(GridIndex(3, 5), g.get(3, 5) + kind.one())))
+    verify_counts.update(scan=0, rebuild=0)
+    rc, out, err = run(["frieze", "verify", "-"], stdin=doc)
+    assert (rc, out, err) == (1, "", "verification failed: local relation fails at d[1,2]\n")
+    assert verify_counts == {"scan": 1, "rebuild": 1}
+
+
+def test_verify_reports_wild_grid(verify_counts, width2_null):
+    verify_counts.update(scan=0, rebuild=0)
+    rc, out, err = run(["frieze", "verify", "-"], stdin=dumps(document_of(width2_null)))
+    assert (rc, out, err) == (1, (
+        "local rules: ok\n"
+        "tame: false at MinorWindow(size=3, i=0, j=-6, value=Fraction(-1, 1), expected=Fraction(0, 1))\n"
+    ), "")
+    assert verify_counts == {"scan": 1, "rebuild": 1}
 
 
 def test_show(w2_text, width2_int):

@@ -4,7 +4,9 @@ For exact kinds `check_tame` and `symplectic_of` accept a grid that
 equals the one rebuilt from its own coefficients, and run the
 adjacent-minor scan otherwise.  Every verdict and every reported window
 must equal both the private scan's and the cofactor oracle's, and every
-grid the rebuild can produce must pass the scan.
+grid the rebuild can produce must pass the scan.  `frieze verify`
+(`_verdict`) also skips the local-rule scan on such a grid, so every
+grid the rebuild matches must keep every local rule.
 """
 
 import random
@@ -13,13 +15,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import naive_centres, naive_tame
+from oracles import naive_centres, naive_local_rules, naive_tame
 from symfrieze import frieze
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
     ZeroPivot,
+    _rebuilds,
     _scan_tame,
+    _verdict,
     check_tame,
     extract_coeffs,
     propagate_from_coeffs,
@@ -175,6 +179,28 @@ def test_propagated_grids_pass_the_scan(grids, width7_zero):
     cases += [(g.kind, *extract_coeffs(g)) for g in grids + [width7_zero]]
     for kind, a, b in cases:
         assert _scan_tame(propagate_from_coeffs(a, b, kind)).ok
+
+
+def test_a_rebuilt_grid_keeps_every_local_rule():
+    # verify's fast path: a grid equal to its rebuild needs no rule scan,
+    # and one changed cell always breaks the rebuild
+    rng = random.Random(61)
+    for kind in KINDS:
+        for width in range(1, 5):
+            for _ in range(6):
+                g = random_grid(rng, kind, width)
+                assert _rebuilds(g)
+                assert naive_local_rules(g) == ()
+                h = perturbed(g, rng.randrange(2 * g.period), rng.randint(-1, width))
+                assert not _rebuilds(h)
+
+
+def test_verdict_matches_the_oracles(grids, width2_null, width1_gauss):
+    for g in (grids[0], grids[5], width2_null, width1_gauss):
+        for h in (g, perturbed(g, 1, 0), perturbed(g, 2, 0)):
+            bad, tame = _verdict(h)
+            assert bad == naive_local_rules(h)
+            assert tame == (None if bad else naive_tame(h))
 
 
 def test_complex_floats_take_the_scan(width2_int, monkeypatch):
