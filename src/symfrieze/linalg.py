@@ -4,11 +4,11 @@ Sizes in this package stay small (2x2 through roughly 10x10), but the
 adjacent-minor scans take thousands of determinants, so `det` picks a path
 by the kind:
 
-- rational and Gaussian: each row is multiplied by the lcm of the
-  denominators of its real and imaginary parts, Bareiss elimination runs
-  on Gaussian integers held as two int matrices (the imaginary one all 0
-  for rationals), and the determinant is divided back by the product of
-  the lcms: a Fraction, or a GaussianRational with Fraction parts;
+- rational and Gaussian: each row is multiplied by the lcm of its
+  denominators (a GaussianRational (x + y*i)/d has the one denominator d),
+  Bareiss elimination runs on Gaussian integers held as two int matrices
+  (the imaginary one all 0 for rationals), and the determinant over the
+  product of the lcms is a Fraction, or a GaussianRational built by `_of`;
 - any other exact kind (Laurent polynomials): Bareiss elimination on the
   kind's own elements, which needs only *, - and exact /;
 - complex floats: partial-pivot LU, with the kind's tolerance as zero test.
@@ -154,12 +154,12 @@ def _det_gaussian(rows) -> GaussianRational:
     scale = 1
     re, im = [], []
     for row in rows:
-        s = lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
+        s = lcm(*(v._d for v in row))
         scale *= s
-        re.append([v.re.numerator * (s // v.re.denominator) for v in row])
-        im.append([v.im.numerator * (s // v.im.denominator) for v in row])
+        re.append([v._x * (s // v._d) for v in row])
+        im.append([v._y * (s // v._d) for v in row])
     d_re, d_im = _det_gaussian_int(re, im)
-    return GaussianRational(Fraction(d_re, scale), Fraction(d_im, scale))
+    return GaussianRational._of(d_re, d_im, scale)
 
 
 def _det_gaussian_int(re: list, im: list) -> tuple[int, int]:

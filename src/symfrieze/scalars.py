@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Protocol
 
 
@@ -41,53 +41,98 @@ class ScalarKind(Protocol):
     def eq(self, a: Any, b: Any) -> bool: ...
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+_GAUSSIAN_TEXT = re.compile(
+    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
+    r"(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)i\s*$"
+)
+_set = object.__setattr__  # fills the slots of an immutable value
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+
+class GaussianRational:
+    """Immutable Gaussian rational re + im*i, each part an int or a Fraction.
+
+    Held as three ints (x + y*i)/d in lowest terms (d > 0, gcd(x, y, d) = 1),
+    so equal values have equal fields; arithmetic builds through `_of`.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
+
+    def __new__(cls, re: int | Fraction, im: int | Fraction = 0) -> "GaussianRational":
+        for part in (re, im):
+            if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
+                _reject_float(part)
+                raise TypeError(f"a Gaussian part must be an int or a Fraction, not {part!r}")
+        d = lcm(re.denominator, im.denominator)
+        x, y = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        return cls._of(x, y, d)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    @classmethod
+    def _of(cls, x: int, y: int, d: int) -> "GaussianRational":
+        # (x + y*i)/d for ints with d > 0, reduced here by one gcd
+        g = gcd(x, y, d)
+        v = object.__new__(cls)
+        _set(v, "_x", x // g)
+        _set(v, "_y", y // g)
+        _set(v, "_d", d // g)
+        return v
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d, c, e, f = self._x, self._y, self._d, other._x, other._y, other._d
+        return GaussianRational._of(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d, c, e, f = self._x, self._y, self._d, other._x, other._y, other._d
+        return GaussianRational._of(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self._x, -self._y, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._x, self._y, other._x, other._y
+        return GaussianRational._of(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        # multiply by the conjugate; denominator is |other|^2, exact
-        norm = other.re * other.re + other.im * other.im
+        # (a + bi)/d / ((c + ei)/f) = f(a + bi)(c - ei) / (d(c^2 + e^2))
+        c, e = other._x, other._y
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by Gaussian zero")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        a, b = self._x * other._d, self._y * other._d
+        return GaussianRational._of(a * c + b * e, b * c - a * e, self._d * norm)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._x or self._y)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._x == other._x and self._y == other._y and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._x, self._y, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
-
-    _PATTERN = re.compile(
-        r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
-        r"(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)i\s*$"
-    )
+        im = self.im
+        return f"{self.re}{'+' if im >= 0 else '-'}{abs(im)}i"
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of __str__; also accepts a bare rational as purely real."""
-        m = cls._PATTERN.match(text)
+        m = _GAUSSIAN_TEXT.match(text)
         if m:
             im = Fraction(m.group("im"))
             if m.group("sign") == "-":
@@ -139,16 +184,16 @@ class GaussianKind:
     exact = True
 
     def zero(self) -> GaussianRational:
-        return GaussianRational(Fraction(0))
+        return GaussianRational._of(0, 0, 1)
 
     def one(self) -> GaussianRational:
-        return GaussianRational(Fraction(1))
+        return GaussianRational._of(1, 0, 1)
 
     def from_int(self, n: int) -> GaussianRational:
-        return GaussianRational(Fraction(n))
+        return GaussianRational(n)
 
     def i(self) -> GaussianRational:
-        return GaussianRational(Fraction(0), Fraction(1))
+        return GaussianRational._of(0, 1, 1)
 
     def coerce(self, value: Any) -> GaussianRational:
         if isinstance(value, GaussianRational):
@@ -164,7 +209,7 @@ class GaussianKind:
         return not value
 
     def eq(self, a: GaussianRational, b: GaussianRational) -> bool:
-        return a.re == b.re and a.im == b.im
+        return a == b
 
     def __repr__(self) -> str:
         return "GAUSSIAN"
@@ -192,7 +237,8 @@ class ComplexFloatKind:
 
     def coerce(self, value: Any) -> complex:
         if isinstance(value, GaussianRational):
-            return complex(value.re, value.im)
+            # int true division rounds correctly, as float(Fraction) does
+            return complex(value._x / value._d, value._y / value._d)
         if isinstance(value, (int, float, complex, Fraction)):
             return complex(value)
         if isinstance(value, str):

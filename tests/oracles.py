@@ -20,10 +20,13 @@ scalar kind, building Fractions and Gaussian rationals itself instead
 of going through the kinds' `coerce`.  The map oracles walk the display
 cells of a grid and rebuild through the public, coercing `from_cells`
 (or the `SLFrieze` constructor), as the package did before its maps
-wrote the band stores; they serve every kind.
+wrote the band stores; they serve every kind.  The Gaussian oracle keeps
+two Fraction parts and does its arithmetic on them, as the package did
+before it held a Gaussian rational as one reduced int triple.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from symfrieze.diffeq import companion
@@ -557,3 +560,42 @@ def naive_gale_dual(f):
         for o in range(k):
             cells[(i, o)] = table[o][(i + o) % n]
     return SLFrieze(f.kind, f.width, k, cells)
+
+
+@dataclass(frozen=True)
+class NaiveGaussian:
+    """Gaussian rational re + im*i with two Fraction parts."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return NaiveGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return NaiveGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return NaiveGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return NaiveGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        # multiply by the conjugate; the denominator |other|^2 is exact
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by Gaussian zero")
+        return NaiveGaussian(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __str__(self):
+        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"

@@ -7,7 +7,10 @@ constructor, so reading a frieze, or translating, mirroring or twisting
 it, coerces nothing.  `ast` scans keep the set of functions that coerce
 to the boundary listed here, the callers of the coercing
 `FriezeGrid.from_cells` to the three that start from display cells, and
-the calls of the `FriezeGrid` constructor inside `frieze`.
+the calls of the `FriezeGrid` constructor inside `frieze`.  Gaussian
+arithmetic and `linalg` build values through the trusted, reducing
+`GaussianRational._of`; only parsing and `GaussianKind` call the checking
+constructor, and only `scalars` and `linalg` read the int fields.
 """
 
 import ast
@@ -170,3 +173,24 @@ def test_only_frieze_calls_the_grid_constructor():
 
     found = _functions_where(constructs)
     assert found and {name.split(".")[0] for name in found} == {"frieze"}
+
+
+
+def test_gaussian_values_are_built_through_the_trusted_path():
+    def calls_constructor(n):
+        f = n.func if isinstance(n, ast.Call) else None
+        return "GaussianRational" in (getattr(f, "id", None), getattr(f, "attr", None))
+
+    # parse calls its own class as `cls`, so it is not found by name
+    public = _functions_where(calls_constructor)
+    assert public and all(name.startswith("scalars.GaussianKind.") for name in public)
+    trusted = _functions_where(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "_of"
+        and getattr(n.value, "id", None) == "GaussianRational"
+    )
+    built = ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__")
+    assert trusted == {f"scalars.GaussianRational.{m}" for m in built} | {
+        f"scalars.GaussianKind.{m}" for m in ("zero", "one", "i")
+    } | {"linalg._det_gaussian"}
+    reads = _functions_where(lambda n: getattr(n, "attr", None) in ("_x", "_y", "_d"))
+    assert {name.split(".")[0] for name in reads} == {"scalars", "linalg"}

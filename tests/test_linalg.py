@@ -115,6 +115,12 @@ def test_kernel_row_swaps_and_singular():
     assert det(Matrix(GAUSSIAN, cases[4])) == GAUSSIAN.zero()
 
 
+def test_gaussian_det_rejects_a_float_entry():
+    # used to die in det with "'float' object has no attribute 'denominator'"
+    with pytest.raises(KindMismatch):
+        det(Matrix(GAUSSIAN, [[GaussianRational(1.5)]]))
+
+
 def test_laurent_det_takes_generic_bareiss():
     kind = LaurentKind(2)
     x, y = (LaurentPolynomial.variable(2, v) for v in range(2))

@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+
+from oracles import NaiveGaussian
 
 from symfrieze.scalars import (
     COMPLEX,
@@ -54,6 +58,81 @@ def test_gaussian_str_parse_round_trip():
     assert GaussianRational.parse("7/2") == G(Fraction(7, 2))
 
 
+def _gaussian_samples(rng):
+    """(value, oracle value) pairs: zero, negative parts, shared and coprime
+    denominators, and numerators past 2**64."""
+    dens = (1, 2, 3, 4, 6, 9, 35, 2**61 - 1)
+
+    def part():
+        num = rng.choice((0, rng.randint(-9, 9), rng.randint(-(2**80), 2**80)))
+        return Fraction(num, rng.choice(dens))
+
+    parts = [(Fraction(0), Fraction(0)), (Fraction(-1, 2), Fraction(-3, 4))]
+    parts.append((Fraction(1, 6), Fraction(1, 35)))
+    parts += [(part(), part()) for _ in range(120)]
+    return [(GaussianRational(re, im), NaiveGaussian(re, im)) for re, im in parts]
+
+
+def _agrees(v, naive):
+    assert type(v) is GaussianRational
+    assert v._d > 0 and gcd(v._x, v._y, v._d) == 1
+    for got, want in ((v.re, naive.re), (v.im, naive.im)):
+        assert type(got) is Fraction and got == want
+        assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+    assert str(v) == str(naive)
+    assert GaussianRational.parse(str(v)) == v
+    assert bool(v) is bool(naive)
+
+
+def test_gaussian_arithmetic_matches_the_two_fraction_oracle():
+    samples = _gaussian_samples(random.Random(18))
+    zero = GaussianRational(0)
+    for k, (a, na) in enumerate(samples):
+        b, nb = samples[(7 * k + 3) % len(samples)]
+        _agrees(a, na)
+        _agrees(-a, -na)
+        _agrees(a + b, na + nb)
+        _agrees(a - b, na - nb)
+        _agrees(a * b, na * nb)
+        assert (a == b) is (na == nb)
+        if nb:
+            _agrees(a / b, na / nb)
+            same = a * b / b
+        else:
+            with pytest.raises(ZeroDivisionError, match="division by Gaussian zero"):
+                a / b
+            same = GaussianRational(a.re, a.im) + zero
+        assert same == a and hash(same) == hash(a)
+        assert a - a == zero and hash(a - a) == hash(zero)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1) / zero
+
+
+def test_gaussian_values_are_immutable():
+    v = GaussianRational(Fraction(1, 2), 3)
+    for name in ("re", "im", "_x", "_y", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    assert v == GaussianRational(Fraction(1, 2), 3)
+
+
+def test_gaussian_parts_must_be_exact():
+    # a float part used to enter exact work: squaring printed 2.1875+0.75i
+    with pytest.raises(KindMismatch):
+        GAUSSIAN.coerce(GaussianRational(1.5, 0.25))
+    with pytest.raises(KindMismatch):
+        GaussianRational(1, 2j)
+
+
+def test_gaussian_parts_must_be_numbers():
+    for bad in ("1/2", None, True):
+        with pytest.raises(TypeError) as e:
+            GaussianRational(bad)
+        assert e.type is TypeError
+    with pytest.raises(TypeError):
+        GaussianRational(1, "2")
+
+
 def test_gaussian_kind():
     assert GAUSSIAN.name == "gaussian"
     assert GAUSSIAN.coerce(3) == G(3)
@@ -94,6 +173,16 @@ def test_complex_coerce_accepts_exact_values():
     assert COMPLEX.coerce(GaussianRational(Fraction(1, 2), Fraction(3))) == 0.5 + 3j
     assert COMPLEX.coerce(Fraction(1, 4)) == 0.25 + 0j
     assert COMPLEX.coerce("1+2i") == 1 + 2j
+
+
+@pytest.mark.parametrize("re, im", [
+    (Fraction(1, 3), Fraction(-2, 7)),
+    (Fraction(-(2**200) - 1, 2**199), Fraction(5, 2**61 - 1)),
+    (Fraction(10**400 + 1, 3 * 10**400), Fraction(-1, 10**300 + 7)),
+    (Fraction(1, 10**320), Fraction(-7, 3)),
+])
+def test_complex_coerce_rounds_gaussian_parts_like_float(re, im):
+    assert COMPLEX.coerce(GaussianRational(re, im)) == complex(float(re), float(im))
 
 
 @pytest.mark.parametrize("text, want", [
