@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
 from .linalg import Matrix
-from .scalars import SCALAR_NAMES, KindMismatch, ScalarKind, kind_by_name
+from .scalars import COMPLEX, SCALAR_NAMES, KindMismatch, ScalarKind, kind_by_name
 
 __all__ = ["main"]
 
@@ -317,7 +317,7 @@ def _cmd_polygon_to_frieze(args) -> int:
 
 def _cmd_polygon_normalize(args) -> int:
     p = _load(args, formats.PolygonDocument)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
+    tolerance = args.tolerance if args.tolerance is not None else COMPLEX.tolerance
     p = legendrian.normalize_lift(p.vertices, p.form, tolerance, p.base)
     _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
     return 0

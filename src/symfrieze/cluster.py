@@ -401,10 +401,6 @@ class ExchangeMatrix:
     def opposite(self) -> "ExchangeMatrix":
         return ExchangeMatrix(tuple(tuple(-v for v in row) for row in self.rows))
 
-    def __str__(self) -> str:
-        body = "\n".join(" ".join(f"{v:3d}" for v in row) for row in self.rows)
-        return body
-
 
 def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k (0-based)."""

@@ -372,6 +372,8 @@ class FriezeGrid:
         consecutive columns each; boundary rows o = -1 and o = w may be
         given (taken verbatim) or omitted (filled with ones).
         """
+        if width < 0:
+            raise ValueError(f"width must be nonnegative, got {width}")
         n = width + 5
         rows = {}
         bands = ({}, {})

@@ -7,7 +7,8 @@ frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 4x4 windows of the frieze intertwine the two form variants.
 """
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind
@@ -70,48 +71,41 @@ class SymplecticForm:
     a: object
     variant: str = "standard"
     kind: ScalarKind = RATIONAL
-    _matrix: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("standard", "dual"):
             raise ValueError(f"unknown form variant {self.variant!r}")
-        a = self.kind.coerce(self.a)
-        zero, one = self.kind.zero(), self.kind.one()
+        a, one = self.kind.coerce(self.a), self.kind.one()
+        # the nonzero entries (r, c, F[r][c]) of the form matrix F, row-major
         if self.variant == "standard":
-            rows = [
-                [zero, zero, one, a],
-                [zero, zero, zero, one],
-                [-one, zero, zero, zero],
-                [-a, -one, zero, zero],
-            ]
+            entries = ((0, 2, one), (0, 3, a), (1, 3, one), (2, 0, -one), (3, 0, -a), (3, 1, -one))
         else:
-            rows = [
-                [zero, zero, one, zero],
-                [zero, zero, -a, one],
-                [-one, a, zero, zero],
-                [zero, -one, zero, zero],
-            ]
+            entries = ((0, 2, one), (1, 2, -a), (1, 3, one), (2, 0, -one), (2, 1, a), (3, 1, -one))
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_matrix", Matrix._of(self.kind, rows))
+        object.__setattr__(self, "_entries", entries)  # not a field: no init, repr or compare
 
     def matrix(self) -> Matrix:
-        """The form matrix, built once at construction."""
-        return self._matrix
+        """The form matrix F, so that omega(u, v) = u^t F v."""
+        rows = [[self.kind.zero()] * 4 for _ in range(4)]
+        for r, c, f in self._entries:
+            rows[r][c] = f
+        return Matrix._of(self.kind, rows)
+
+
+def _pair(form: SymplecticForm, u: Sequence, v: Sequence):
+    """u^t F v for 4-vectors already in the form's kind."""
+    acc = form.kind.zero()
+    for r, c, f in form._entries:
+        acc = acc + u[r] * f * v[c]
+    return acc
 
 
 def omega(form: SymplecticForm, u: Sequence, v: Sequence):
     """The pairing u^t F v."""
     if len(u) != 4 or len(v) != 4:
         raise ValueError("pairing needs 4-vectors")
-    kind = form.kind
-    m = form.matrix()
-    uu = [kind.coerce(x) for x in u]
-    vv = [kind.coerce(x) for x in v]
-    acc = kind.zero()
-    for r in range(4):
-        for c in range(4):
-            acc = acc + uu[r] * m[r, c] * vv[c]
-    return acc
+    coerce = form.kind.coerce
+    return _pair(form, [coerce(x) for x in u], [coerce(x) for x in v])
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,11 @@ def polygon_from_frieze(g: FriezeGrid, i0: int) -> Polygon:
 
 def _pairings(form: SymplecticForm, vertices: Sequence[Sequence], reach: int) -> list:
     """Row t holds omega(V_t, V_{t+k}), k = 1..reach, for one period
-    V_0..V_{n-1} of an antiperiodic vertex sequence, V_{t+n} = -V_t."""
+    V_0..V_{n-1} of an antiperiodic vertex sequence, V_{t+n} = -V_t,
+    whose entries are already in the form's kind."""
     lift = list(vertices) + [tuple(-x for x in v) for v in vertices]
     return [
-        [omega(form, u, lift[(t + k) % len(lift)]) for k in range(1, reach + 1)]
+        [_pair(form, u, lift[(t + k) % len(lift)]) for k in range(1, reach + 1)]
         for t, u in enumerate(vertices)
     ]
 
@@ -234,13 +229,14 @@ def block_symplectic_check(g: FriezeGrid) -> bool:
     n = g.period
     kind = g.kind
     a = [g.black(i, i) for i in range(n)]
+    standard = [SymplecticForm(x, "standard", kind).matrix() for x in a]
+    dual = [SymplecticForm(x, "dual", kind).matrix() for x in a]
     for i in range(n):
-        if black_block(g, i, i) != SymplecticForm(a[i], "standard", kind).matrix():
+        if black_block(g, i, i) != standard[i]:
             return False
-        dual_m = SymplecticForm(a[i], "dual", kind).matrix()
         for j in range(i, i + n + 1):
             d = black_block(g, i, j)
-            if d.transpose() * dual_m * d != SymplecticForm(a[j % n], "standard", kind).matrix():
+            if d.transpose() * dual[i] * d != standard[j % n]:
                 return False
     return True
 
@@ -248,7 +244,7 @@ def block_symplectic_check(g: FriezeGrid) -> bool:
 def normalize_lift(
     raw: Sequence[Sequence],
     form: SymplecticForm,
-    tolerance: float = 1e-9,
+    tolerance: float = COMPLEX.tolerance,
     base: int = 1,
 ) -> Polygon:
     """Rescale a vertex sequence so second-neighbor pairings are all one.
@@ -286,7 +282,7 @@ def normalize_lift(
         t = nxt
     # closing equation: lam_t * lam_0 * gamma_t = 1 with expo[t] == 1
     closing = 1.0 / (gammas[t] * coeff[t])
-    lam0 = COMPLEX.sqrt(closing)
+    lam0 = cmath.sqrt(closing)
     lams = [coeff[s] * (lam0 if expo[s] > 0 else 1.0 / lam0) for s in range(n)]
     scaled = tuple(
         tuple(lams[s] * x for x in vs[s]) for s in range(n)

@@ -11,7 +11,6 @@ computation.
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -251,9 +250,6 @@ class ComplexFloatKind:
 
     def eq(self, a: complex, b: complex) -> bool:
         return abs(a - b) <= self.tolerance
-
-    def sqrt(self, value: complex) -> complex:
-        return cmath.sqrt(value)
 
     def __repr__(self) -> str:
         return f"ComplexFloatKind(tolerance={self.tolerance})"

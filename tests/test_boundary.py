@@ -33,7 +33,7 @@ from symfrieze.frieze import (
     sign_twist,
     translate,
 )
-from symfrieze.legendrian import Polygon, SymplecticForm, omega
+from symfrieze.legendrian import Polygon, SymplecticForm, frieze_from_polygon, omega, polygon_from_frieze
 from symfrieze.linalg import Matrix
 from symfrieze.scalars import GAUSSIAN, RATIONAL, KindMismatch, RationalKind
 from symfrieze.slfrieze import SLFrieze, black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
@@ -93,6 +93,16 @@ def test_reading_a_frieze_coerces_only_its_coefficients(monkeypatch):
         assert count(fn, g) == 0
     assert count(check_tame, g) <= 5 * g.period
     assert count(symplectic_of, f) <= 5 * g.period
+
+
+def test_polygon_frieze_coerces_nothing(monkeypatch):
+    # a Polygon holds its vertices in the kind, so its pairings coerce nothing
+    p = polygon_from_frieze(propagate_from_zigzag([1] * 8, width=4), 2)
+    calls = []
+    coerce = RationalKind.coerce
+    monkeypatch.setattr(RationalKind, "coerce", lambda self, value: calls.append(value) or coerce(self, value))
+    frieze_from_polygon(p)
+    assert calls == []
 
 
 # functions that coerce a caller's values: parsers, public constructors and

@@ -510,6 +510,19 @@ def test_malformed_document(width1_documents, command, document, edit, code, mes
     assert (rc, out, err) == (code, "", message + "\n")
 
 
+NEGATIVE_WIDTH = '{"kind":"frieze","width":-3,"period":2,"scalar":"rational","entries":{}}'
+
+
+@pytest.mark.parametrize("command", [
+    "frieze show", "frieze twist", "frieze verify", "sl black", "search orbits",
+    "polygon from-frieze --anchor 0",
+])
+def test_frieze_document_with_negative_width_fails(command):
+    # the grid loader rejects the width as the SL constructor does
+    rc, out, err = run(command.split() + ["-"], stdin=NEGATIVE_WIDTH)
+    assert (rc, out, err) == (1, "", "verification failed: width must be nonnegative, got -3\n")
+
+
 # ---------------------------------------------------------------------------
 # argument parsing: one parser per call, the same results as the whole tree
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import WIDTH2_COEFFS, WIDTH3_COEFFS
-from oracles import naive_frieze_from_polygon, naive_normalization_failure
+from oracles import naive_frieze_from_polygon, naive_normalization_failure, naive_pairing
 from symfrieze import legendrian
 from symfrieze.diffeq import SymmetricDiffEq, companion
 from symfrieze.frieze import GridIndex, ZeroPivot, propagate_from_zigzag
@@ -24,7 +24,7 @@ from symfrieze.legendrian import (
     polygon_from_frieze,
 )
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import GAUSSIAN, RATIONAL, GaussianRational
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 
 V_COLUMNS = [
     (1, 4, 3, 1, 0, 0, 0),
@@ -56,6 +56,39 @@ def test_forms_are_skew_inverse_pairs():
 
 def test_pairing_of_vector_with_itself_vanishes():
     assert omega(SymplecticForm(4, "dual"), (1, 2, 3, 4), (1, 2, 3, 4)) == 0
+
+
+def _random_scalar(rng, kind):
+    if kind is RATIONAL:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+    if kind is GAUSSIAN:
+        return GaussianRational(Fraction(rng.randint(-20, 20), rng.randint(1, 9)), rng.randint(-5, 5))
+    return complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN, COMPLEX], ids=lambda k: k.name)
+@pytest.mark.parametrize("variant", ["standard", "dual"])
+def test_omega_matches_pairing_oracle(kind, variant):
+    # the oracle sums the nonzero terms in the same row-major order, so
+    # complex floats must agree to the last bit as well
+    rng = random.Random(f"{kind.name}/{variant}")
+    for _ in range(40):
+        form = SymplecticForm(_random_scalar(rng, kind), variant, kind)
+        u, v = ([_random_scalar(rng, kind) for _ in range(4)] for _ in range(2))
+        assert omega(form, u, v) == naive_pairing(form, u, v)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN, COMPLEX], ids=lambda k: k.name)
+@pytest.mark.parametrize("variant", ["standard", "dual"])
+def test_form_matrix_entries_pair_unit_vectors(kind, variant):
+    zero, one = kind.zero(), kind.one()
+    units = [[one if r == c else zero for c in range(4)] for r in range(4)]
+    for a in (kind.from_int(0), kind.from_int(-3), _random_scalar(random.Random(5), kind)):
+        form = SymplecticForm(a, variant, kind)
+        m = form.matrix()
+        for r in range(4):
+            for c in range(4):
+                assert m[r, c] == naive_pairing(form, units[r], units[c]), (a, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +203,8 @@ def test_polygon_frieze_matches_pairing_oracle(polygon_grids):
 
 def test_polygon_frieze_pairs_each_vertex_pair_once(monkeypatch, poly2):
     calls = []
-    pair = legendrian.omega
-    monkeypatch.setattr(legendrian, "omega", lambda *args: calls.append(args) or pair(*args))
+    pair = legendrian._pair
+    monkeypatch.setattr(legendrian, "_pair", lambda *args: calls.append(args) or pair(*args))
     frieze_from_polygon(poly2)
     assert len(calls) == poly2.period * (poly2.width + 3)
 
