@@ -482,10 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except formats.FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except frieze.FriezeError as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return 1
-    except cluster.NonLaurentQuotient as e:
+    except (frieze.FriezeError, cluster.NonLaurentQuotient) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
     except (ValueError, KindMismatch, KeyError) as e:

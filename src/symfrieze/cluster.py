@@ -404,24 +404,19 @@ class ExchangeMatrix:
 
 def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k (0-based)."""
-    r = matrix.rows
-    m = matrix.m
+    r, m = matrix.rows, matrix.m
     if not 0 <= k < m:
         raise IndexError(f"vertex {k} out of range")
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == k or j == k:
-                row.append(-r[i][j])
-            else:
-                row.append(
-                    r[i][j]
-                    + max(r[i][k], 0) * max(r[k][j], 0)
-                    - max(-r[i][k], 0) * max(-r[k][j], 0)
-                )
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows))
+    # b'_ij = -b_ij on row or column k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2
+    rows = tuple(
+        tuple(
+            -r[i][j] if i == k or j == k
+            else r[i][j] + (abs(r[i][k]) * r[k][j] + r[i][k] * abs(r[k][j])) // 2
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+    return ExchangeMatrix(rows)
 
 
 def c2_square_aw(width: int) -> ExchangeMatrix:

@@ -230,24 +230,9 @@ def polygon_of(doc: PolygonDocument, tolerance: Optional[float] = None) -> Polyg
 # canonical JSON
 
 def _payload(doc) -> Dict[str, Any]:
-    if isinstance(doc, FriezeDocument):
+    if isinstance(doc, (FriezeDocument, SLDocument)):
         out = {
-            "kind": "frieze",
-            "width": doc.width,
-            "period": doc.period,
-            "scalar": doc.scalar,
-            "entries": {
-                f"{I},{J}": _encode_value(doc.scalar, v)
-                for (I, J), v in doc.entries.items()
-            },
-        }
-        if doc.provenance is not None:
-            out["provenance"] = doc.provenance
-        return out
-    if isinstance(doc, SLDocument):
-        return {
-            "kind": "sl-frieze",
-            "order": doc.order,
+            "kind": "sl-frieze" if isinstance(doc, SLDocument) else "frieze",
             "width": doc.width,
             "period": doc.period,
             "scalar": doc.scalar,
@@ -256,6 +241,11 @@ def _payload(doc) -> Dict[str, Any]:
                 for (i, j), v in doc.entries.items()
             },
         }
+        if isinstance(doc, SLDocument):
+            out["order"] = doc.order
+        elif doc.provenance is not None:
+            out["provenance"] = doc.provenance
+        return out
     if isinstance(doc, PolygonDocument):
         return {
             "kind": "polygon",
@@ -280,10 +270,12 @@ def dumps(doc) -> str:
 
 def _parse_key(key: str) -> Tuple[int, int]:
     try:
-        i, j = key.split(",")
-        return int(i), int(j)
+        i, j = map(int, key.split(","))
+        if f"{i},{j}" == key:  # only the spelling `dumps` writes: one key per cell
+            return i, j
     except ValueError:
-        raise FormatError(f"bad entry key {key!r}, expected 'i,j'") from None
+        pass
+    raise FormatError(f"bad entry key {key!r}, expected 'i,j'")
 
 
 def _want(obj: Dict[str, Any], key: str, types) -> Any:
@@ -306,23 +298,19 @@ def _from_payload(obj: Dict[str, Any]):
         except (ValueError, ArithmeticError):
             raise FormatError(f"bad {scalar} value {raw!r} in {where}") from None
 
-    if doc_kind == "frieze":
+    if doc_kind in ("frieze", "sl-frieze"):
         entries = {
             _parse_key(k): val(raw, f"entry {k!r}")
             for k, raw in _want(obj, "entries", dict).items()
         }
-        return FriezeDocument(
-            _want(obj, "width", int),
-            _want(obj, "period", int),
-            scalar,
-            entries,
-            obj.get("provenance"),
-        )
-    if doc_kind == "sl-frieze":
-        entries = {
-            _parse_key(k): val(raw, f"entry {k!r}")
-            for k, raw in _want(obj, "entries", dict).items()
-        }
+        if doc_kind == "frieze":
+            return FriezeDocument(
+                _want(obj, "width", int),
+                _want(obj, "period", int),
+                scalar,
+                entries,
+                obj.get("provenance"),
+            )
         return SLDocument(
             _want(obj, "order", int),
             _want(obj, "width", int),

@@ -196,6 +196,8 @@ class ZigZag:
         the w black values, each list read from row 0 downwards.
         """
         vals = list(values)
+        if width < 1:
+            raise ValueError("zig-zag needs width >= 1")
         if len(vals) != 2 * width:
             raise ValueError(f"expected {2 * width} values, got {len(vals)}")
         whites, blacks = vals[:width], vals[width:]
@@ -302,15 +304,11 @@ class SLFrieze:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SLFrieze):
             return NotImplemented
-        if (
-            self.kind.name != other.kind.name
-            or self.order != other.order
-            or self.width != other.width
-        ):
+        if (self.kind.name, self.order, self.width) != (other.kind.name, other.order, other.width):
             return False
-        return all(
-            self.kind.eq(v, other.get(i, i + o)) for (i, o), v in self.cells()
-        )
+        # both stores hold the whole domain, so they share their keys
+        eq, theirs = self.kind.eq, other._cells
+        return all(eq(v, theirs[key]) for key, v in self._cells.items())
 
     def __repr__(self) -> str:
         return (

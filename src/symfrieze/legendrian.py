@@ -258,18 +258,18 @@ def normalize_lift(
     any vanishing second-neighbor pairing raises DegenerateGamma.  A
     tolerance that `ComplexFloatKind` rejects raises its ValueError first.
     """
-    ComplexFloatKind(tolerance)  # the one check of a tolerance
+    kind = ComplexFloatKind(tolerance)
     n = len(raw)
     if n % 2 == 0:
         raise EvenPeriod(f"period {n} is even")
-    cform = SymplecticForm(form.a, form.variant, COMPLEX)
-    vs = [tuple(COMPLEX.coerce(x) for x in v) for v in raw]
+    cform = SymplecticForm(form.a, form.variant, kind)
+    vs = [tuple(kind.coerce(x) for x in v) for v in raw]
     orths, gammas = zip(*_pairings(cform, vs, 2))
     for t, orth in enumerate(orths):
-        if abs(orth) > tolerance:
+        if not kind.is_zero(orth):
             raise NormalizationViolated(t)
     for t, gamma in enumerate(gammas):
-        if abs(gamma) <= tolerance:
+        if kind.is_zero(gamma):
             raise DegenerateGamma(t)
     # walk t -> t+2 covers every index once; lam_t = A_t * lam_0^(e_t)
     coeff = {0: 1.0 + 0j}

@@ -77,7 +77,21 @@ class Matrix:
         return Matrix._of(self.kind, [[-v for v in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
+        kind = self.kind
+        if kind is not other.kind:
+            raise KindMismatch(f"mixing matrices over {kind.name} and {other.kind.name}")
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
+        cols, zero = list(zip(*other.rows)), kind.zero()
+        out = []
+        for row in self.rows:
+            out.append([])
+            for col in cols:
+                acc = zero
+                for x, y in zip(row, col):
+                    acc = acc + x * y
+                out[-1].append(acc)
+        return Matrix._of(kind, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -94,35 +108,9 @@ class Matrix:
             self.kind, [[self.rows[i][j] for j in col_idx] for i in row_idx]
         )
 
-    def _check_kind(self, other: "Matrix") -> None:
-        if self.kind is not other.kind:
-            raise KindMismatch(
-                f"mixing matrices over {self.kind.name} and {other.kind.name}"
-            )
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"Matrix({self.kind.name}, [{body}])"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    a._check_kind(b)
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    bt = list(zip(*b.rows))
-    out = []
-    for row in a.rows:
-        out.append(
-            [_dot(a.kind, row, col) for col in bt]
-        )
-    return Matrix._of(a.kind, out)
-
-
-def _dot(kind: ScalarKind, u: Sequence[Any], v: Sequence[Any]) -> Any:
-    acc = kind.zero()
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc
 
 
 def det(m: Matrix) -> Any:

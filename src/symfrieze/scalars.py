@@ -125,8 +125,8 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        im = self.im
-        return f"{self.re}{'+' if im >= 0 else '-'}{abs(im)}i"
+        x, y, d = self._x, self._y, self._d
+        return f"{_ratio(x, d)}{'-' if y < 0 else '+'}{_ratio(abs(y), d)}i"
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -138,6 +138,12 @@ class GaussianRational:
                 im = -im
             return cls(Fraction(m.group("re")), im)
         return cls(Fraction(text.strip()))
+
+
+def _ratio(p: int, q: int) -> str:
+    # p/q (q > 0) in lowest terms, printed as Fraction prints it
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _reject_float(value: Any) -> None:

@@ -375,6 +375,9 @@ def test_exit_codes(width1_int):
 
     rc, _, _ = run(["frieze", "from-zigzag", "--values", "1,1", "--width", "7"])
     assert rc == 2
+    for width in ("-1", "0"):
+        rc, out, err = run(["frieze", "from-zigzag", "--values", "1,1", "--width", width])
+        assert (rc, out, err) == (2, "", "error: zig-zag needs width >= 1\n")
 
     for path, vertex in (("5", 5), ("-1", -1), ("0,2", 2)):
         rc, out, err = run(["cluster", "evaluate", "--point", "1,1", "--path", path])
@@ -467,6 +470,14 @@ MALFORMED = [
      2, "error: missing field 'width'"),
     ("json-bad-entry-key", "frieze verify", "frieze", lambda d: d["entries"].update(x="1"),
      2, "error: bad entry key 'x', expected 'i,j'"),
+    *(
+        (f"json-entry-key-{name}", "frieze verify", "frieze",
+         lambda d, key=key: d["entries"].update({key: "1"}),
+         2, f"error: bad entry key {key!r}, expected 'i,j'")
+        # each spelling int() reads as cell (0, 0), which the document already holds
+        for name, key in (("zero-padded", "00,0"), ("plus-sign", "+0,0"), ("leading-space", " 0,0"),
+                          ("inner-space", "0, 0"), ("underscore", "0_0,0"))
+    ),
     ("json-list-value", "frieze verify", "frieze", lambda d: d["entries"].update({"0,0": [1, 2]}),
      2, "error: bad rational value [1, 2] in entry '0,0'"),
     ("json-pair-beyond-float", "sl gale", "sl",

@@ -168,6 +168,11 @@ def test_quiver_mutation_matches_matrix_mutation():
         k = rng.randrange(base.m)
         assert mutate_matrix(base, k).rows == naive_quiver_mutate(base, k)
         seen.append(mutate_matrix(base, k))
+    for _ in range(60):
+        rows, _ = _random_symmetrizable(rng, rng.randint(2, 8))
+        base = ExchangeMatrix(rows)
+        for k in range(base.m):
+            assert mutate_matrix(base, k).rows == naive_quiver_mutate(base, k)
 
 
 def test_quiver_mutation_needs_a_symmetrizer():
@@ -196,6 +201,7 @@ def test_one_sided_mutation_reverses_arrows():
 
 def test_ring_identities():
     assert (X1 + X2) * (X1 - X2) == X1 * X1 - X2 * X2
+    assert 1 - X1 == ONE - X1 == LaurentPolynomial(2, {(0, 0): 1, (1, 0): -1})
     assert (X1 * X2**2) / X2 == X1 * X2
     assert (ROW_F2 * ROW_F4 * ROW_F3) / ROW_F3 == ROW_F2 * ROW_F4
     assert X1 ** (-2) == ONE / X1**2
@@ -229,6 +235,7 @@ def test_arithmetic_agrees_with_evaluation():
         assert (p * q).evaluate(point) == pv * qv
         assert (p + q).evaluate(point) == pv + qv
         assert (p - q).evaluate(point) == pv - qv
+        assert (1 - p).evaluate(point) == 1 - pv
         assert (p * q) / q == p
         assert ((p * q) / q).evaluate(point) == pv
 

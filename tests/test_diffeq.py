@@ -33,7 +33,7 @@ from symfrieze.frieze import (
     propagate_from_zigzag,
     translate,
 )
-from symfrieze.linalg import Matrix, det, mat_mul
+from symfrieze.linalg import Matrix, det
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 
 
@@ -83,7 +83,7 @@ def test_companion_pushes_window(eq2):
     rng = [Fraction(3), Fraction(-1), Fraction(2), Fraction(5)]
     row = Matrix(RATIONAL, [rng])
     nxt = solve(eq2, rng, 4, 1)[0]
-    pushed = mat_mul(row, companion(eq2, 4))
+    pushed = row * companion(eq2, 4)
     assert pushed.rows[0] == (rng[1], rng[2], rng[3], nxt)
 
 
@@ -100,7 +100,7 @@ def test_monodromy_is_minus_identity(eq2):
 
 def test_monodromy_moves_blocks(eq2, width2_int):
     blk = black_block(width2_int, 0, 0)
-    assert mat_mul(blk, monodromy(eq2)) == black_block(width2_int, 0, 7)
+    assert blk * monodromy(eq2) == black_block(width2_int, 0, 7)
 
 
 def test_band_determinants_reproduce_entries(eq2, width2_int):

@@ -364,6 +364,10 @@ def test_zigzag_float_drift_does_not_close(seed, width):
 def test_zigzag_wrong_count():
     with pytest.raises(ValueError):
         propagate_from_zigzag((1, 1, 1), 2)
+    # the width is checked before the count
+    for width in (-1, 0):
+        with pytest.raises(ValueError, match=r"^zig-zag needs width >= 1$"):
+            ZigZag.straight((1, 1), width)
 
 
 def test_every_zigzag_shape_rebuilds_the_grid(width2_int, width3_int):

@@ -277,6 +277,17 @@ def test_normalize_rejections(poly2):
         normalize_lift(raw, poly2.form, base=poly2.base)
 
 
+def test_normalize_keeps_the_tolerance(poly2):
+    # a 1e-7 error is out of reach of the default 1e-9 but within 1e-5
+    raw = [[complex(x) for x in v] for v in poly2.vertices]
+    raw[1][0] += 1e-7
+    pn = normalize_lift(raw, poly2.form, tolerance=1e-5, base=poly2.base)
+    assert pn.form.kind.tolerance == 1e-5
+    assert frieze_from_polygon(pn).width == 2
+    with pytest.raises(NormalizationViolated):
+        normalize_lift(raw, poly2.form, base=poly2.base)
+
+
 def test_normalize_error_order(poly2):
     raw = [tuple(complex(x) for x in v) for v in poly2.vertices]
     # V_2 = 0 makes the second-neighbor pairing at t = 0 vanish
