@@ -20,12 +20,10 @@ from .cluster import (
     initial_seed,
     mutate_matrix,
     mutate_seed,
-    zigzag_quiver,
 )
 from .diffeq import (
     SymmetricDiffEq,
     band_determinant,
-    companion,
     is_superperiodic,
     monodromy,
     solve,
@@ -110,7 +108,6 @@ __all__ = [
     "check_periodicity",
     "check_tame",
     "coeffs_of",
-    "companion",
     "dihedral_images",
     "dihedral_orbits",
     "document_of",
@@ -144,5 +141,4 @@ __all__ = [
     "translate",
     "variety_residuals",
     "white_band_determinant",
-    "zigzag_quiver",
 ]

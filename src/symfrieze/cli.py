@@ -391,7 +391,7 @@ _COMMANDS = {
     "eq": ("symmetric difference equations", {
         "check": (_cmd_eq_check, "test superperiodicity", _COEFFS),
         "monodromy": (_cmd_eq_monodromy,
-                      "print the period-length product of companion matrices", _COEFFS),
+                      "print the period-length product of one-step transfer matrices", _COEFFS),
         "variety": (_cmd_eq_variety,
                     "evaluate the defining residuals of the coefficient variety", _COEFFS),
     }),
@@ -407,7 +407,7 @@ _COMMANDS = {
         "mutate": (_cmd_cluster_mutate, "apply a mutation word to the initial seed", (
             _WIDTH, _arg("--word", required=True, help="comma-separated vertex indices, 0-based"))),
         "formal": (_cmd_cluster_formal, "the frieze with formal seed entries",
-                   (_WIDTH, _arg("--out", default=None))),
+                   (_WIDTH, _WRITER)),
         "evaluate": (_cmd_cluster_evaluate, "specialize seed values into a frieze", (
             _arg("--point", required=True, help="2*width values for the seed columns"),
             _arg("--path", default="", help="mutation word locating the seed, 0-based"),
@@ -428,8 +428,7 @@ _COMMANDS = {
             _WIDTH, _arg("--bound", type=int, required=True),
             _arg("--dedup", choices=search.DEDUP_MODES, default="none"))),
         "orbits": (_cmd_search_orbits, "group frieze documents into dihedral orbits", (
-            _arg("inputs", nargs="+", help="frieze document files"),
-            _arg("--tolerance", type=float, default=None))),
+            _arg("inputs", nargs="+", help="frieze document files"), _add_tolerance)),
     }),
 }
 

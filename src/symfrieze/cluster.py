@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .frieze import FriezeError, FriezeGrid, ZigZag, _west_steps, propagate_from_zigzag
+from .frieze import FriezeError, FriezeGrid, propagate_from_zigzag
 from .scalars import RATIONAL, ScalarKind
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "mutate_seed",
     "belt_step",
     "formal_frieze",
-    "zigzag_quiver",
     "evaluate_frieze",
 ]
 
@@ -121,6 +120,9 @@ class LaurentPolynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
+        one = (0,) * self.nvars
+        if self.terms.keys() <= {one}:  # a constant hashes like the int it equals
+            return hash(self.terms.get(one, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "LaurentPolynomial":
@@ -398,9 +400,6 @@ class ExchangeMatrix:
         """Positive diagonal d with d[i]*b[i][j] == -d[j]*b[j][i]."""
         return self._symmetrizer
 
-    def opposite(self) -> "ExchangeMatrix":
-        return ExchangeMatrix(tuple(tuple(-v for v in row) for row in self.rows))
-
 
 def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at vertex k (0-based)."""
@@ -537,35 +536,6 @@ def formal_frieze(width: int) -> FriezeGrid:
     nvars = 2 * width
     gens = [LaurentPolynomial.variable(nvars, i) for i in range(nvars)]
     return propagate_from_zigzag(gens, width, LaurentKind(nvars))
-
-
-def zigzag_quiver(shape: Union[ZigZag, Sequence[int]]) -> ExchangeMatrix:
-    """Valued quiver attached to a double zig-zag shape, as the exchange
-    matrix that is that quiver.
-
-    Accepts a ZigZag or its tuple of west columns.  Straightening the
-    shape westwards exchanges one zig-zag cell per step, which mutates
-    the quiver at that cell's vertex; replaying the recorded mutations
-    from the straight quiver yields the answer.
-    """
-    if isinstance(shape, ZigZag):
-        cols = list(shape.shape)
-    else:
-        cols = [int(c) for c in shape]
-    w = len(cols)
-    if w < 1:
-        raise ValueError("empty shape")
-    for o in range(1, w):
-        if abs(cols[o] - cols[o - 1]) > 1:
-            raise ValueError(f"rows {o - 1} and {o} are not linked")
-    # each west step vacates the east cell at column col + 1, white when col + 1 - o is odd
-    moves = [o if (col + 1 - o) % 2 else w + o for o, col in _west_steps(cols)]
-    base = c2_square_aw(w)
-    if cols[0] % 2 == 0:
-        base = base.opposite()
-    for k in reversed(moves):
-        base = mutate_matrix(base, k)
-    return base
 
 
 def evaluate_frieze(point: Sequence, path: Sequence[int] = (), kind: ScalarKind = RATIONAL) -> FriezeGrid:

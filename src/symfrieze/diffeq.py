@@ -105,29 +105,9 @@ def is_superperiodic(eq: SymmetricDiffEq) -> bool:
     return monodromy(eq) == -Matrix.identity(eq.kind, 4)
 
 
-def companion(eq: SymmetricDiffEq, j: int) -> Matrix:
-    """Transfer matrix E_j pushing a solution window one step right.
-
-    A row vector (V[j-4], V[j-3], V[j-2], V[j-1]) times E_j yields
-    (V[j-3], V[j-2], V[j-1], V[j]), so the last column carries the
-    recurrence coefficients (-1, a[j-1], -b[j], a[j]) and the rest is a
-    shift.  Determinant one.
-    """
-    k = eq.kind
-    z, o = k.zero(), k.one()
-    return Matrix._of(
-        k,
-        [
-            [z, z, z, -o],
-            [o, z, z, eq.a_at(j - 1)],
-            [z, o, z, -eq.b_at(j)],
-            [z, z, o, eq.a_at(j)],
-        ],
-    )
-
-
 def monodromy(eq: SymmetricDiffEq) -> Matrix:
-    """Ordered product E_1 E_2 ... E_n, from one run per unit window.
+    """Ordered product E_1 E_2 ... E_n, from one run per unit window;
+    E_j takes a row window (V[j-4], ..., V[j-1]) to (V[j-3], ..., V[j]).
 
     Row t is e_t E_1 ... E_n: the window (V[n-3], ..., V[n]) reached
     from the t-th unit window (V[-3], ..., V[0]) after one period.

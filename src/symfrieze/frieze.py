@@ -189,8 +189,8 @@ class ZigZag:
                 raise ValueError(f"rows {o - 1} and {o} are not linked")
 
     @classmethod
-    def straight(cls, values: Sequence, width: int, start_col: int = 1) -> "ZigZag":
-        """Two-column shape at columns (start_col, start_col + 1).
+    def straight(cls, values: Sequence, width: int) -> "ZigZag":
+        """Two-column shape at columns (1, 2), white cell west on even rows.
 
         `values` come in cluster order: the w white values first, then
         the w black values, each list read from row 0 downwards.
@@ -203,13 +203,8 @@ class ZigZag:
         whites, blacks = vals[:width], vals[width:]
         entries = []
         for o in range(width):
-            c = start_col
-            if (c - o) % 2 != 0:  # white cell west
-                pair = ((c, whites[o]), (c + 1, blacks[o]))
-            else:
-                pair = ((c, blacks[o]), (c + 1, whites[o]))
-            for x, v in pair:
-                entries.append((GridIndex(x - o, x + o), v))
+            pair = (whites[o], blacks[o]) if o % 2 == 0 else (blacks[o], whites[o])
+            entries += [(GridIndex(x - o, x + o), v) for x, v in zip((1, 2), pair)]
         return cls(width, tuple(entries))
 
     @property
@@ -624,7 +619,7 @@ def check_tame(grid: FriezeGrid) -> TameResult:
     row of such a grid solves the one order-4 recurrence in its column
     index, so five adjacent columns are dependent and every 5x5 minor
     vanishes.  Moving a 4x4 window one column multiplies it by a
-    companion matrix of determinant one, so the 4x4 minors are
+    transfer matrix of determinant one, so the 4x4 minors are
     constant, and the window whose diagonal runs along the boundary row
     of ones above guard zeros is unitriangular.  The equation is
     symmetric, hence self-dual, and that makes each 3x3 minor its
@@ -793,18 +788,16 @@ def translate(grid: FriezeGrid, t: int) -> FriezeGrid:
     return grid._remap(lambda I, J: (I - 2 * t, J - 2 * t))
 
 
-def mirror_grid(grid: FriezeGrid, axis: int = 0) -> FriezeGrid:
-    """Reflect columns through x = axis; rows stay put."""
-    return grid._remap(lambda I, J: (2 * axis - J, 2 * axis - I))
+def mirror_grid(grid: FriezeGrid) -> FriezeGrid:
+    """Reflect columns through x = 0, rows kept; translate by a to reflect through x = a."""
+    return grid._remap(lambda I, J: (-J, -I))
 
 
 def dihedral_images(grid: FriezeGrid) -> Iterator[FriezeGrid]:
     """All 2n translated and reflected copies of the grid."""
-    for t in range(grid.period):
-        yield translate(grid, t)
-    flipped = mirror_grid(grid, 0)
-    for t in range(grid.period):
-        yield translate(flipped, t)
+    for base in (grid, mirror_grid(grid)):
+        for t in range(grid.period):
+            yield translate(base, t)
 
 
 def black_block(grid: FriezeGrid, i: int, j: int):

@@ -12,6 +12,7 @@ computation.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Protocol
@@ -44,6 +45,7 @@ _GAUSSIAN_TEXT = re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
     r"(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)i\s*$"
 )
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 _set = object.__setattr__  # fills the slots of an immutable value
 
 
@@ -137,7 +139,17 @@ class GaussianRational:
             if m.group("sign") == "-":
                 im = -im
             return cls(Fraction(m.group("re")), im)
-        return cls(Fraction(text.strip()))
+        return cls(_fraction(text))
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing exponent text whose mantissa digits plus
+    |exponent| pass the int digit limit (0 for none) before Fraction
+    spends seconds on 10**exponent."""
+    m, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if m and limit and sum(map(str.isdigit, text[: m.start()])) + abs(int(m.group(1))) > limit:
+        raise ValueError(f"{text.strip()!r} would exceed {limit} digits")
+    return Fraction(text)
 
 
 def _ratio(p: int, q: int) -> str:
@@ -170,7 +182,7 @@ class RationalKind:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _fraction(value)
         _reject_float(value)
         raise KindMismatch(f"cannot interpret {value!r} as a rational")
 
@@ -196,9 +208,6 @@ class GaussianKind:
 
     def from_int(self, n: int) -> GaussianRational:
         return GaussianRational(n)
-
-    def i(self) -> GaussianRational:
-        return GaussianRational._of(0, 1, 1)
 
     def coerce(self, value: Any) -> GaussianRational:
         if isinstance(value, GaussianRational):

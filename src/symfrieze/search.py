@@ -123,7 +123,7 @@ def _image_keys(cols: Sequence[Tuple], mirrors: bool) -> Iterator[Tuple]:
     """Keys of the images of the grid with display columns `cols`.
 
     The key of translate(g, t) flattens cols[(x - 2t) mod 2n]; with
-    `mirrors`, the key of translate(mirror_grid(g, 0), t) flattens
+    `mirrors`, the key of translate(mirror_grid(g), t) flattens
     cols[(2t - x) mod 2n], the same rotation of the list cols[-x].
     """
     n2 = len(cols)

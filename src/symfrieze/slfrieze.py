@@ -43,7 +43,6 @@ __all__ = [
     "symplectic_of",
     "projective_dual",
     "gale_dual",
-    "sl_translate",
     "check_middle_symmetry",
     "check_unimodular",
 ]
@@ -150,12 +149,6 @@ def gale_dual(f: SLFrieze) -> SLFrieze:
     one = f.kind.one()
     cells = _store(n, k, lambda i, j: table[j - i][j % n] if 0 <= j - i < k else one)
     return SLFrieze._of(f.kind, f.width, k, cells)
-
-
-def sl_translate(f: SLFrieze, t: int) -> SLFrieze:
-    """Copy of f slid t steps along its rows."""
-    cells = _store(f.period, f.width, lambda i, j: f.get(i - t, j - t))
-    return SLFrieze._of(f.kind, f.order, f.width, cells)
 
 
 def check_middle_symmetry(f: SLFrieze) -> bool:

@@ -6,9 +6,9 @@ oracle builds its grids and symmetry images with the general `frieze`
 routines, the slow path that the search avoids.  The minor oracles
 expand every adjacent window by cofactors and compare with `==`, so
 they serve exact kinds only.  The monodromy oracles multiply companion
-matrices and step the order-4 equation written out by hand, so they
-serve every kind; complex floats agree with the package only up to
-rounding.  The local-rule oracle reads every window of the rows -2..w+1
+matrices written out here as plain rows, and step the order-4 equation
+by hand, so they serve every kind; complex floats agree with the package
+only up to rounding.  The local-rule oracle reads every window of the rows -2..w+1
 through `get` and compares with the kind's `eq`, so it serves every kind.
 The complement oracle builds the complementary determinant by hand; the
 polygon oracle pairs the two vertices of every cell by a form matrix
@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from symfrieze.diffeq import companion
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
@@ -393,11 +392,24 @@ def mul4(a, b):
     ]
 
 
+def naive_companion(eq, j):
+    """Companion matrix E_j as plain rows: a row window (V[j-4], ..., V[j-1])
+    times E_j is (V[j-3], ..., V[j]).  The last column carries the
+    coefficients (-1, a[j-1], -b[j], a[j]); the rest is a shift."""
+    z, o = eq.kind.zero(), eq.kind.one()
+    return [
+        [z, z, z, -o],
+        [o, z, z, eq.a_at(j - 1)],
+        [z, o, z, -eq.b_at(j)],
+        [z, z, o, eq.a_at(j)],
+    ]
+
+
 def naive_monodromy(eq):
     """Ordered product E_1 E_2 ... E_n of the companion matrices."""
-    m = companion(eq, 1).rows
+    m = naive_companion(eq, 1)
     for j in range(2, eq.n + 1):
-        m = mul4(m, companion(eq, j).rows)
+        m = mul4(m, naive_companion(eq, j))
     return m
 
 

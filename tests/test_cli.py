@@ -387,6 +387,10 @@ def test_exit_codes(width1_int):
     rc, out, err = run(["frieze", "from-coeffs", "--a", "6,3,x,3,4,2,1", "--b", "3,14,1,2,6,5,1"])
     assert (rc, out, err) == (2, "", "error: cannot parse 'x' as a rational value\n")
 
+    # an exponent past the int digit limit is refused before any output
+    rc, out, err = run(["eq", "monodromy", "--a", "1e5000,1,1,1,1,1", "--b", "1,1,1,1,1,1"])
+    assert (rc, out, err) == (2, "", "error: cannot parse '1e5000' as a rational value\n")
+
     rc, out, err = run(["cluster", "mutate", "--width", "1", "--word", "0,a"])
     assert (rc, out, err) == (2, "", "error: --word must be comma-separated integers\n")
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -56,6 +58,24 @@ def test_gaussian_str_parse_round_trip():
     for v in (G(1, 2), G(-1, -2), G(Fraction(1, 2), Fraction(-3, 4)), G(5), G(0, 1)):
         assert GaussianRational.parse(str(v)) == v
     assert GaussianRational.parse("7/2") == G(Fraction(7, 2))
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN], ids=lambda k: k.name)
+def test_exponent_text_past_the_digit_limit_is_refused_at_once(kind):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        assert kind.coerce("1e400") == kind.coerce(10**400)
+        assert kind.coerce("1e4299") == kind.coerce(10**4299)
+        for text in ("1e99999999", "-2.5E+99999999", " 1e-99999999 ", "1e4300", "12e4299"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="digits"):
+                kind.coerce(text)
+            assert time.perf_counter() - start < 0.1
+        sys.set_int_max_str_digits(0)  # no limit
+        assert kind.coerce("1e4300") == kind.coerce(10**4300)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _gaussian_samples(rng):
@@ -137,7 +157,7 @@ def test_gaussian_kind():
     assert GAUSSIAN.name == "gaussian"
     assert GAUSSIAN.coerce(3) == G(3)
     assert GAUSSIAN.coerce(Fraction(1, 2)) == G(Fraction(1, 2))
-    assert GAUSSIAN.i() * GAUSSIAN.i() == G(-1)
+    assert GAUSSIAN.coerce("0+1i") == G(0, 1)
     assert GAUSSIAN.is_zero(G(0))
     with pytest.raises(KindMismatch):
         GAUSSIAN.coerce(1.5)

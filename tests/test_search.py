@@ -126,18 +126,18 @@ def _same_classes(got, want, grids):
 def test_orbits_match_naive_oracle(width1_int, width2_int, width3_int):
     rational = propagate_from_zigzag([Fraction(1, 2), 2, 3, Fraction(5, 3)], 2)
     samples = [
-        [width1_int, translate(width1_int, 1), mirror_grid(width1_int, 2)]
+        [width1_int, translate(width1_int, 1), translate(mirror_grid(width1_int), 2)]
         + enumerate_friezes(SearchConfig(1, 5)),
         [
             rational,
             width2_int,
             mirror_grid(width2_int),
             translate(rational, 3),
-            translate(mirror_grid(rational, 1), 2),
+            translate(mirror_grid(rational), 3),
             translate(width2_int, 5),
         ]
         + enumerate_friezes(SearchConfig(2, 6, "dihedral")),
-        [mirror_grid(width3_int, 3), width3_int, translate(width3_int, 2)],
+        [translate(mirror_grid(width3_int), 3), width3_int, translate(width3_int, 2)],
     ]
     for grids in samples:
         _same_classes(dihedral_orbits(grids), naive_orbits(grids), grids)
