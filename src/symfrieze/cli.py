@@ -128,7 +128,7 @@ def _load(args, doc_type, path: Optional[str] = None, to_object=None):
     if not isinstance(doc, doc_type):
         prefix = "" if path is None else f"{path}: "
         raise formats.FormatError(f"{prefix}expected {name}")
-    return (to_object or convert)(doc, args.tolerance)
+    return (to_object or convert)(doc, getattr(args, "tolerance", None))
 
 
 def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
@@ -428,7 +428,7 @@ _COMMANDS = {
             _WIDTH, _arg("--bound", type=int, required=True),
             _arg("--dedup", choices=search.DEDUP_MODES, default="none"))),
         "orbits": (_cmd_search_orbits, "group frieze documents into dihedral orbits", (
-            _arg("inputs", nargs="+", help="frieze document files"), _add_tolerance)),
+            _arg("inputs", nargs="+", help="frieze document files"),)),
     }),
 }
 

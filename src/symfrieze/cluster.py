@@ -10,13 +10,12 @@ i -> j carries the weights (b[i][j], -b[j][i]) wherever b[i][j] > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .frieze import FriezeError, FriezeGrid, propagate_from_zigzag
-from .scalars import RATIONAL, ScalarKind
+from .scalars import RATIONAL, ScalarKind, _Frozen
 
 __all__ = [
     "NonLaurentQuotient",
@@ -290,11 +289,13 @@ class LaurentPolynomial:
         return f"<laurent {self}>"
 
 
-@dataclass(frozen=True)
-class LaurentKind:
+class LaurentKind(_Frozen):
     """Scalar kind whose elements are integer Laurent polynomials."""
 
-    nvars: int
+    __slots__ = _fields = ("nvars",)
+
+    def __init__(self, nvars: int):
+        super().__init__(nvars)
 
     @property
     def name(self) -> str:
@@ -369,18 +370,18 @@ def _find_symmetrizer(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     return tuple(d)
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(_Frozen):
     """Square integer matrix admitting a positive integer symmetrizer.
 
     The symmetrizer is computed on construction; matrices without one
     are rejected with NotSkewSymmetrizable.
     """
 
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rows", "_symmetrizer")
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(v for v in row) for row in self.rows)
+    def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
+        rows = tuple(tuple(v for v in row) for row in rows)
         m = len(rows)
         for row in rows:
             if len(row) != m:
@@ -388,7 +389,7 @@ class ExchangeMatrix:
             for v in row:
                 if not isinstance(v, int):
                     raise TypeError("entries must be integers")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
         object.__setattr__(self, "_symmetrizer", _find_symmetrizer(rows))
 
     @property
@@ -441,21 +442,19 @@ def c2_square_aw(width: int) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(tuple(row) for row in g))
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Frozen):
     """An ordered cluster of Laurent polynomials with its matrix."""
 
-    cluster: Tuple[LaurentPolynomial, ...]
-    matrix: ExchangeMatrix
+    __slots__ = _fields = ("cluster", "matrix")
 
-    def __post_init__(self):
-        cluster = tuple(self.cluster)
-        object.__setattr__(self, "cluster", cluster)
-        if len(cluster) != self.matrix.m:
+    def __init__(self, cluster: Tuple[LaurentPolynomial, ...], matrix: ExchangeMatrix):
+        cluster = tuple(cluster)
+        if len(cluster) != matrix.m:
             raise ValueError("cluster size does not match the matrix")
         counts = {u.nvars for u in cluster}
         if len(counts) > 1:
             raise ValueError("cluster mixes variable counts")
+        super().__init__(cluster, matrix)
 
 
 def initial_seed(width: int) -> Seed:

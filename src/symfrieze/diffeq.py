@@ -14,28 +14,23 @@ re-exports those three.  `_coeff_table` coerces and checks a caller's table;
 `entry_det_band` does.  `white_band_determinant` is the one other builder.
 """
 
-from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, det
-from .scalars import RATIONAL, ScalarKind
+from .scalars import RATIONAL, ScalarKind, _Frozen
 
 
-@dataclass(frozen=True)
-class SymmetricDiffEq:
+class SymmetricDiffEq(_Frozen):
     """One period of coefficients; access is n-periodic via a_at/b_at."""
 
-    a: Tuple
-    b: Tuple
-    kind: ScalarKind = field(default=RATIONAL)
+    __slots__ = _fields = ("a", "b", "kind")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __init__(self, a: Tuple, b: Tuple, kind: ScalarKind = RATIONAL):
+        if len(a) != len(b):
             raise ValueError("coefficient lists must share one period")
-        if len(self.a) < 5:
+        if len(a) < 5:
             raise ValueError("period must be at least 5")
-        object.__setattr__(self, "a", tuple(self.kind.coerce(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(self.kind.coerce(v) for v in self.b))
+        super().__init__(tuple(kind.coerce(v) for v in a), tuple(kind.coerce(v) for v in b), kind)
 
     @property
     def n(self) -> int:

@@ -19,12 +19,11 @@ without the replay and decides the relations with tameness (`grid_of`).
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from .frieze import FriezeError, FriezeGrid, GridIndex, check_local_rules
 from .legendrian import Polygon, SymplecticForm
-from .scalars import SCALAR_NAMES, ScalarKind, kind_by_name
+from .scalars import SCALAR_NAMES, ScalarKind, _Frozen, kind_by_name
 from .slfrieze import SLFrieze
 
 __all__ = [
@@ -105,38 +104,34 @@ def _check_scalar(name) -> str:
 # ---------------------------------------------------------------------------
 # document types
 
-@dataclass(frozen=True)
-class FriezeDocument:
+class FriezeDocument(_Frozen):
     """A frieze over one fundamental domain, keyed by doubled indices."""
 
-    width: int
-    period: int
-    scalar: str
-    entries: Dict[Tuple[int, int], Any]
-    provenance: Optional[Dict[str, Any]] = None
+    __slots__ = _fields = ("width", "period", "scalar", "entries", "provenance")
+
+    def __init__(self, width: int, period: int, scalar: str, entries: Dict[Tuple[int, int], Any],
+                 provenance: Optional[Dict[str, Any]] = None):
+        super().__init__(width, period, scalar, entries, provenance)
 
 
-@dataclass(frozen=True)
-class SLDocument:
+class SLDocument(_Frozen):
     """A linear frieze band keyed by (first index, second index)."""
 
-    order: int
-    width: int
-    period: int
-    scalar: str
-    entries: Dict[Tuple[int, int], Any]
+    __slots__ = _fields = ("order", "width", "period", "scalar", "entries")
+
+    def __init__(self, order: int, width: int, period: int, scalar: str,
+                 entries: Dict[Tuple[int, int], Any]):
+        super().__init__(order, width, period, scalar, entries)
 
 
-@dataclass(frozen=True)
-class PolygonDocument:
+class PolygonDocument(_Frozen):
     """One period of an antiperiodic vertex sequence with its pairing."""
 
-    period: int
-    base: int
-    scalar: str
-    form_variant: str
-    form_a: Any
-    vertices: Tuple[Tuple[Any, Any, Any, Any], ...]
+    __slots__ = _fields = ("period", "base", "scalar", "form_variant", "form_a", "vertices")
+
+    def __init__(self, period: int, base: int, scalar: str, form_variant: str, form_a: Any,
+                 vertices: Tuple[Tuple[Any, Any, Any, Any], ...]):
+        super().__init__(period, base, scalar, form_variant, form_a, vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,12 @@ which only this module calls: the grid maps write the two band stores
 (`_store`, `FriezeGrid._remap`) and the symmetry tests read them.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .diffeq import SymmetricDiffEq, _band_det, _coeff_table, _recur, _table
 from .linalg import Matrix, det
-from .scalars import RATIONAL, ScalarKind
+from .scalars import RATIONAL, ScalarKind, _Frozen
 
 
 class FriezeError(ValueError):
@@ -73,20 +72,19 @@ class UnsupportedWidth(FriezeError):
     """Operation is only implemented for a restricted set of widths."""
 
 
-@dataclass(frozen=True)
-class GridIndex:
+class GridIndex(_Frozen):
     """A lattice point in doubled coordinates.
 
     Black cells have I, J both even and stand for d[I/2, J/2]; white
     cells have both odd and stand for d[(I-1)/2 + 1/2, (J-1)/2 + 1/2].
     """
 
-    I: int
-    J: int
+    __slots__ = _fields = ("I", "J")
 
-    def __post_init__(self):
-        if (self.I - self.J) % 2 != 0:
-            raise ValueError(f"mixed parity index ({self.I}, {self.J})")
+    def __init__(self, I: int, J: int):
+        if (I - J) % 2 != 0:
+            raise ValueError(f"mixed parity index ({I}, {J})")
+        super().__init__(I, J)
 
     @property
     def x(self) -> int:
@@ -106,21 +104,20 @@ class GridIndex:
         return f"d[{self.I // 2}+1/2,{self.J // 2}+1/2]"
 
 
-@dataclass(frozen=True)
-class MinorWindow:
+class MinorWindow(_Frozen):
     """One adjacent minor of the black subgrid, with its test value."""
 
-    size: int
-    i: int
-    j: int
-    value: object
-    expected: object
+    __slots__ = _fields = ("size", "i", "j", "value", "expected")
+
+    def __init__(self, size: int, i: int, j: int, value: object, expected: object):
+        super().__init__(size, i, j, value, expected)
 
 
-@dataclass(frozen=True)
-class TameResult:
-    ok: bool
-    window: Optional[MinorWindow] = None
+class TameResult(_Frozen):
+    __slots__ = _fields = ("ok", "window")
+
+    def __init__(self, ok: bool, window: Optional[MinorWindow] = None):
+        super().__init__(ok, window)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -160,8 +157,7 @@ def check_minors(kind: ScalarKind, get, period: int, conditions) -> TameResult:
     return TameResult(True, None)
 
 
-@dataclass(frozen=True)
-class ZigZag:
+class ZigZag(_Frozen):
     """A double zig-zag: one white and one black cell per interior row.
 
     `entries` lists (position, value) pairs row by row from o = 0 to
@@ -170,23 +166,23 @@ class ZigZag:
     column, which is exactly the six local configurations.
     """
 
-    width: int
-    entries: Tuple[Tuple[GridIndex, object], ...]
+    __slots__ = _fields = ("width", "entries")
 
-    def __post_init__(self):
-        w = self.width
+    def __init__(self, width: int, entries: Tuple[Tuple[GridIndex, object], ...]):
+        w = width
         if w < 1:
             raise ValueError("zig-zag needs width >= 1")
-        if len(self.entries) != 2 * w:
-            raise ValueError(f"expected {2 * w} cells, got {len(self.entries)}")
+        if len(entries) != 2 * w:
+            raise ValueError(f"expected {2 * w} cells, got {len(entries)}")
         for o in range(w):
-            west, east = self.entries[2 * o][0], self.entries[2 * o + 1][0]
+            west, east = entries[2 * o][0], entries[2 * o + 1][0]
             if west.offset != o or east.offset != o:
                 raise ValueError(f"row {o} cells carry wrong offsets")
             if east.x != west.x + 1:
                 raise ValueError(f"row {o} cells are not adjacent")
-            if o and abs(west.x - self.entries[2 * (o - 1)][0].x) > 1:
+            if o and abs(west.x - entries[2 * (o - 1)][0].x) > 1:
                 raise ValueError(f"rows {o - 1} and {o} are not linked")
+        super().__init__(width, entries)
 
     @classmethod
     def straight(cls, values: Sequence, width: int) -> "ZigZag":

@@ -8,10 +8,9 @@ frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 """
 
 import cmath
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind
+from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind, _Frozen
 from .linalg import Matrix, SingularMatrix, det, solve_linear
 from .frieze import FriezeError, FriezeGrid, SLFrieze, black_block
 
@@ -60,29 +59,27 @@ class SingularFrame(FriezeError):
         super().__init__(f"frame ending at vertex {index} is singular")
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(_Frozen):
     """A skew pairing on 4-space with one scalar parameter.
 
     variant "standard" and variant "dual" are negative inverses of one
     another; both have determinant 1.
     """
 
-    a: object
-    variant: str = "standard"
-    kind: ScalarKind = RATIONAL
+    __slots__ = ("a", "variant", "kind", "_entries")
+    _fields = ("a", "variant", "kind")
 
-    def __post_init__(self):
-        if self.variant not in ("standard", "dual"):
-            raise ValueError(f"unknown form variant {self.variant!r}")
-        a, one = self.kind.coerce(self.a), self.kind.one()
+    def __init__(self, a: object, variant: str = "standard", kind: ScalarKind = RATIONAL):
+        if variant not in ("standard", "dual"):
+            raise ValueError(f"unknown form variant {variant!r}")
+        a, one = kind.coerce(a), kind.one()
         # the nonzero entries (r, c, F[r][c]) of the form matrix F, row-major
-        if self.variant == "standard":
+        if variant == "standard":
             entries = ((0, 2, one), (0, 3, a), (1, 3, one), (2, 0, -one), (3, 0, -a), (3, 1, -one))
         else:
             entries = ((0, 2, one), (1, 2, -a), (1, 3, one), (2, 0, -one), (2, 1, a), (3, 1, -one))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_entries", entries)  # not a field: no init, repr or compare
+        super().__init__(a, variant, kind)
+        object.__setattr__(self, "_entries", entries)  # not a field: no repr or compare
 
     def matrix(self) -> Matrix:
         """The form matrix F, so that omega(u, v) = u^t F v."""
@@ -108,8 +105,7 @@ def omega(form: SymplecticForm, u: Sequence, v: Sequence):
     return _pair(form, [coerce(x) for x in u], [coerce(x) for x in v])
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(_Frozen):
     """An antiperiodic vertex sequence in 4-space with its pairing form.
 
     `vertices` holds one period starting at absolute index `base`; the
@@ -117,25 +113,18 @@ class Polygon:
     on around.
     """
 
-    period: int
-    base: int
-    vertices: Tuple[Tuple, ...]
-    form: SymplecticForm
+    __slots__ = _fields = ("period", "base", "vertices", "form")
 
-    def __post_init__(self):
-        if self.period < 5:
-            raise ValueError(f"period must be at least 5, got {self.period}")
-        if len(self.vertices) != self.period:
-            raise ValueError(
-                f"need {self.period} vertices, got {len(self.vertices)}"
-            )
-        kind = self.form.kind
-        coerced = tuple(
-            tuple(kind.coerce(x) for x in v) for v in self.vertices
-        )
+    def __init__(self, period: int, base: int, vertices: Tuple[Tuple, ...], form: SymplecticForm):
+        if period < 5:
+            raise ValueError(f"period must be at least 5, got {period}")
+        if len(vertices) != period:
+            raise ValueError(f"need {period} vertices, got {len(vertices)}")
+        kind = form.kind
+        coerced = tuple(tuple(kind.coerce(x) for x in v) for v in vertices)
         if any(len(v) != 4 for v in coerced):
             raise ValueError("vertices must be 4-vectors")
-        object.__setattr__(self, "vertices", coerced)
+        super().__init__(period, base, coerced, form)
 
     @property
     def width(self) -> int:

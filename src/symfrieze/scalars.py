@@ -49,6 +49,46 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 _set = object.__setattr__  # fills the slots of an immutable value
 
 
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its public fields in `_fields`, in order, and fills
+    them through `__init__`; those fields alone give `==` (only within
+    one class), the hash and the repr `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init__(self, *values: Any):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 class GaussianRational:
     """Immutable Gaussian rational re + im*i, each part an int or a Fraction.
 

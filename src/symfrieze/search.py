@@ -23,13 +23,12 @@ follow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .frieze import FriezeGrid
 # bound here for the benchmark tracer, which expects search to bind them
 from .frieze import dihedral_images, propagate_from_zigzag, translate  # noqa: F401
-from .scalars import RATIONAL
+from .scalars import RATIONAL, _Frozen
 
 __all__ = [
     "DEDUP_MODES", "Census", "SearchConfig", "census", "enumerate_friezes", "dihedral_orbits",
@@ -38,8 +37,7 @@ __all__ = [
 DEDUP_MODES = ("none", "translation", "dihedral")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Frozen):
     """Width to search, cap on seed entries, and deduplication mode.
 
     dedup "none" keeps one grid per surviving seed, each anchored at
@@ -47,17 +45,16 @@ class SearchConfig:
     "dihedral" also collapses mirror images.
     """
 
-    width: int
-    bound: int
-    dedup: str = "none"
+    __slots__ = _fields = ("width", "bound", "dedup")
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, width: int, bound: int, dedup: str = "none"):
+        if width < 1:
             raise ValueError("width must be positive")
-        if self.bound < 1:
+        if bound < 1:
             raise ValueError("bound must be positive")
-        if self.dedup not in DEDUP_MODES:
+        if dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}")
+        super().__init__(width, bound, dedup)
 
 
 def _int_columns(col1: List[int], col2: List[int], width: int) -> Optional[List[List[int]]]:
@@ -170,17 +167,17 @@ def enumerate_friezes(config: SearchConfig) -> List[FriezeGrid]:
     ]
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Frozen):
     """Counts of one search.
 
     `count` friezes kept by the dedup mode, in `orbits` dihedral orbits;
     `largest_seed` is the largest seed entry of any survivor, or 0.
     """
 
-    count: int
-    orbits: int
-    largest_seed: int
+    __slots__ = _fields = ("count", "orbits", "largest_seed")
+
+    def __init__(self, count: int, orbits: int, largest_seed: int):
+        super().__init__(count, orbits, largest_seed)
 
 
 def census(config: SearchConfig) -> Census:

@@ -11,9 +11,14 @@ the calls of the `FriezeGrid` constructor inside `frieze`.  Gaussian
 arithmetic and `linalg` build values through the trusted, reducing
 `GaussianRational._of`; only parsing and `GaussianKind` call the checking
 constructor, and only `scalars` and `linalg` read the int fields.
+The value types are plain `__slots__` classes, so importing the CLI
+loads neither `dataclasses` nor the `inspect` module it pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,7 +117,7 @@ BOUNDARY = {
     "formats._decode_value",
     "formats._parse_frieze_text",
     "diffeq._coeff_table",
-    "diffeq.SymmetricDiffEq.__post_init__",
+    "diffeq.SymmetricDiffEq.__init__",
     "diffeq.solve",
     "linalg.Matrix.__init__",
     "linalg.Matrix.scaled",
@@ -122,8 +127,8 @@ BOUNDARY = {
     "frieze.FriezeGrid.with_entry",
     "frieze.propagate_from_zigzag",
     "frieze.extend_through_zero",
-    "legendrian.SymplecticForm.__post_init__",
-    "legendrian.Polygon.__post_init__",
+    "legendrian.SymplecticForm.__init__",
+    "legendrian.Polygon.__init__",
     "legendrian.omega",
     "legendrian.normalize_lift",
     "cluster.LaurentPolynomial.evaluate",
@@ -204,3 +209,26 @@ def test_gaussian_values_are_built_through_the_trusted_path():
     } | {"linalg._det_gaussian"}
     reads = _functions_where(lambda n: getattr(n, "attr", None) in ("_x", "_y", "_d"))
     assert {name.split(".")[0] for name in reads} == {"scalars", "linalg"}
+
+
+def test_no_module_imports_dataclasses():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.stem)
+    assert importers == set()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S skips `site`, whose .pth files may import either module themselves
+    code = "import sys, symfrieze.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

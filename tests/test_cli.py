@@ -565,7 +565,7 @@ VALID = {
     ("polygon", "normalize"): ["doc.json", "--tolerance", "1e-3"],
     ("polygon", "coeffs"): [],
     ("search", "enumerate"): ["--width", "2", "--bound", "9", "--dedup", "dihedral"],
-    ("search", "orbits"): ["a.json", "b.json", "--tolerance", "0.1"],
+    ("search", "orbits"): ["a.json", "b.json"],
 }
 
 

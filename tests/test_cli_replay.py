@@ -162,8 +162,7 @@ def extra_jobs(oracle, workloads):
     jobs.append(Extra("orbits mixed", ["search", "orbits"] + names[::-1], 0, files=files))
     floats = (("f0.json", complex_json(g)), ("f1.json", complex_json(mirrored(g).translated(1))),
               ("f2.json", complex_json(h)))
-    jobs.append(Extra("orbits complex", ["search", "orbits", "f0.json", "f1.json", "f2.json",
-                                         "--tolerance", "1e-6"], 2, files=floats))
+    jobs.append(Extra("orbits complex", ["search", "orbits", "f0.json", "f1.json", "f2.json"], 2, files=floats))
     jobs.append(Extra("orbits width mismatch", ["search", "orbits", "0.json", "w1.json"], 2,
                       files=(files[0], ("w1.json", oracle.frieze_json(inp.integral(1))))))
 
