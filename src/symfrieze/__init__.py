@@ -43,6 +43,7 @@ from .frieze import (
     FriezeError,
     FriezeGrid,
     GridIndex,
+    SLFrieze,
     ZigZag,
     check_glide,
     check_local_rules,
@@ -50,6 +51,7 @@ from .frieze import (
     check_tame,
     dihedral_images,
     extract_coeffs,
+    from_equation,
     mirror_grid,
     propagate_from_coeffs,
     propagate_from_zigzag,
@@ -66,15 +68,7 @@ from .legendrian import (
 )
 from .scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational, kind_by_name
 from .search import SearchConfig, census, dihedral_orbits, enumerate_friezes
-from .slfrieze import (
-    SLFrieze,
-    black_of,
-    coeffs_of,
-    from_equation,
-    gale_dual,
-    projective_dual,
-    symplectic_of,
-)
+from .slfrieze import black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
 
 __version__ = "0.1.0"
 

@@ -289,7 +289,7 @@ class LaurentPolynomial:
         return f"<laurent {self}>"
 
 
-class LaurentKind(_Frozen):
+class LaurentKind(ScalarKind):
     """Scalar kind whose elements are integer Laurent polynomials."""
 
     __slots__ = _fields = ("nvars",)
@@ -300,10 +300,6 @@ class LaurentKind(_Frozen):
     @property
     def name(self) -> str:
         return f"laurent{self.nvars}"
-
-    @property
-    def exact(self) -> bool:
-        return True
 
     def zero(self) -> LaurentPolynomial:
         return LaurentPolynomial(self.nvars)
@@ -322,9 +318,6 @@ class LaurentKind(_Frozen):
         if isinstance(value, int):
             return self.from_int(value)
         raise TypeError(f"cannot treat {value!r} as a Laurent polynomial")
-
-    def is_zero(self, value) -> bool:
-        return not value
 
     def eq(self, a, b) -> bool:
         return a == b

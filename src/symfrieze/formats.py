@@ -21,10 +21,9 @@ import json
 import re
 from typing import Any, Dict, Optional, Tuple
 
-from .frieze import FriezeError, FriezeGrid, GridIndex, check_local_rules
+from .frieze import FriezeError, FriezeGrid, GridIndex, SLFrieze, check_local_rules
 from .legendrian import Polygon, SymplecticForm
 from .scalars import SCALAR_NAMES, ScalarKind, _Frozen, kind_by_name
-from .slfrieze import SLFrieze
 
 __all__ = [
     "FormatError",

@@ -21,12 +21,13 @@ repeat with length 2n in the display direction.  The black entries form
 a tame order-3 SL-frieze and so do the white ones, so a grid is stored
 as two `SLFrieze` bands; the SL-frieze class and its propagation
 (`from_equation`, which runs the recurrence loop of `diffeq` on a
-table checked by `diffeq._coeff_table`) live here for that reason
-and are re-exported by `slfrieze`.  `SLFrieze(...)`, `from_cells` and
-`with_entry` coerce a caller's values; bands the package computes go
-through the private `SLFrieze._of`, and into the `FriezeGrid` constructor,
-which only this module calls: the grid maps write the two band stores
-(`_store`, `FriezeGrid._remap`) and the symmetry tests read them.
+table checked by `diffeq._coeff_table`) live here for that reason, and
+`slfrieze` holds the maps and checks on SL-friezes.  `SLFrieze(...)`,
+`from_cells` and `with_entry` coerce a caller's values; bands the
+package computes go through the private `SLFrieze._of`, and into the
+`FriezeGrid` constructor, which only this module calls: the grid maps
+write the two band stores (`_store`, `FriezeGrid._remap`) and the
+symmetry tests read them.
 """
 
 from itertools import product
@@ -295,7 +296,7 @@ class SLFrieze:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SLFrieze):
             return NotImplemented
-        if (self.kind.name, self.order, self.width) != (other.kind.name, other.order, other.width):
+        if (self.kind, self.order, self.width) != (other.kind, other.order, other.width):
             return False
         # both stores hold the whole domain, so they share their keys
         eq, theirs = self.kind.eq, other._cells
@@ -699,7 +700,7 @@ def sign_twist(grid: FriezeGrid) -> FriezeGrid:
     return FriezeGrid(grid.kind, grid.width, flipped, white)
 
 
-def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONAL, starts_with_black: bool = False):
+def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONAL):
     """Forced continuation of a width-1 row past a zero divisor.
 
     `prefix` alternates white and black entries of the single interior
@@ -713,12 +714,7 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
     if width != 1:
         raise UnsupportedWidth("forced extension is a width-1 construction")
     vals = [kind.coerce(v) for v in prefix]
-    if starts_with_black:
-        blacks = vals[0::2]
-        next_black = len(vals) % 2 == 0
-    else:
-        blacks = vals[1::2]
-        next_black = len(vals) % 2 == 1
+    blacks = vals[1::2]
     if len(blacks) < 2:
         raise Underdetermined("need two trailing black entries")
     one = kind.one()
@@ -742,7 +738,7 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
             raise Underdetermined("4x4 minor does not see the next entry")
         x = (one - f0) / slope
 
-    if next_black:
+    if len(vals) % 2 == 1:  # the prefix ends on a white entry
         return [x]
     return [a2 * x - one, x]
 

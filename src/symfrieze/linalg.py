@@ -78,7 +78,7 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         kind = self.kind
-        if kind is not other.kind:
+        if kind != other.kind:
             raise KindMismatch(f"mixing matrices over {kind.name} and {other.kind.name}")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")

@@ -1,8 +1,8 @@
 """Scalar domains the friezes are computed over.
 
 Every grid, matrix, and polynomial in this package is parametrized by a
-ScalarKind: a small strategy object that knows how to build, compare, and
-test elements of one coefficient domain. Exact kinds (rationals, Gaussian
+ScalarKind: a small value that knows how to build, compare, and test
+elements of one coefficient domain. Exact kinds (rationals, Gaussian
 rationals) compare with ``==``; the complex floating kind compares within a
 tolerance. Mixing elements of two kinds raises KindMismatch instead of
 letting Python's numeric coercions silently produce floats inside an exact
@@ -15,30 +15,11 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Protocol
+from typing import Any
 
 
 class KindMismatch(TypeError):
     """A value from one scalar kind leaked into another kind's computation."""
-
-
-class ScalarKind(Protocol):
-    """Factory and comparator for one coefficient domain."""
-
-    name: str
-    exact: bool
-
-    def zero(self) -> Any: ...
-
-    def one(self) -> Any: ...
-
-    def from_int(self, n: int) -> Any: ...
-
-    def coerce(self, value: Any) -> Any: ...
-
-    def is_zero(self, value: Any) -> bool: ...
-
-    def eq(self, a: Any, b: Any) -> bool: ...
 
 
 _GAUSSIAN_TEXT = re.compile(
@@ -87,6 +68,23 @@ class _Frozen:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+class ScalarKind(_Frozen):
+    """Factory and comparator for one coefficient domain.
+
+    Kinds are values: two kinds are equal when they have the same class
+    and equal fields, so a copy or a pickle of a kind equals the original.
+    Each subclass names itself and supplies `zero`, `one`, `from_int`,
+    `coerce` and `eq`; exact kinds read a falsy element as zero.
+    """
+
+    __slots__ = ()
+    name: str
+    exact = True
+
+    def is_zero(self, value: Any) -> bool:
+        return not value
 
 
 class GaussianRational:
@@ -203,9 +201,9 @@ def _reject_float(value: Any) -> None:
         raise KindMismatch(f"refusing to coerce inexact {value!r} into an exact kind")
 
 
-class RationalKind:
+class RationalKind(ScalarKind):
+    __slots__ = ()
     name = "rational"
-    exact = True
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -226,19 +224,13 @@ class RationalKind:
         _reject_float(value)
         raise KindMismatch(f"cannot interpret {value!r} as a rational")
 
-    def is_zero(self, value: Fraction) -> bool:
-        return value == 0
-
     def eq(self, a: Fraction, b: Fraction) -> bool:
         return a == b
 
-    def __repr__(self) -> str:
-        return "RATIONAL"
 
-
-class GaussianKind:
+class GaussianKind(ScalarKind):
+    __slots__ = ()
     name = "gaussian"
-    exact = True
 
     def zero(self) -> GaussianRational:
         return GaussianRational._of(0, 0, 1)
@@ -259,26 +251,21 @@ class GaussianKind:
         _reject_float(value)
         raise KindMismatch(f"cannot interpret {value!r} as a Gaussian rational")
 
-    def is_zero(self, value: GaussianRational) -> bool:
-        return not value
-
     def eq(self, a: GaussianRational, b: GaussianRational) -> bool:
         return a == b
 
-    def __repr__(self) -> str:
-        return "GAUSSIAN"
 
-
-class ComplexFloatKind:
+class ComplexFloatKind(ScalarKind):
     """Complex floats compared within an absolute tolerance (default 1e-9)."""
 
+    __slots__ = _fields = ("tolerance",)
     name = "complex-float"
     exact = False
 
     def __init__(self, tolerance: float = 1e-9):
         if not 0 <= tolerance < float("inf"):
             raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-        self.tolerance = tolerance
+        super().__init__(tolerance)
 
     def zero(self) -> complex:
         return 0j
@@ -305,9 +292,6 @@ class ComplexFloatKind:
 
     def eq(self, a: complex, b: complex) -> bool:
         return abs(a - b) <= self.tolerance
-
-    def __repr__(self) -> str:
-        return f"ComplexFloatKind(tolerance={self.tolerance})"
 
 
 RATIONAL = RationalKind()

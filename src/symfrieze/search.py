@@ -212,14 +212,14 @@ def dihedral_orbits(friezes: Iterable[FriezeGrid]) -> List[List[FriezeGrid]]:
     grids = list(friezes)
     if not grids:
         return []
-    width, kind = grids[0].width, grids[0].kind.name
+    width, kind = grids[0].width, grids[0].kind
     for g in grids:
         if g.width != width:
             raise ValueError(f"width mismatch: {g.width} != {width}")
-        if g.kind.name != kind:
-            raise ValueError(f"kind mismatch: {g.kind.name} != {kind}")
-    if kind != RATIONAL.name:
-        raise ValueError(f"orbits need rational friezes, got {kind}")
+        if g.kind != kind:
+            raise ValueError(f"kind mismatch: {g.kind.name} != {kind.name}")
+    if kind != RATIONAL:
+        raise ValueError(f"orbits need rational friezes, got {kind.name}")
     buckets: Dict[Tuple, List[Tuple[Tuple, FriezeGrid]]] = {}
     for g in grids:
         cols = _columns(g)

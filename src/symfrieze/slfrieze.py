@@ -5,16 +5,17 @@ minors are all 1 and whose adjacent (k+2)x(k+2) minors all vanish.  The
 order-3 case is exactly the black subarray of a symplectic 2-frieze, and
 the two duality maps below (projective and Gale) act on the general case.
 `SLFrieze` and `from_equation` are defined in `frieze`, which stores each
-colour of a symplectic grid as an order-3 band, and re-exported here,
-as are the coefficient formulas, defined in `diffeq` with the tables.
-`coeffs_of` reads the coefficients back through `entry_det_band`: by
-Gale duality the rows next to the lower boundary serve as coefficient
-cycles.  The maps build their results through the private `SLFrieze._of`.
+colour of a symplectic grid as an order-3 band, and the coefficient
+formulas in `diffeq` with the tables; import them from there.
+`coeffs_of` reads the coefficients back through the band determinant of
+`diffeq.entry_det_band`: by Gale duality the rows next to the lower
+boundary serve as coefficient cycles.  The maps build their results
+through the private `SLFrieze._of`.
 """
 
 from typing import Tuple
 
-from .diffeq import _band_det, dual_equation_coeffs, entry_det_band, entry_det_complement
+from .diffeq import _band_det
 # bound here for the benchmark tracer, which expects slfrieze to bind it
 from .linalg import det  # noqa: F401
 from .frieze import (
@@ -27,18 +28,12 @@ from .frieze import (
     _store,
     adjacent_minors,
     check_minors,
-    from_equation,
 )
 
 __all__ = [
     "MinorCondition",
     "WidthParity",
-    "SLFrieze",
-    "from_equation",
     "coeffs_of",
-    "dual_equation_coeffs",
-    "entry_det_band",
-    "entry_det_complement",
     "black_of",
     "symplectic_of",
     "projective_dual",

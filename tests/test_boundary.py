@@ -13,6 +13,8 @@ arithmetic and `linalg` build values through the trusted, reducing
 constructor, and only `scalars` and `linalg` read the int fields.
 The value types are plain `__slots__` classes, so importing the CLI
 loads neither `dataclasses` nor the `inspect` module it pulls in.
+`REJECTED` holds the input checks that no CLI command reaches, each with
+its error type and message.
 """
 
 import ast
@@ -24,10 +26,15 @@ from pathlib import Path
 import pytest
 
 from conftest import WIDTH2_COEFFS
+from symfrieze.cluster import (
+    LaurentKind, LaurentPolynomial, ZeroSubstitution, belt_step, c2_square_aw, evaluate_frieze, initial_seed,
+)
 from symfrieze.diffeq import SymmetricDiffEq, dual_equation_coeffs, entry_det_band, solve
+from symfrieze.formats import dumps
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
+    SLFrieze,
     check_local_rules,
     check_tame,
     extract_coeffs,
@@ -39,9 +46,9 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.legendrian import Polygon, SymplecticForm, frieze_from_polygon, omega, polygon_from_frieze
-from symfrieze.linalg import Matrix
-from symfrieze.scalars import GAUSSIAN, RATIONAL, KindMismatch, RationalKind
-from symfrieze.slfrieze import SLFrieze, black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
+from symfrieze.linalg import Matrix, solve_linear
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, KindMismatch, RationalKind
+from symfrieze.slfrieze import black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symfrieze"
 
@@ -70,6 +77,49 @@ GRIDS = {kind.name: propagate_from_coeffs(*WIDTH2_COEFFS, kind) for kind in (RAT
 def test_entry_points_reject_a_float(entry, kind):
     with pytest.raises(KindMismatch):
         ENTRY_POINTS[entry](kind, GRIDS[kind.name], 0.5)
+
+
+# input checks that no CLI command reaches: (call, error type, message)
+REJECTED = {
+    "SLFrieze order 0": (lambda: SLFrieze(RATIONAL, 0, 1, {}), ValueError, r"order must be at least 1, got 0"),
+    "SLFrieze offset": (lambda: SLFrieze(RATIONAL, 1, 0, {(0, 1): 1}), ValueError, r"row offset 1 outside \[-1, 0\]"),
+    "SLFrieze gap": (lambda: SLFrieze(RATIONAL, 1, 0, {(0, 0): 1}), ValueError, r"cell \(0, offset -1\) missing"),
+    "from_cells offset": (lambda: FriezeGrid.from_cells(RATIONAL, 1, {(0, 2): 1}), ValueError,
+                          r"row offset 2 outside \[-1, 1\]"),
+    "flat zig-zag without width": (lambda: propagate_from_zigzag((1, 1)), ValueError,
+                                   r"width is required with flat zig-zag values"),
+    "no coefficient cycle": (lambda: from_equation(()), ValueError, r"need at least one coefficient cycle"),
+    "ragged cycles": (lambda: from_equation(((1, 1, 1), (1, 1))), ValueError,
+                      r"coefficient cycles must share one period"),
+    "short period": (lambda: from_equation(((1, 1, 1), (1, 1, 1))), ValueError,
+                     r"period 3 too short for 2 coefficient cycles"),
+    "Laurent variable": (lambda: LaurentPolynomial.variable(2, 2), IndexError, r"variable 2 out of range"),
+    "LaurentKind variables": (lambda: LaurentKind(2).coerce(LaurentPolynomial.variable(3, 0)), ValueError,
+                              r"expected 2 variables, got 3"),
+    "LaurentKind text": (lambda: LaurentKind(2).coerce("x"), TypeError, r"cannot treat 'x' as a Laurent polynomial"),
+    "c2_square_aw(0)": (lambda: c2_square_aw(0), ValueError, r"width must be positive"),
+    "belt sign": (lambda: belt_step(initial_seed(1), 0), ValueError, r"sign must be \+1 or -1"),
+    "evaluate odd count": (lambda: evaluate_frieze((1, 2, 3)), ValueError, r"need 2\*width values"),
+    "evaluate walks back to zero": (lambda: evaluate_frieze((1, "0+1i"), (0,), GAUSSIAN), ZeroSubstitution,
+                                    r"walking back through vertex 0 produced zero"),
+    "solve_linear non-square": (lambda: solve_linear(Matrix(RATIONAL, [[1, 2]]), [1]), ValueError,
+                                r"solve_linear needs a square matrix"),
+    "solve_linear short rhs": (lambda: solve_linear(Matrix(RATIONAL, [[1]]), []), ValueError,
+                               r"right-hand side length mismatch"),
+    "rational non-number": (lambda: RATIONAL.coerce(None), KindMismatch, r"cannot interpret None as a rational"),
+    "gaussian non-number": (lambda: GAUSSIAN.coerce(None), KindMismatch,
+                            r"cannot interpret None as a Gaussian rational"),
+    "complex non-number": (lambda: COMPLEX.coerce(None), KindMismatch, r"cannot interpret None as a complex float"),
+    "dumps non-document": (lambda: dumps(3), TypeError, r"not a document: 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_input_checks_reject(case):
+    call, error, message = REJECTED[case]
+    with pytest.raises(error, match=f"^{message}$") as e:
+        call()
+    assert e.type is error
 
 
 def test_reading_a_frieze_coerces_only_its_coefficients(monkeypatch):

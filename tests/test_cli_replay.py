@@ -26,15 +26,27 @@ change that alters CLI output on purpose re-pins all three files with
 
     PYTHONPATH=src python tests/test_cli_replay.py --pin
 
+The same replay, seeds 1-3 and the extra jobs, runs under a call tracer
+(`sys.settrace`, limited to the package's files) in
+
+    PYTHONPATH=src python tests/test_cli_replay.py --reach
+
+which prints every function of `src/symfrieze` that no job enters, with
+its line span, and the totals.  It restores any tracer already set.  The
+package is imported before the tracer starts, so a function called only
+at import (`cli._arg`) is listed too.
+
 Usage errors print argparse text, which depends on the terminal width and
 the Python version; the replay fixes COLUMNS at 80.
 """
 
+import ast
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import pkgutil
 import random
 import sys
 import tempfile
@@ -44,6 +56,7 @@ from typing import NamedTuple, Tuple
 
 import pytest
 
+import symfrieze
 from symfrieze import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -259,6 +272,27 @@ def test_extra_jobs_match_their_exit_codes_and_digest(monkeypatch):
     assert changed == [], f"{len(changed)} extra jobs differ from the digest, first {changed[:3]}"
 
 
+def test_reach_lists_the_functions_no_job_enters(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    jobs = extra_jobs(*_bench())[:2]  # eq variety on and off the variety
+
+    def outer(frame, event, arg):
+        return None
+
+    saved = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        missed, total = unentered(lambda: replay_extra(jobs))
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(saved)
+    names = {name for *_, name in missed}
+    assert "cli.main" not in names and "diffeq.variety_residuals" not in names
+    assert {"search.census", "cluster.formal_frieze", "scalars.GaussianKind.coerce"} <= names
+    assert 0 < len(missed) < total
+    assert all(path.endswith(".py") and first <= last for path, first, last, _ in missed)
+
+
 def _rows(workloads, census, seed):
     """{workload: digest rows} of one seed; exits on an oracle complaint."""
     out = {}
@@ -333,10 +367,77 @@ def check() -> int:
     return 1 if differ or extra_differ else 0
 
 
+def _defs():
+    """{(file, first line): (module.qualname, last line)} of every function
+    in the package's modules; a decorated function starts at its first
+    decorator, as its code object does."""
+    out = {}
+    for info in pkgutil.iter_modules(symfrieze.__path__):
+        path = importlib.import_module(f"symfrieze.{info.name}").__file__
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(path, first)] = (f"{info.name}.{prefix}{child.name}", child.end_lineno)
+                    walk(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, f"{prefix}{child.name}.")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(Path(path).read_text(encoding="utf-8")), "")
+    return out
+
+
+def unentered(run):
+    """(functions, count): the package functions that no call enters while
+    `run()` runs, as sorted (file, first line, last line, name), and the
+    count of all of them.  The tracer sees calls only, not lines, and the
+    one set before is put back."""
+    defs = _defs()
+    files = {path for path, _ in defs}
+    entered = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename in files:
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    saved = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(saved)
+    missed = sorted((path, first, last, name) for (path, first), (name, last) in defs.items()
+                    if (path, first) not in entered)
+    return missed, len(defs)
+
+
+def reach():
+    """Print the functions that no job of CHECK_SEEDS or the extra list enters."""
+    jobs = []
+
+    def run():
+        per_seed = _replay_seeds()
+        jobs.append(sum(len(rows) for by_workload in per_seed.values() for rows in by_workload.values()))
+        jobs.append(len(_replay_extra()))
+
+    missed, total = unentered(run)
+    for path, first, last, name in missed:
+        print(f"{Path(path).name}:{first}-{last} {name}")
+    lines = {(path, n) for path, first, last, _ in missed for n in range(first, last + 1)}
+    print(f"{len(missed)} of {total} functions ({len(lines)} lines) are entered by none of "
+          f"the {jobs[0]} workload jobs and {jobs[1]} extra jobs")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--pin"]:
         pin()
     elif sys.argv[1:] == ["--check"]:
         sys.exit(check())
+    elif sys.argv[1:] == ["--reach"]:
+        reach()
     else:
-        raise SystemExit("usage: python tests/test_cli_replay.py --pin | --check")
+        raise SystemExit("usage: python tests/test_cli_replay.py --pin | --check | --reach")

@@ -36,6 +36,7 @@ from symfrieze.frieze import (
     extend_through_zero,
     extract_coeffs,
     find_nonzero_double_zigzag,
+    from_equation,
     mirror_grid,
     propagate_from_coeffs,
     propagate_from_zigzag,
@@ -43,7 +44,7 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, ComplexFloatKind, GaussianRational
-from symfrieze.slfrieze import black_of, check_unimodular, from_equation, gale_dual
+from symfrieze.slfrieze import black_of, check_unimodular, gale_dual
 
 
 def F(values):
@@ -360,6 +361,17 @@ def test_zigzag_float_drift_does_not_close(seed, width):
     assert check_local_rules(propagate_from_zigzag(seed, width, ComplexFloatKind(1e-6))) == ()
 
 
+def test_complex_grids_with_different_tolerances_are_unequal():
+    g = propagate_from_zigzag((1, 2, 3, 4), 2, ComplexFloatKind(0.5))
+    cells = dict(g.cells())
+    assert g == FriezeGrid.from_cells(ComplexFloatKind(0.5), 2, cells)
+    cells[(0, 0)] += 0.01
+    h = FriezeGrid.from_cells(ComplexFloatKind(0.5), 2, cells)
+    h2 = FriezeGrid.from_cells(ComplexFloatKind(1e-9), 2, cells)
+    assert (g == h, h == g) == (True, True)  # within the shared tolerance
+    assert (g == h2, h2 == g) == (False, False)
+
+
 def test_zigzag_wrong_count():
     with pytest.raises(ValueError):
         propagate_from_zigzag((1, 1, 1), 2)
@@ -554,7 +566,6 @@ def test_extension_by_the_4x4_minor():
     window = [[a0, one, zero, zero], [one, a1, one, zero], [zero, one, a2, one], [zero, zero, one, x]]
     assert cofactor_det(window) == 1
     assert white == a2 * x - one  # white local rule between a2 and x, under ones
-    assert extend_through_zero((a0, 1, a1, 5, a2, white), 1, starts_with_black=True) == [x]
     with pytest.raises(Underdetermined):
         extend_through_zero((1, a1, 1, a2), 1)
 

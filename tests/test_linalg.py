@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from symfrieze.scalars import (
     ComplexFloatKind,
     GaussianRational,
     KindMismatch,
+    kind_by_name,
 )
 
 
@@ -144,6 +146,15 @@ def test_mat_mul_rejects_mixed_kinds():
     with pytest.raises(KindMismatch, match=r"^mixing matrices over rational and gaussian$") as e:
         Matrix(RATIONAL, [[1]]) * Matrix(GAUSSIAN, [[1]])
     assert e.type is KindMismatch
+
+
+def test_mat_mul_accepts_an_equal_kind_held_by_another_object():
+    m = Matrix(RATIONAL, [[1, 2], [3, 4]])
+    assert copy.deepcopy(m) * m == Matrix(RATIONAL, [[7, 10], [15, 22]])
+    a, b = (Matrix(kind_by_name("complex-float", 1e-6), [[v]]) for v in (2, 3j))
+    assert (a * b).rows == ((6j,),)
+    with pytest.raises(KindMismatch):
+        a * Matrix(COMPLEX, [[1]])
 
 
 def test_complex_float_det_uses_tolerance():

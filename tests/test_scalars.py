@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import time
@@ -8,6 +10,7 @@ import pytest
 
 from oracles import NaiveGaussian
 
+from symfrieze.cluster import LaurentKind
 from symfrieze.scalars import (
     COMPLEX,
     GAUSSIAN,
@@ -221,3 +224,19 @@ def test_kind_by_name():
     assert custom.tolerance == 1e-3
     with pytest.raises(KeyError):
         kind_by_name("septimal")
+
+
+KINDS = [RATIONAL, GAUSSIAN, COMPLEX, ComplexFloatKind(1e-6), LaurentKind(2), LaurentKind(3)]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=repr)
+def test_a_copied_or_pickled_kind_equals_the_original(kind):
+    for twin in (copy.deepcopy(kind), pickle.loads(pickle.dumps(kind))):
+        assert twin is not kind
+        assert (twin == kind, twin != kind, hash(twin) == hash(kind)) == (True, False, True)
+
+
+def test_kinds_are_equal_by_class_and_fields():
+    assert [[a == b for b in KINDS] for a in KINDS] == [[a is b for b in KINDS] for a in KINDS]
+    assert ComplexFloatKind() == COMPLEX and kind_by_name("complex-float", 1e-6) == KINDS[3]
+    assert repr(RATIONAL) == "RationalKind()" and repr(COMPLEX) == "ComplexFloatKind(tolerance=1e-09)"

@@ -6,11 +6,14 @@ import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
 from oracles import naive_coeffs_of, naive_sl_translate
+from symfrieze.diffeq import dual_equation_coeffs, entry_det_band, entry_det_complement
 from symfrieze.frieze import (
     FriezeError,
     MinorWindow,
     NotSuperperiodic,
+    SLFrieze,
     ZeroPivot,
+    from_equation,
     propagate_from_coeffs,
     propagate_from_zigzag,
 )
@@ -19,16 +22,11 @@ from symfrieze.linalg import Matrix, det
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import (
     MinorCondition,
-    SLFrieze,
     WidthParity,
     black_of,
     check_middle_symmetry,
     check_unimodular,
     coeffs_of,
-    dual_equation_coeffs,
-    entry_det_band,
-    entry_det_complement,
-    from_equation,
     gale_dual,
     projective_dual,
     symplectic_of,

@@ -20,6 +20,7 @@ from symfrieze import frieze
 from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
+    SLFrieze,
     ZeroPivot,
     _rebuilds,
     _scan_tame,
@@ -33,7 +34,6 @@ from symfrieze.frieze import (
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
 from symfrieze.slfrieze import (
     MinorCondition,
-    SLFrieze,
     black_of,
     symplectic_of,
 )

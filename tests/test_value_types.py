@@ -1,13 +1,16 @@
 """The value types agree with frozen dataclasses declared the same way.
 
-Each of the package's fifteen immutable value types is compared with a
-reference class built by `dataclasses.make_dataclass(..., frozen=True)`
-from the same field list and defaults, whose `__post_init__` is the
-checking and coercing code those types once ran as dataclasses.  From the
-same sample arguments the two must agree on `==` and `!=` (within a class,
-on a differing field and across the two classes), on the hash, on the
-`AttributeError` of an assignment, on the repr byte for byte, and on the
-exception type and message of every rejected construction.
+Each of the package's sixteen immutable value types with fields (the
+fifteen former dataclasses and the complex-float scalar kind) is compared
+with a reference class built by `dataclasses.make_dataclass(...,
+frozen=True)` from the same field list and defaults, whose
+`__post_init__` is the checking and coercing code of the type's
+constructor.  From the same sample arguments the two must agree on `==`
+and `!=` (within a class, on a differing field and across the two
+classes), on the hash, on the `AttributeError` of an assignment, on the
+repr byte for byte, and on the exception type and message of every
+rejected construction.  A copy, a deep copy and a pickled copy each
+equal the original.
 """
 
 import copy
@@ -25,7 +28,7 @@ from symfrieze.diffeq import SymmetricDiffEq
 from symfrieze.formats import FriezeDocument, PolygonDocument, SLDocument
 from symfrieze.frieze import GridIndex, MinorWindow, TameResult, ZigZag
 from symfrieze.legendrian import Polygon, SymplecticForm
-from symfrieze.scalars import GAUSSIAN, RATIONAL
+from symfrieze.scalars import GAUSSIAN, RATIONAL, ComplexFloatKind
 from symfrieze.search import DEDUP_MODES, Census, SearchConfig
 
 
@@ -64,6 +67,11 @@ def _diffeq(self):
         raise ValueError("period must be at least 5")
     _set(self, "a", tuple(self.kind.coerce(v) for v in self.a))
     _set(self, "b", tuple(self.kind.coerce(v) for v in self.b))
+
+
+def _complex_float_kind(self):
+    if not 0 <= self.tolerance < float("inf"):
+        raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 
 
 def _grid_index(self):
@@ -130,6 +138,10 @@ WINDOW = MinorWindow(3, 0, -6, Fraction(-1), Fraction(0))
 # class: (fields, defaults, post-init, sample args, args with one field changed, rejected args)
 CASES = {
     LaurentKind: (("nvars",), {}, None, (2,), (3,), []),
+    ComplexFloatKind: (("tolerance",), {"tolerance": 1e-9}, _complex_float_kind, (1e-6,), (1e-3,), [
+        (-1.0,),
+        (float("nan"),),
+    ]),
     ExchangeMatrix: (("rows",), {}, _exchange_matrix, ([[0, 1], [-2, 0]],), ([[0, -1], [2, 0]],), [
         ([[0, 1]],),
         ([[0, 1.0], [-1, 0]],),
@@ -223,8 +235,8 @@ def test_value_type_agrees_with_a_frozen_dataclass(cls):
     assert cls(**dict(zip(fields, args))) == new
     required = [v for f, v in zip(fields, args) if f not in defaults]
     assert repr(cls(*required)) == repr(ref(*required))
-    # a scalar kind compares by identity, so a pickled copy matches by repr
-    assert copy.copy(new) == new and repr(pickle.loads(pickle.dumps(new))) == repr(new)
+    # a scalar kind is a value, so a copy holding a copied kind is equal
+    assert copy.copy(new) == copy.deepcopy(new) == pickle.loads(pickle.dumps(new)) == new
     for bad in rejected:
         got, want = _outcome(cls, *bad), _outcome(ref, *bad)
         assert got[0] is want[0] and got[0] != "ok" and got[1] == want[1], bad
