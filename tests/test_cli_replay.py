@@ -9,9 +9,9 @@ the digest in `tests/data/cli_replay_seed1.json`.  So any change in what the
 CLI prints or returns on these 357 jobs fails here.
 
 `extra_jobs` adds a fixed list for what no workload reaches: `eq variety`,
-`polygon normalize` and `search orbits`, and the exit paths of a bad
-`--tolerance`, a non-canonical entry key, a negative width and a zig-zag
-width below 1.  Its inputs are `bench/oracle.py` grids drawn by
+`polygon normalize`, `search orbits`, `search enumerate` at bounds past the
+workload's, and the exit paths of a bad `--tolerance`, a non-canonical
+entry key, a negative width and a zig-zag width below 1.  Its inputs are `bench/oracle.py` grids drawn by
 `bench/workloads.py` `Inputs` from `random.Random(1)`, each job names its
 exit code, and its digest rows sit in `tests/data/cli_replay_extra.json`.
 
@@ -203,6 +203,10 @@ def extra_jobs(oracle, workloads):
     for width in ("0", "-1"):
         jobs.append(Extra(f"zig-zag width {width}",
                           ["frieze", "from-zigzag", "--values", "1,1", "--width", width], 2))
+    # more translates of each survivor fall inside these boxes than inside the workload's
+    for w, bound, dedup in ((3, 8, "dihedral"), (4, 3, "translation"), (2, 30, "none")):
+        jobs.append(Extra(f"enumerate w{w} b{bound} {dedup}", ["search", "enumerate", "--width", str(w),
+                          "--bound", str(bound), "--dedup", dedup], 0))
     return jobs
 
 
