@@ -425,7 +425,8 @@ _COMMANDS = {
     }),
     "search": ("enumerate positive integer friezes", {
         "enumerate": (_cmd_search_enumerate, "count friezes with seed entries up to a bound", (
-            _WIDTH, _arg("--bound", type=int, required=True),
+            _WIDTH, _arg("--bound", type=int, required=True,
+                         help="cap on seed entries; counts at width >= 3 grow with the bound"),
             _arg("--dedup", choices=search.DEDUP_MODES, default="none"))),
         "orbits": (_cmd_search_orbits, "group frieze documents into dihedral orbits", (
             _arg("inputs", nargs="+", help="frieze document files"),)),

@@ -12,7 +12,11 @@ lexicographic seed order.
 
 Symmetry keys never build image grids: display cells repeat with period
 2n in x, so every translate and mirror image of a frieze is a rotation
-of its column list, or of that list read backwards from column 0.
+of its column list, or of that list read backwards from column 0.  So a
+canonical key, the least flattened image, starts with the least even
+column, and only the rotations that start there are flattened; and a
+translate of a survivor whose seed lies in the box later in the candidate
+order takes its columns from the survivor instead of being propagated.
 
 `census` counts friezes and orbits from the int columns and keys of the
 survivors and builds no grids; `enumerate_friezes` builds one rational
@@ -82,9 +86,14 @@ def _int_columns(col1: List[int], col2: List[int], width: int) -> Optional[List[
 
 
 def _survivors(width: int, bound: int) -> List[Tuple[Tuple[int, ...], List[List[int]]]]:
-    """(seed, display columns 1..2n) of every surviving seed, in seed order."""
+    """(seed, display columns 1..2n) of every surviving seed, in seed order.
+
+    Candidates run in lexicographic (column 2, column 1) order, and a
+    survivor's even rotations wait here for the later seeds they start.
+    """
     w = width
     divisors: Dict[int, List[int]] = {}
+    translates: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[List[int]]] = {}
     found = []
     for col2 in itertools.product(range(1, bound + 1), repeat=w):
         choices = []
@@ -97,9 +106,15 @@ def _survivors(width: int, bound: int) -> List[Tuple[Tuple[int, ...], List[List[
                 divisors[rhs] = [d for d in range(1, min(rhs, bound) + 1) if rhs % d == 0]
             choices.append(divisors[rhs])
         for col1 in itertools.product(*choices):
-            cols = _int_columns(list(col1), list(col2), w)
+            cols = translates.pop((col2, col1), None)
             if cols is None:
-                continue
+                cols = _int_columns(list(col1), list(col2), w)
+                if cols is None:
+                    continue
+                for t in range(2, len(cols), 2):
+                    seed = (tuple(cols[t + 1]), tuple(cols[t]))
+                    if seed > (col2, col1) and max(cols[t] + cols[t + 1]) <= bound:
+                        translates[seed] = cols[t:] + cols[:t]
             # row o holds (white, black) on columns (1, 2) when o is even
             whites = tuple(col1[o] if o % 2 == 0 else col2[o] for o in range(w))
             blacks = tuple(col2[o] if o % 2 == 0 else col1[o] for o in range(w))
@@ -116,18 +131,20 @@ def _columns(grid: FriezeGrid) -> List[Tuple]:
     ]
 
 
-def _image_keys(cols: Sequence[Tuple], mirrors: bool) -> Iterator[Tuple]:
-    """Keys of the images of the grid with display columns `cols`.
+def _least_key(cols: Sequence[Sequence], mirrors: bool) -> Tuple:
+    """Least key among the images of the grid with display columns `cols`.
 
-    The key of translate(g, t) flattens cols[(x - 2t) mod 2n]; with
-    `mirrors`, the key of translate(mirror_grid(g), t) flattens
-    cols[(2t - x) mod 2n], the same rotation of the list cols[-x].
+    The key of translate(g, t) flattens the rotation of `cols` that starts
+    at cols[-2t]; with `mirrors`, translate(mirror_grid(g), t) reads `cols`
+    backwards from there.  Columns have equal lengths, so only rotations
+    that start at the least even column can give the least key.
     """
-    n2 = len(cols)
-    bases = (cols, [cols[-x] for x in range(n2)]) if mirrors else (cols,)
-    for base in bases:
-        for s in range(0, n2, 2):
-            yield tuple(itertools.chain.from_iterable(base[n2 - s:] + base[: n2 - s]))
+    first = min(cols[::2])
+    starts = [k for k in range(0, len(cols), 2) if cols[k] == first]
+    rotations = [cols[k:] + cols[:k] for k in starts]
+    if mirrors:
+        rotations += [cols[k::-1] + cols[:k:-1] for k in starts]
+    return tuple(itertools.chain.from_iterable(min(rotations)))
 
 
 def _kept(
@@ -141,9 +158,9 @@ def _kept(
     seen: set = set()
     for _, cols in survivors:
         cols = cols[-1:] + cols[:-1]
-        canon = min(_image_keys(cols, True))
+        canon = _least_key(cols, True)
         if dedup != "none":
-            key = canon if dedup == "dihedral" else min(_image_keys(cols, False))
+            key = canon if dedup == "dihedral" else _least_key(cols, False)
             if key in seen:
                 continue
             seen.add(key)
@@ -224,7 +241,7 @@ def dihedral_orbits(friezes: Iterable[FriezeGrid]) -> List[List[FriezeGrid]]:
     for g in grids:
         cols = _columns(g)
         key = tuple(itertools.chain.from_iterable(cols))
-        buckets.setdefault(min(_image_keys(cols, True)), []).append((key, g))
+        buckets.setdefault(_least_key(cols, True), []).append((key, g))
     return [
         [g for _, g in sorted(members, key=lambda m: m[0])]
         for _, members in sorted(buckets.items())

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
-from oracles import naive_census, naive_orbits
+import symfrieze.search as search
+from oracles import canonical_key, naive_census, naive_orbits
 from symfrieze.frieze import (
     NotClosed,
     ZeroPivot,
@@ -12,7 +15,17 @@ from symfrieze.frieze import (
     propagate_from_zigzag,
     translate,
 )
-from symfrieze.search import DEDUP_MODES, SearchConfig, census, dihedral_orbits, enumerate_friezes
+from symfrieze.search import (
+    DEDUP_MODES,
+    SearchConfig,
+    _int_columns,
+    _kept,
+    _least_key,
+    _survivors,
+    census,
+    dihedral_orbits,
+    enumerate_friezes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +154,73 @@ def test_orbits_match_naive_oracle(width1_int, width2_int, width3_int):
     ]
     for grids in samples:
         _same_classes(dihedral_orbits(grids), naive_orbits(grids), grids)
+
+
+def test_width3_census_at_bound_10():
+    assert census(SearchConfig(3, 10)) == search.Census(630, 151, 10)
+
+
+@pytest.mark.parametrize("dedup", ["translation", "dihedral"])
+@pytest.mark.parametrize("width,bound", [(1, 60), (2, 13), (3, 4), (4, 3)])
+def test_least_key_matches_the_canonical_key_of_the_grid(width, bound, dedup):
+    kept = list(_kept(_survivors(width, bound), "none"))
+    grids = enumerate_friezes(SearchConfig(width, bound))
+    assert len(kept) == len(grids) > 0
+    for (cols, canon), grid in zip(kept, grids):
+        key = _least_key(cols, dedup == "dihedral")
+        assert key == canonical_key(grid, dedup)
+        if dedup == "dihedral":
+            assert key == canon
+
+
+def _every_image_key(cols, mirrors):
+    n2 = len(cols)
+    bases = [cols, [cols[-x] for x in range(n2)]] if mirrors else [cols]
+    return min(tuple(itertools.chain.from_iterable(b[k:] + b[:k])) for b in bases for k in range(0, n2, 2))
+
+
+def test_least_key_breaks_a_first_column_tie_on_the_next_column():
+    cols = [(1, 2), (5, 1), (1, 2), (4, 9), (2, 2), (3, 1)]
+    assert _least_key(cols, False) == (1, 2, 4, 9, 2, 2, 3, 1, 1, 2, 5, 1) == _every_image_key(cols, False)
+    assert _least_key(cols, True) == (1, 2, 3, 1, 2, 2, 4, 9, 1, 2, 5, 1) == _every_image_key(cols, True)
+
+
+def test_a_seed_that_returns_among_its_own_rotations():
+    cols = _int_columns([1], [1], 1)
+    n2 = len(cols)
+    assert [t for t in range(2, n2, 2) if cols[t:t + 2] == cols[:2]] == [n2 // 2]
+    shifted = cols[-1:] + cols[:-1]
+    for mirrors in (False, True):
+        assert _least_key(shifted, mirrors) == _every_image_key(shifted, mirrors)
+    seeds = [seed for seed, _ in _survivors(1, 5)]
+    assert seeds == sorted(set(seeds)) and (1, 1) in seeds
+
+
+def _seed_of(cols, width):
+    whites = tuple(cols[0][o] if o % 2 == 0 else cols[1][o] for o in range(width))
+    blacks = tuple(cols[1][o] if o % 2 == 0 else cols[0][o] for o in range(width))
+    return whites + blacks
+
+
+@pytest.mark.parametrize("width,bound", [(1, 60), (2, 30), (3, 8), (4, 3)])
+def test_survivor_columns_equal_a_fresh_propagation(width, bound):
+    for seed, cols in _survivors(width, bound):
+        assert _seed_of(cols, width) == seed
+        assert _int_columns(list(cols[0]), list(cols[1]), width) == cols
+
+
+@pytest.mark.parametrize("width,bound,fresh,total", [(2, 13, 16, 80), (3, 4, 57, 114), (4, 3, 204, 260)])
+def test_translates_of_an_earlier_survivor_are_not_propagated(monkeypatch, width, bound, fresh, total):
+    propagated, translates = [], set()
+
+    def spy(col1, col2, w):
+        assert (tuple(col1), tuple(col2)) not in translates
+        cols = _int_columns(col1, col2, w)
+        if cols is not None:
+            propagated.append(cols)
+            translates.update((tuple(cols[t]), tuple(cols[t + 1])) for t in range(0, len(cols), 2))
+        return cols
+
+    monkeypatch.setattr(search, "_int_columns", spy)
+    survivors = _survivors(width, bound)
+    assert (len(propagated), len(survivors)) == (fresh, total)
