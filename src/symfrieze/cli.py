@@ -382,7 +382,8 @@ _COMMANDS = {
         "from-coeffs": (_cmd_frieze_from_coeffs, "propagate a frieze from coefficient cycles",
                         _COEFFS + (_WRITER, _add_frieze_output)),
         "from-zigzag": (_cmd_frieze_from_zigzag, "propagate a frieze from two seed columns", (
-            _arg("--values", required=True, help="2*width seed values, west to east"),
+            _arg("--values", required=True, help="2*width seed values: the width white values, "
+                 "then the width black values, each top to bottom"),
             _WIDTH, _add_scalar, _WRITER, _add_frieze_output)),
         "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", (_READER,)),
         "show": (_cmd_frieze_show, "re-render a frieze document", _FRIEZE_IN_OUT),
@@ -479,9 +480,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailed as e:
         print(str(e))
         return 1
-    except formats.FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (frieze.FriezeError, cluster.NonLaurentQuotient) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1

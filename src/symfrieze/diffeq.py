@@ -8,7 +8,7 @@ It is the order-3 recurrence on the cycles (a, b, a shifted by one).
 `_recur` runs a table of k cycles, and `entry_det_band` (which gives
 `band_determinant`) and `dual_equation_coeffs` read one;
 `entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
-re-exports those three.  `_coeff_table` coerces and checks a caller's table;
+imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
 `band_determinant`, `entry_det_complement`, `slfrieze.coeffs_of` and
 `frieze.extend_through_zero` hand checked ones to `_band_det`, as
 `entry_det_band` does.  `white_band_determinant` is the one other builder.

@@ -790,11 +790,3 @@ def dihedral_images(grid: FriezeGrid) -> Iterator[FriezeGrid]:
     for base in (grid, mirror_grid(grid)):
         for t in range(grid.period):
             yield translate(base, t)
-
-
-def black_block(grid: FriezeGrid, i: int, j: int):
-    """4x4 matrix of black entries, rows i..i+3 against columns j-3..j."""
-    return Matrix._of(
-        grid.kind,
-        [[grid.black(i + r, j - 3 + c) for c in range(4)] for r in range(4)],
-    )

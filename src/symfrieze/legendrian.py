@@ -4,15 +4,18 @@ A width-w frieze of period n encodes an n-periodic sequence of vectors
 in 4-space, antiperiodic across one period, normalized against a skew
 form whose parameter is read off the frieze itself.  Entries of the
 frieze are recovered as pairings (or 4x4 determinants) of vertices, and
-4x4 windows of the frieze intertwine the two form variants.
+4x4 windows of the frieze intertwine the two form variants.  The form is
+written once, as the table of its six nonzero entries, and `_pair` is
+the one way to pair two vectors: the block check sums over the table
+too.  The recurrence coefficients are Cramer quotients of `det`.
 """
 
 import cmath
 from typing import Sequence, Tuple
 
 from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind, _Frozen
-from .linalg import Matrix, SingularMatrix, det, solve_linear
-from .frieze import FriezeError, FriezeGrid, SLFrieze, black_block
+from .linalg import Matrix, det
+from .frieze import FriezeError, FriezeGrid, SLFrieze
 
 __all__ = [
     "NormalizationViolated",
@@ -80,13 +83,6 @@ class SymplecticForm(_Frozen):
             entries = ((0, 2, one), (1, 2, -a), (1, 3, one), (2, 0, -one), (2, 1, a), (3, 1, -one))
         super().__init__(a, variant, kind)
         object.__setattr__(self, "_entries", entries)  # not a field: no repr or compare
-
-    def matrix(self) -> Matrix:
-        """The form matrix F, so that omega(u, v) = u^t F v."""
-        rows = [[self.kind.zero()] * 4 for _ in range(4)]
-        for r, c, f in self._entries:
-            rows[r][c] = f
-        return Matrix._of(self.kind, rows)
 
 
 def _pair(form: SymplecticForm, u: Sequence, v: Sequence):
@@ -208,24 +204,33 @@ def frieze_entries_by_4x4(p: Polygon, i: int, j: int) -> Tuple:
     return black, white
 
 
+def _gram(form: SymplecticForm, vectors: Sequence[Sequence]) -> list:
+    """The pairings of every two of `vectors`, row-major: (u0, u0), (u0, u1), ..."""
+    return [_pair(form, u, v) for u in vectors for v in vectors]
+
+
 def block_symplectic_check(g: FriezeGrid) -> bool:
     """Whether every 4x4 window of g intertwines the two form variants.
 
-    The window D anchored at (i, j) must satisfy
-    D^t * dual(a_i) * D = standard(a_j), with the diagonal window at
-    (i, i) equal to the standard form matrix itself.
+    The window D of rows i..i+3 and columns j-3..j must satisfy
+    D^t dual(a_i) D = standard(a_j): entry (r, c) is the dual pairing of
+    columns r and c of D, and entry (r, c) of a form matrix pairs the
+    unit vectors e_r and e_c.  The diagonal window at (i, i) must equal
+    the standard form matrix itself.
     """
-    n = g.period
-    kind = g.kind
+    n, kind = g.period, g.kind
+    one, zero = kind.one(), kind.zero()
+    units = [[one if r == c else zero for c in range(4)] for r in range(4)]
     a = [g.black(i, i) for i in range(n)]
-    standard = [SymplecticForm(x, "standard", kind).matrix() for x in a]
-    dual = [SymplecticForm(x, "dual", kind).matrix() for x in a]
+    standard = [_gram(SymplecticForm(x, "standard", kind), units) for x in a]
     for i in range(n):
-        if black_block(g, i, i) != standard[i]:
+        diagonal = [g.black(i + r, c) for r in range(4) for c in range(i - 3, i + 1)]
+        if not all(map(kind.eq, diagonal, standard[i])):
             return False
+        dual = SymplecticForm(a[i], "dual", kind)
         for j in range(i, i + n + 1):
-            d = black_block(g, i, j)
-            if d.transpose() * dual[i] * d != standard[j % n]:
+            cols = [[g.black(i + r, c) for r in range(4)] for c in range(j - 3, j + 1)]
+            if not all(map(kind.eq, _gram(dual, cols), standard[j % n])):
                 return False
     return True
 
@@ -284,19 +289,16 @@ def coeffs_from_polygon(p: Polygon) -> Tuple[Tuple, Tuple]:
 
     Each vertex is a combination of the previous four; the first two
     combination weights are the coefficient cycles (the second one
-    negated).  A dependent frame raises SingularFrame.
+    negated), read by Cramer's rule in three determinants.  A dependent
+    frame raises SingularFrame.
     """
     kind = p.form.kind
-    n = p.period
     a, b = [], []
-    for i in range(n):
-        frame = _column_matrix(
-            kind, [p.vertex(i - 1), p.vertex(i - 2), p.vertex(i - 3), p.vertex(i - 4)]
-        )
-        try:
-            x = solve_linear(frame, list(p.vertex(i)))
-        except SingularMatrix:
-            raise SingularFrame(i) from None
-        a.append(x[0])
-        b.append(-x[1])
+    for i in range(p.period):
+        v, frame = p.vertex(i), [p.vertex(i - k) for k in range(1, 5)]
+        d = det(_column_matrix(kind, frame))
+        if kind.is_zero(d):
+            raise SingularFrame(i)
+        a.append(det(_column_matrix(kind, [v] + frame[1:])) / d)
+        b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))
     return tuple(a), tuple(b)

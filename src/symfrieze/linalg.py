@@ -1,8 +1,9 @@
-"""Small dense matrices over a ScalarKind.
+"""Small dense matrices over a ScalarKind, and `det`, the one
+linear-algebra routine of the package: there is no matrix product,
+transpose or solver.
 
-Sizes in this package stay small (2x2 through roughly 10x10), but the
-adjacent-minor scans take thousands of determinants, so `det` picks a path
-by the kind:
+Sizes stay small (2x2 through roughly 10x10), but the adjacent-minor
+scans take thousands of determinants, so `det` picks a path by the kind:
 
 - rational and Gaussian: each row is multiplied by the lcm of its
   denominators (a GaussianRational (x + y*i)/d has the one denominator d),
@@ -24,11 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Sequence
 
-from .scalars import GaussianKind, GaussianRational, KindMismatch, RationalKind, ScalarKind
-
-
-class SingularMatrix(ValueError):
-    """Linear solve hit a zero determinant."""
+from .scalars import GaussianKind, GaussianRational, RationalKind, ScalarKind
 
 
 class Matrix:
@@ -62,36 +59,12 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def __getitem__(self, ij: tuple[int, int]) -> Any:
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix._of(self.kind, zip(*self.rows))
-
     def scaled(self, c: Any) -> "Matrix":
         c = self.kind.coerce(c)
         return Matrix._of(self.kind, [[c * v for v in row] for row in self.rows])
 
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.kind, [[-v for v in row] for row in self.rows])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        kind = self.kind
-        if kind != other.kind:
-            raise KindMismatch(f"mixing matrices over {kind.name} and {other.kind.name}")
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols, zero = list(zip(*other.rows)), kind.zero()
-        out = []
-        for row in self.rows:
-            out.append([])
-            for col in cols:
-                acc = zero
-                for x, y in zip(row, col):
-                    acc = acc + x * y
-                out[-1].append(acc)
-        return Matrix._of(kind, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -226,24 +199,3 @@ def _det_lu(m: Matrix) -> Any:
             for j in range(k + 1, n):
                 a[i][j] -= f * a[k][j]
     return acc
-
-
-def solve_linear(a: Matrix, b: Sequence[Any]) -> tuple[Any, ...]:
-    """Solve a @ x = b by Cramer's rule. Raises SingularMatrix on det = 0."""
-    if a.nrows != a.ncols:
-        raise ValueError("solve_linear needs a square matrix")
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length mismatch")
-    kind = a.kind
-    b = [kind.coerce(v) for v in b]
-    d = det(a)
-    if kind.is_zero(d):
-        raise SingularMatrix("coefficient matrix is singular")
-    out = []
-    for j in range(a.ncols):
-        cols = [
-            [b[i] if c == j else a.rows[i][c] for c in range(a.ncols)]
-            for i in range(a.nrows)
-        ]
-        out.append(det(Matrix._of(kind, cols)) / d)
-    return tuple(out)

@@ -303,11 +303,14 @@ SCALAR_NAMES = tuple(_BY_NAME)
 
 
 def kind_by_name(name: str, tolerance: float | None = None) -> ScalarKind:
-    """Look up a scalar kind for CLI/serialization use."""
+    """Look up a scalar kind for CLI/serialization use; a given tolerance
+    is range-checked for every kind, and kept by a complex-float one."""
     try:
         kind = _BY_NAME[name]
     except KeyError:
         raise KeyError(f"unknown scalar kind {name!r}") from None
-    if name == "complex-float" and tolerance is not None:
-        return ComplexFloatKind(tolerance)
+    if tolerance is not None:
+        checked = ComplexFloatKind(tolerance)
+        if name == "complex-float":
+            return checked
     return kind

@@ -12,9 +12,10 @@ only up to rounding.  The local-rule oracle reads every window of the rows -2..w
 through `get` and compares with the kind's `eq`, so it serves every kind.
 The complement oracle builds the complementary determinant by hand; the
 polygon oracle pairs the two vertices of every cell by a form matrix
-written out here.  The coefficient oracle expands the lower-Hessenberg
-determinants next to the upper boundary by cofactors, so it serves every
-kind.  The quiver oracle mutates arrow by arrow, without exchange
+written out here, and the block oracle multiplies that matrix with the
+black windows by plain 4x4 products and a transpose.  The coefficient
+oracle expands the lower-Hessenberg determinants next to the upper
+boundary by cofactors, so it serves every kind.  The quiver oracle mutates arrow by arrow, without exchange
 matrices.  The decoder oracle reads raw JSON values with one branch per
 scalar kind, building Fractions and Gaussian rationals itself instead
 of going through the kinds' `coerce`.  The map oracles walk the display
@@ -39,7 +40,7 @@ from symfrieze.frieze import (
     propagate_from_zigzag,
     translate,
 )
-from symfrieze.legendrian import NormalizationViolated
+from symfrieze.legendrian import NormalizationViolated, SymplecticForm
 from symfrieze.scalars import GaussianRational
 
 
@@ -257,14 +258,19 @@ def naive_quiver_mutate(matrix, k):
     return tuple(tuple(row) for row in rows)
 
 
-def naive_pairing(form, u, v):
-    """omega(u, v) = u^t F v, with F written out for each variant."""
+def naive_form_matrix(form):
+    """The form matrix F as plain rows, written out for each variant."""
     kind, a = form.kind, form.a
     o, z = kind.one(), kind.zero()
     if form.variant == "standard":
-        f = [[z, z, o, a], [z, z, z, o], [-o, z, z, z], [-a, -o, z, z]]
-    else:
-        f = [[z, z, o, z], [z, z, -a, o], [-o, a, z, z], [z, -o, z, z]]
+        return [[z, z, o, a], [z, z, z, o], [-o, z, z, z], [-a, -o, z, z]]
+    return [[z, z, o, z], [z, z, -a, o], [-o, a, z, z], [z, -o, z, z]]
+
+
+def naive_pairing(form, u, v):
+    """omega(u, v) = u^t F v, with F from `naive_form_matrix`."""
+    kind, z = form.kind, form.kind.zero()
+    f = naive_form_matrix(form)
     total = z
     for r in range(4):
         for c in range(4):
@@ -390,6 +396,39 @@ def mul4(a, b):
         [sum((a[r][k] * b[k][c] for k in range(1, 4)), a[r][0] * b[0][c]) for c in range(4)]
         for r in range(4)
     ]
+
+
+def transpose4(m):
+    """Plain 4x4 transpose over nested lists."""
+    return [[m[r][c] for r in range(4)] for c in range(4)]
+
+
+def naive_block_symplectic_check(g):
+    """D^t dual(a_i) D == standard(a_j) for every 4x4 black window D of
+    rows i..i+3 and columns j-3..j, j from i over one period and one
+    more, by dense products of `mul4`, `transpose4` and the written-out
+    form matrices, compared with the kind's `eq`; and each diagonal
+    window D(i, i) equal to standard(a_i)."""
+    kind, n = g.kind, g.period
+
+    def window(i, j):
+        return [[g.black(i + r, j - 3 + c) for c in range(4)] for r in range(4)]
+
+    def same(m, f):
+        return all(kind.eq(m[r][c], f[r][c]) for r in range(4) for c in range(4))
+
+    def form(i, variant):
+        return naive_form_matrix(SymplecticForm(g.black(i, i), variant, kind))
+
+    for i in range(n):
+        dual = form(i, "dual")
+        if not same(window(i, i), form(i, "standard")):
+            return False
+        for j in range(i, i + n + 1):
+            d = window(i, j)
+            if not same(mul4(mul4(transpose4(d), dual), d), form(j % n, "standard")):
+                return False
+    return True
 
 
 def naive_companion(eq, j):

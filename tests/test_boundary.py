@@ -46,7 +46,7 @@ from symfrieze.frieze import (
     translate,
 )
 from symfrieze.legendrian import Polygon, SymplecticForm, frieze_from_polygon, omega, polygon_from_frieze
-from symfrieze.linalg import Matrix, solve_linear
+from symfrieze.linalg import Matrix
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, KindMismatch, RationalKind
 from symfrieze.slfrieze import black_of, coeffs_of, gale_dual, projective_dual, symplectic_of
 
@@ -102,10 +102,6 @@ REJECTED = {
     "evaluate odd count": (lambda: evaluate_frieze((1, 2, 3)), ValueError, r"need 2\*width values"),
     "evaluate walks back to zero": (lambda: evaluate_frieze((1, "0+1i"), (0,), GAUSSIAN), ZeroSubstitution,
                                     r"walking back through vertex 0 produced zero"),
-    "solve_linear non-square": (lambda: solve_linear(Matrix(RATIONAL, [[1, 2]]), [1]), ValueError,
-                                r"solve_linear needs a square matrix"),
-    "solve_linear short rhs": (lambda: solve_linear(Matrix(RATIONAL, [[1]]), []), ValueError,
-                               r"right-hand side length mismatch"),
     "rational non-number": (lambda: RATIONAL.coerce(None), KindMismatch, r"cannot interpret None as a rational"),
     "gaussian non-number": (lambda: GAUSSIAN.coerce(None), KindMismatch,
                             r"cannot interpret None as a Gaussian rational"),
@@ -171,7 +167,6 @@ BOUNDARY = {
     "diffeq.solve",
     "linalg.Matrix.__init__",
     "linalg.Matrix.scaled",
-    "linalg.solve_linear",
     "frieze.SLFrieze.__init__",
     "frieze.FriezeGrid.from_cells",
     "frieze.FriezeGrid.with_entry",

@@ -80,6 +80,16 @@ def test_from_zigzag():
     assert loads(out).width == 2
 
 
+def test_from_zigzag_values_come_in_cluster_order():
+    # the white values, then the black values, each top to bottom: row 0
+    # reads 1 then *3 west to east, row 1 reads *4 then 2
+    _, out, _ = run(["frieze", "from-zigzag", "--help"])
+    assert "the width white values, then the width black values, each top to bottom" in " ".join(out.split())
+    rc, out, _ = run(["frieze", "from-zigzag", "--width", "2", "--values", "1,2,3,4"])
+    rows = [line.split() for line in out.splitlines()[2:4]]
+    assert rc == 0 and rows[0][1:3] == ["1", "*3"] and rows[1][1:3] == ["*4", "2"]
+
+
 def test_verify(w2_json, w2_text):
     rc, out, _ = run(["frieze", "verify", "-"], stdin=w2_json)
     assert rc == 0
@@ -108,10 +118,24 @@ def test_verify_rejects_a_bad_tolerance(tolerance, shown):
     assert run(["frieze", "verify", "-", "--tolerance", "1e-6"], stdin=doc)[0] == 0
     rc, out, err = run(["frieze", "verify", "-", "--tolerance", tolerance], stdin=doc)
     assert (rc, out, err) == (2, "", f"error: tolerance must be finite and non-negative, got {shown}\n")
-    # exact kinds ignore --tolerance
+    # exact kinds compare exactly, but check a given tolerance all the same
     for exact in docs.values():
+        assert run(["frieze", "verify", "-", "--tolerance", "1e-6"], stdin=exact)[0] == 0
         rc, out, err = run(["frieze", "verify", "-", "--tolerance", tolerance], stdin=exact)
-        assert (rc, out.splitlines()[0], err) == (0, "local rules: ok", "")
+        assert (rc, out, err) == (2, "", f"error: tolerance must be finite and non-negative, got {shown}\n")
+
+
+@pytest.mark.parametrize("tolerance, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+@pytest.mark.parametrize("command", ["verify", "from-coeffs", "sl black"])
+def test_rational_commands_reject_a_bad_tolerance(w2_json, command, tolerance, shown):
+    argv, stdin = {
+        "verify": (["frieze", "verify", "-"], w2_json),
+        "from-coeffs": (["frieze", "from-coeffs", "--a", "6,3,1,3,4,2,1", "--b", "3,14,1,2,6,5,1"], ""),
+        "sl black": (["sl", "black", "-"], w2_json),
+    }[command]
+    assert run(argv + ["--tolerance", "1e-6"], stdin=stdin)[0] == 0
+    rc, out, err = run(argv + ["--tolerance", tolerance], stdin=stdin)
+    assert (rc, out, err) == (2, "", f"error: tolerance must be finite and non-negative, got {shown}\n")
 
 
 @pytest.mark.parametrize("tolerance, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS
 from oracles import (
+    mul4,
     naive_band_determinant,
     naive_companion,
     naive_entry_det_complement,
@@ -26,7 +27,6 @@ from symfrieze.diffeq import (
 )
 from symfrieze.frieze import (
     NotSuperperiodic,
-    black_block,
     dihedral_images,
     extract_coeffs,
     propagate_from_coeffs,
@@ -81,10 +81,10 @@ def test_superperiodic_fixtures(eq2):
 
 def test_companion_pushes_window(eq2):
     rng = [Fraction(3), Fraction(-1), Fraction(2), Fraction(5)]
-    row = Matrix(RATIONAL, [rng])
     nxt = solve(eq2, rng, 4, 1)[0]
-    pushed = row * Matrix(RATIONAL, naive_companion(eq2, 4))
-    assert pushed.rows[0] == (rng[1], rng[2], rng[3], nxt)
+    e = naive_companion(eq2, 4)
+    pushed = [sum(rng[k] * e[k][c] for k in range(4)) for c in range(4)]
+    assert pushed == [rng[1], rng[2], rng[3], nxt]
 
 
 def test_companion_det_one(eq2):
@@ -99,8 +99,10 @@ def test_monodromy_is_minus_identity(eq2):
 
 
 def test_monodromy_moves_blocks(eq2, width2_int):
-    blk = black_block(width2_int, 0, 0)
-    assert blk * monodromy(eq2) == black_block(width2_int, 0, 7)
+    def block(j):
+        return [[width2_int.black(r, j - 3 + c) for c in range(4)] for r in range(4)]
+
+    assert mul4(block(0), [list(row) for row in monodromy(eq2).rows]) == block(7)
 
 
 def test_band_determinants_reproduce_entries(eq2, width2_int):

@@ -27,7 +27,6 @@ from symfrieze.frieze import (
     Underdetermined,
     ZeroPivot,
     ZigZag,
-    black_block,
     check_glide,
     check_local_rules,
     check_periodicity,
@@ -503,12 +502,6 @@ def test_store_maps_match_display_cell_oracles(kind):
     # both glide outcomes, and the periods 2, 6 and 8 below 2n
     assert glides == {True, False}
     assert {(2, 10), (6, 12), (8, 16)} <= periods
-
-
-def test_black_block_is_4x4(width2_int):
-    m = black_block(width2_int, 0, 3)
-    assert m.nrows == 4 and m.ncols == 4
-    assert m[3, 3] == width2_int.black(3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import pytest
 
 from conftest import WIDTH2_COEFFS, WIDTH3_COEFFS
 from oracles import (
+    mul4,
+    naive_block_symplectic_check,
     naive_companion,
+    naive_form_matrix,
     naive_frieze_from_polygon,
     naive_normalization_failure,
     naive_pairing,
+    transpose4,
 )
 from symfrieze import legendrian
 from symfrieze.diffeq import SymmetricDiffEq
@@ -29,7 +33,7 @@ from symfrieze.legendrian import (
     polygon_from_frieze,
 )
 from symfrieze.linalg import Matrix, det
-from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
+from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, ComplexFloatKind, GaussianRational
 
 V_COLUMNS = [
     (1, 4, 3, 1, 0, 0, 0),
@@ -47,16 +51,28 @@ def poly2(width2_int):
 # ---------------------------------------------------------------------------
 # the two pairing forms
 
+def _units(kind):
+    zero, one = kind.zero(), kind.one()
+    return [[one if r == c else zero for c in range(4)] for r in range(4)]
+
+
+def form_rows(form):
+    """The form matrix as the package pairs it: row r, column c is _pair(e_r, e_c)."""
+    units = _units(form.kind)
+    return [[legendrian._pair(form, u, v) for v in units] for u in units]
+
+
 def test_forms_are_skew_inverse_pairs():
     rng = random.Random(11)
-    minus = Matrix.identity(RATIONAL, 4).scaled(Fraction(-1))
+    minus = [[-x for x in row] for row in _units(RATIONAL)]
     for _ in range(20):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        std = SymplecticForm(a).matrix()
-        alt = SymplecticForm(a, "dual").matrix()
-        assert alt * std == minus
-        assert det(std) == 1 and det(alt) == 1
-        assert std.transpose() == -std and alt.transpose() == -alt
+        std = form_rows(SymplecticForm(a))
+        alt = form_rows(SymplecticForm(a, "dual"))
+        assert mul4(alt, std) == minus
+        assert det(Matrix(RATIONAL, std)) == 1 and det(Matrix(RATIONAL, alt)) == 1
+        for m in (std, alt):
+            assert transpose4(m) == [[-x for x in row] for row in m]
 
 
 def test_pairing_of_vector_with_itself_vanishes():
@@ -86,14 +102,10 @@ def test_omega_matches_pairing_oracle(kind, variant):
 @pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN, COMPLEX], ids=lambda k: k.name)
 @pytest.mark.parametrize("variant", ["standard", "dual"])
 def test_form_matrix_entries_pair_unit_vectors(kind, variant):
-    zero, one = kind.zero(), kind.one()
-    units = [[one if r == c else zero for c in range(4)] for r in range(4)]
+    # the block check reads entry (r, c) of a form matrix as _pair(e_r, e_c)
     for a in (kind.from_int(0), kind.from_int(-3), _random_scalar(random.Random(5), kind)):
         form = SymplecticForm(a, variant, kind)
-        m = form.matrix()
-        for r in range(4):
-            for c in range(4):
-                assert m[r, c] == naive_pairing(form, units[r], units[c]), (a, r, c)
+        assert form_rows(form) == naive_form_matrix(form), a
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +129,8 @@ def test_named_pairings(poly2):
 
 def test_first_frame_is_standard(poly2):
     cols = [poly2.vertex(1 + c) for c in range(4)]
-    frame = Matrix(RATIONAL, [[cols[c][r] for c in range(4)] for r in range(4)])
-    assert frame == SymplecticForm(Fraction(4)).matrix()
+    frame = [[cols[c][r] for c in range(4)] for r in range(4)]
+    assert frame == form_rows(SymplecticForm(Fraction(4)))
 
 
 def test_vertex_antiperiodic(poly2):
@@ -177,6 +189,8 @@ def _zigzag_grid(rng, width, kind):
     while True:
         if kind is RATIONAL:
             values = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)) for _ in range(2 * width)]
+        elif kind is COMPLEX:
+            values = [complex(rng.choice([1, 2, 3]), rng.choice([-1, 0, 1]) / 2) for _ in range(2 * width)]
         else:
             values = [
                 GaussianRational(Fraction(rng.randint(1, 3)), Fraction(rng.randint(-2, 2), 2))
@@ -186,6 +200,21 @@ def _zigzag_grid(rng, width, kind):
             return propagate_from_zigzag(values, width, kind)
         except ZeroPivot:
             continue
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+@pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN, COMPLEX], ids=lambda k: k.name)
+def test_block_check_matches_dense_oracle(kind, width):
+    # a grid whole and five times with one black entry moved by one (60
+    # planted cases over the twelve runs); the exact kinds compare with ==,
+    # complex floats within the kind's tolerance
+    rng = random.Random(f"block/{kind.name}/{width}")
+    g = _zigzag_grid(rng, width, kind)
+    assert block_symplectic_check(g) and naive_block_symplectic_check(g)
+    for _ in range(5):
+        i, o = rng.randrange(g.period), rng.randrange(width)
+        bad = g.with_entry(GridIndex(2 * i, 2 * (i + o)), g.black(i, i + o) + kind.one())
+        assert not block_symplectic_check(bad) and not naive_block_symplectic_check(bad)
 
 
 @pytest.fixture(scope="module")
@@ -352,5 +381,37 @@ def test_transvection_invariance(poly2, width2_int):
 def test_singular_frame(poly2):
     dup = list(poly2.vertices)
     dup[3] = dup[2]
-    with pytest.raises(SingularFrame):
+    with pytest.raises(SingularFrame) as e:
         coeffs_from_polygon(Polygon(7, poly2.base, tuple(dup), poly2.form))
+    # vertices 5 and 6 (stored at 2 and 3) sit in the frame V_{-4}..V_{-1} of vertex 0
+    assert e.value.index == 0
+
+
+def test_near_singular_complex_frame_raises(poly2):
+    # a near-duplicate vertex leaves a pivot within tolerance; shrunken
+    # vertices give frame determinants near 1e-12 from pivots near 1e-3
+    near = [[complex(x) for x in v] for v in poly2.vertices]
+    near[3] = [x + 1e-12 for x in near[2]]
+    small = [[1e-3 * complex(x) for x in v] for v in poly2.vertices]
+    for vertices in (near, small):
+        loose, tight = (
+            Polygon(7, poly2.base, tuple(map(tuple, vertices)), SymplecticForm(4, "dual", ComplexFloatKind(t)))
+            for t in (1e-9, 1e-15)
+        )
+        with pytest.raises(SingularFrame) as e:
+            coeffs_from_polygon(loose)
+        assert e.value.index == 0
+        got = coeffs_from_polygon(tight)
+    # the shrunken frames scale both Cramer determinants alike
+    for cyc, want in zip(got, WIDTH2_COEFFS):
+        assert close(cyc, want, 1e-6)
+
+
+def test_coeffs_from_polygon_takes_three_determinants_per_vertex(monkeypatch, poly2, width3_int):
+    for p in (poly2, polygon_from_frieze(width3_int, 5)):
+        want = coeffs_from_polygon(p)
+        calls = []
+        monkeypatch.setattr(legendrian, "det", lambda m: calls.append(m) or det(m))
+        assert coeffs_from_polygon(p) == want
+        monkeypatch.undo()
+        assert len(calls) == 3 * p.period

@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import pytest
 
 from oracles import cofactor_det
 from symfrieze.cluster import LaurentKind, LaurentPolynomial
-from symfrieze.linalg import Matrix, SingularMatrix, det, solve_linear
+from symfrieze.linalg import Matrix, det
 from symfrieze.scalars import (
     COMPLEX,
     GAUSSIAN,
@@ -14,7 +13,6 @@ from symfrieze.scalars import (
     ComplexFloatKind,
     GaussianRational,
     KindMismatch,
-    kind_by_name,
 )
 
 
@@ -142,37 +140,23 @@ def test_laurent_det_with_a_zero_column_is_zero():
     assert det(Matrix(kind, rows)) == zero
 
 
-def test_mat_mul_rejects_mixed_kinds():
-    with pytest.raises(KindMismatch, match=r"^mixing matrices over rational and gaussian$") as e:
-        Matrix(RATIONAL, [[1]]) * Matrix(GAUSSIAN, [[1]])
-    assert e.type is KindMismatch
-
-
-def test_mat_mul_accepts_an_equal_kind_held_by_another_object():
-    m = Matrix(RATIONAL, [[1, 2], [3, 4]])
-    assert copy.deepcopy(m) * m == Matrix(RATIONAL, [[7, 10], [15, 22]])
-    a, b = (Matrix(kind_by_name("complex-float", 1e-6), [[v]]) for v in (2, 3j))
-    assert (a * b).rows == ((6j,),)
-    with pytest.raises(KindMismatch):
-        a * Matrix(COMPLEX, [[1]])
-
-
 def test_complex_float_det_uses_tolerance():
     near_singular = Matrix(COMPLEX, [[1, 1], [1, 1 + 1e-12]])
     assert det(near_singular) == 0
-    with pytest.raises(SingularMatrix):
-        solve_linear(near_singular, [1, 2])
     tight = Matrix(ComplexFloatKind(1e-15), near_singular.rows)
     assert det(tight) != 0
 
 
 def test_complex_float_solve():
+    # Cramer's rule through det, as coeffs_from_polygon reads its coefficients
     a = Matrix(COMPLEX, [[0, 1j, 2], [1, 3, -1], [2 - 1j, 1 - 1j, 4]])
     rows = [list(r) for r in a.rows]
     assert COMPLEX.eq(det(a), cofactor_det(rows))
     x = (1 + 2j, -1j, 0.5)
-    b = [sum(a[r, c] * x[c] for c in range(3)) for r in range(3)]
-    assert all(COMPLEX.eq(u, v) for u, v in zip(solve_linear(a, b), x))
+    b = [sum(rows[r][c] * x[c] for c in range(3)) for r in range(3)]
+    for j in range(3):
+        swapped = Matrix(COMPLEX, [row[:j] + [v] + row[j + 1:] for row, v in zip(rows, b)])
+        assert COMPLEX.eq(det(swapped) / det(a), x[j])
 
 
 def test_det_matches_sympy():
@@ -222,34 +206,10 @@ def test_identity_and_scaled():
     assert det(m.scaled(Fraction(2))) == 8
 
 
-def test_transpose_product():
-    a = Matrix(RATIONAL, [[1, 2], [3, 4]])
-    b = Matrix(RATIONAL, [[0, 1], [1, 1]])
-    assert (a * b).rows == ((2, 3), (4, 7))
-    assert a.transpose().rows == ((1, 3), (2, 4))
-
-
 def test_minor_picks_submatrix():
     m = Matrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert det(m.submatrix((0, 1), (0, 1))) == Fraction(-3)
     assert det(m.submatrix((0, 1, 2), (0, 1, 2))) == det(m)
-
-
-def test_solve_linear_round_trip():
-    rng = random.Random(11)
-    for _ in range(20):
-        m = rational_matrix(rng, 4)
-        if det(m) == 0:
-            continue
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-        b = [sum(m[r, c] * x[c] for c in range(4)) for r in range(4)]
-        assert solve_linear(m, b) == tuple(x)
-
-
-def test_solve_singular():
-    m = Matrix(RATIONAL, [[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrix):
-        solve_linear(m, [1, 1])
 
 
 def test_shape_errors():
@@ -257,5 +217,3 @@ def test_shape_errors():
         Matrix(RATIONAL, [[1, 2], [3]])
     with pytest.raises(ValueError):
         det(Matrix(RATIONAL, [[1, 2]]))
-    with pytest.raises(ValueError):
-        Matrix(RATIONAL, [[1, 2]]) * Matrix(RATIONAL, [[1, 2]])

@@ -179,10 +179,12 @@ def test_complex_tolerance():
 def test_complex_tolerance_must_be_finite_and_non_negative(tolerance):
     with pytest.raises(ValueError, match=r"^tolerance must be finite and non-negative, got "):
         ComplexFloatKind(tolerance)
-    with pytest.raises(ValueError):
-        kind_by_name("complex-float", tolerance)
-    assert kind_by_name("rational", tolerance) is RATIONAL
-    assert kind_by_name("gaussian", tolerance) is GAUSSIAN
+    # a given tolerance is checked whatever the kind; a good one leaves an exact kind as it is
+    for name, kind in (("complex-float", None), ("rational", RATIONAL), ("gaussian", GAUSSIAN)):
+        with pytest.raises(ValueError, match=r"^tolerance must be finite and non-negative, got "):
+            kind_by_name(name, tolerance)
+        if kind is not None:
+            assert kind_by_name(name, 1e-6) is kind
 
 
 def test_complex_tolerance_zero_is_exact_comparison():
