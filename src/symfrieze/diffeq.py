@@ -5,7 +5,12 @@ with n-periodic coefficients.  An equation is superperiodic when every
 solution is n-antiperiodic, V[i+n] = -V[i]; those are exactly the
 equations whose solution diagonals weave a frieze grid of width n - 5.
 It is the order-3 recurrence on the cycles (a, b, a shifted by one).
-`_recur` runs a table of k cycles, and `entry_det_band` (which gives
+`_recur` runs a table of k cycles; `from_equation` and `monodromy` start
+it from unit windows and run a rational table on integers through
+`_Scaled`: t steps past a window's 1 the value is an integer polynomial
+of degree at most t in the coefficients, so with d the lcm of their
+denominators d^t times it is an integer, and each output is built once
+as a Fraction.  `entry_det_band` (which gives
 `band_determinant`) and `dual_equation_coeffs` read one;
 `entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
 imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
@@ -14,10 +19,12 @@ imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
 `entry_det_band` does.  `white_band_determinant` is the one other builder.
 """
 
+from fractions import Fraction
+from math import lcm
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, det
-from .scalars import RATIONAL, ScalarKind, _Frozen
+from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen
 
 
 class SymmetricDiffEq(_Frozen):
@@ -63,13 +70,17 @@ def _coeff_table(coeffs, kind: ScalarKind) -> Tuple[Tuple, ...]:
     return table
 
 
-def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int) -> list:
+def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int, tail=1) -> list:
     """Run the order-k recurrence of k coefficient cycles; the one loop
     in the package that runs a difference equation.
 
     V[j] = sum over s of (-1)^(s+1) table[s-1][j mod n] V[j-s], plus
-    (-1)^k V[j-k-1].  `window` holds V[first-k-1] .. V[first-1]; returns
-    V[first], ..., V[first+count-1].
+    (-1)^k tail V[j-k-1].  `window` holds V[first-k-1] .. V[first-1]; returns
+    V[first], ..., V[first+count-1].  The tail weight is 1, except on a
+    rational table that `_Scaled` has scaled to integers: there each value
+    W[t] = d^t V[t], t steps past a unit window's 1, is an integer (V[t]
+    has degree at most t in the coefficients), cycle s carries d^s and
+    the tail d^(k+1).
     """
     k, n = len(table), len(table[0])
     negate_tail = k % 2 == 1
@@ -80,8 +91,44 @@ def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int) 
         for s in range(2, k + 1):
             term = seq[-s] * table[s - 1][r]
             acc = acc + term if s % 2 else acc - term
-        seq.append(acc - seq[-k - 1] if negate_tail else acc + seq[-k - 1])
+        back = seq[-k - 1] if tail == 1 else seq[-k - 1] * tail
+        seq.append(acc - back if negate_tail else acc + back)
     return seq[k + 1 :]
+
+
+class _Scaled:
+    """A coefficient table as `_recur` runs it from a unit window, zeros
+    capped by a single 1.
+
+    A rational table runs on integers, by the degree argument in
+    `_recur`: with d the lcm of its denominators, `cycles` holds cycle s
+    times d^s and `tail` is d^(k+1).  `unit(t)` is d^t, the scaled 1, and
+    `value(W, t)` builds V[t] once, as the canonical Fraction(W, d^t),
+    where Fraction arithmetic would normalise after every step.  Any
+    other table runs as it is, in its kind, with tail weight 1.  Gaussian
+    tables stay there too: run in the one loop as Gaussian integers
+    (triples with d = 1), they were slower than on reduced triples.
+    """
+
+    __slots__ = ("cycles", "tail", "zero", "_base", "_one")
+
+    def __init__(self, table: Tuple[Tuple, ...], kind: ScalarKind):
+        if isinstance(kind, RationalKind):
+            d = lcm(*(v.denominator for row in table for v in row))
+            self.cycles = tuple(
+                tuple(v.numerator * (d**s // v.denominator) for v in row)
+                for s, row in enumerate(table, 1)
+            )
+            self.tail, self.zero, self._base = d ** (len(table) + 1), 0, d
+        else:
+            self.cycles, self.tail, self.zero, self._base = table, 1, kind.zero(), None
+            self._one = kind.one()
+
+    def unit(self, t: int):
+        return self._one if self._base is None else self._base**t
+
+    def value(self, x, t: int):
+        return x if self._base is None else Fraction(x, self._base**t)
 
 
 def solve(eq: SymmetricDiffEq, init: Sequence, first: int, count: int) -> Tuple:
@@ -109,9 +156,15 @@ def monodromy(eq: SymmetricDiffEq) -> Matrix:
     Equals minus the identity exactly when the equation is
     superperiodic.
     """
-    zero, one, table = eq.kind.zero(), eq.kind.one(), _table(eq)
-    units = [[one if s == t else zero for s in range(4)] for t in range(4)]
-    return Matrix._of(eq.kind, [_recur(table, u, 1, eq.n)[-4:] for u in units])
+    run, n = _Scaled(_table(eq), eq.kind), eq.n
+    zero, one = run.zero, run.unit(0)
+    rows = []
+    for t in range(4):
+        unit = [one if s == t else zero for s in range(4)]
+        # the window's 1 sits at V[t-3], so V[n-3+m] lies n+m-t steps past it
+        last = _recur(run.cycles, unit, 1, n, run.tail)[-4:]
+        rows.append([run.value(v, n + m - t) for m, v in enumerate(last)])
+    return Matrix._of(eq.kind, rows)
 
 
 def dual_equation_coeffs(coeffs, kind: ScalarKind = RATIONAL) -> Tuple[Tuple, ...]:

@@ -33,7 +33,7 @@ symmetry tests read them.
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _band_det, _coeff_table, _recur, _table
+from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _recur, _table
 from .linalg import Matrix, det
 from .scalars import RATIONAL, ScalarKind, _Frozen
 
@@ -321,15 +321,16 @@ def from_equation(coeffs, kind: ScalarKind = RATIONAL) -> SLFrieze:
     k = len(table)
     n = len(table[0])
     w = n - k - 2
-    zero, one = kind.zero(), kind.one()
-    start = [zero] * k + [one]
+    run, one = _Scaled(table, kind), kind.one()
+    start, top = [run.zero] * k + [run.unit(0)], run.unit(w + 1)
     cells = {}
     for i in range(n):
-        diagonal = _recur(table, start, i, w + k + 1)
-        if not kind.eq(diagonal[w], one) or not all(map(kind.is_zero, diagonal[w + 1 :])):
+        diagonal = _recur(run.cycles, start, i, w + k + 1, run.tail)
+        if not kind.eq(diagonal[w], top) or not all(map(kind.is_zero, diagonal[w + 1 :])):
             raise NotSuperperiodic(i)
-        for o, v in enumerate([one] + diagonal[: w + 1], -1):
-            cells[(i, o)] = v
+        cells[(i, -1)] = one
+        for o, v in enumerate(diagonal[: w + 1]):
+            cells[(i, o)] = run.value(v, o + 1)
     return SLFrieze._of(kind, k, w, cells)
 
 

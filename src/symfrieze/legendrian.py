@@ -11,6 +11,7 @@ too.  The recurrence coefficients are Cramer quotients of `det`.
 """
 
 import cmath
+from itertools import combinations
 from typing import Sequence, Tuple
 
 from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind, _Frozen
@@ -205,8 +206,10 @@ def frieze_entries_by_4x4(p: Polygon, i: int, j: int) -> Tuple:
 
 
 def _gram(form: SymplecticForm, vectors: Sequence[Sequence]) -> list:
-    """The pairings of every two of `vectors`, row-major: (u0, u0), (u0, u1), ..."""
-    return [_pair(form, u, v) for u in vectors for v in vectors]
+    """The pairings (u, v) of `vectors` taken two at a time in order:
+    (u0, u1), (u0, u2), ..., (u2, u3).  The form is skew, so these
+    decide every other pairing."""
+    return [_pair(form, u, v) for u, v in combinations(vectors, 2)]
 
 
 def block_symplectic_check(g: FriezeGrid) -> bool:
@@ -215,17 +218,23 @@ def block_symplectic_check(g: FriezeGrid) -> bool:
     The window D of rows i..i+3 and columns j-3..j must satisfy
     D^t dual(a_i) D = standard(a_j): entry (r, c) is the dual pairing of
     columns r and c of D, and entry (r, c) of a form matrix pairs the
-    unit vectors e_r and e_c.  The diagonal window at (i, i) must equal
-    the standard form matrix itself.
+    unit vectors e_r and e_c.  Both sides are skew, so the six entries
+    with r < c decide.  The diagonal window at (i, i) must equal the
+    standard form matrix itself: its six entries above the diagonal, the
+    negated six below it, and zeros on it.
     """
     n, kind = g.period, g.kind
     one, zero = kind.one(), kind.zero()
     units = [[one if r == c else zero for c in range(4)] for r in range(4)]
     a = [g.black(i, i) for i in range(n)]
     standard = [_gram(SymplecticForm(x, "standard", kind), units) for x in a]
+    pairs = list(combinations(range(4), 2))
     for i in range(n):
-        diagonal = [g.black(i + r, c) for r in range(4) for c in range(i - 3, i + 1)]
-        if not all(map(kind.eq, diagonal, standard[i])):
+        d = [[g.black(i + r, c) for c in range(i - 3, i + 1)] for r in range(4)]
+        skew = [d[r][c] for r, c in pairs] + [-d[c][r] for r, c in pairs]
+        if not all(map(kind.eq, skew, standard[i] * 2)) or not all(
+            kind.is_zero(d[r][r]) for r in range(4)
+        ):
             return False
         dual = SymplecticForm(a[i], "dual", kind)
         for j in range(i, i + n + 1):

@@ -1,0 +1,126 @@
+"""Mutants of the package, each with the tests that must kill it.
+
+A mutant replaces one exact piece of text in one file.  Its old text
+must occur exactly once in that file, which `test_mutants.py` checks in
+Tier-1, so an edit that moves the text shows up at once.
+
+    python tests/mutants.py --run
+
+copies `src/`, `tests/`, `bench/` and `pyproject.toml` into a temporary
+directory for each mutant, applies it there, and runs pytest on its node
+ids.  A mutant is killed when those tests fail; first, all the node ids
+must pass on an unmutated copy.  The run prints one line per mutant and
+exits 1 if any survives or cannot be applied.  It runs
+outside Tier-1: each mutant costs one pytest start.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    kills: Tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+_RECUR_ORACLE = (
+    "tests/test_diffeq.py::test_from_equation_matches_fraction_recurrence",
+    "tests/test_diffeq.py::test_monodromy_matches_fraction_recurrence",
+)
+
+MUTANTS = (
+    Mutant(
+        "scaled recurrence: tail weight 1",
+        "src/symfrieze/diffeq.py",
+        "self.tail, self.zero, self._base = d ** (len(table) + 1), 0, d",
+        "self.tail, self.zero, self._base = 1, 0, d",
+        _RECUR_ORACLE,
+    ),
+    Mutant(
+        "scaled recurrence: cycle s times d, not d^s",
+        "src/symfrieze/diffeq.py",
+        "tuple(v.numerator * (d**s // v.denominator) for v in row)",
+        "tuple(v.numerator * (d // v.denominator) for v in row)",
+        _RECUR_ORACLE,
+    ),
+    Mutant(
+        "scaled recurrence: tail sign flipped",
+        "src/symfrieze/diffeq.py",
+        "back = seq[-k - 1] if tail == 1 else seq[-k - 1] * tail",
+        "back = seq[-k - 1] if tail == 1 else -seq[-k - 1] * tail",
+        _RECUR_ORACLE,
+    ),
+    Mutant(
+        "scaled recurrence: output denominator d^(t-1)",
+        "src/symfrieze/diffeq.py",
+        "Fraction(x, self._base**t)",
+        "Fraction(x, self._base ** (t - 1))",
+        _RECUR_ORACLE,
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or why the mutant's tests could not run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COPIED:
+            src, dst = ROOT / name, Path(tmp) / name
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+            else:
+                shutil.copy2(src, dst)
+        target = Path(tmp) / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.kills],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    # pytest exits 1 when tests ran and failed; other codes mean they did not run
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    return f"pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:] or done.stderr.strip()}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--run", action="store_true", help="apply each mutant in a copy and run its tests")
+    args = parser.parse_args(argv)
+    if not args.run:
+        for m in MUTANTS:
+            print(f"{m.name}  ({m.path})")
+        return 0
+    # the same tests on an unmutated copy must pass, or no kill means anything
+    kills = tuple(dict.fromkeys(node for m in MUTANTS for node in m.kills))
+    control = run(MUTANTS[0]._replace(name="unmutated", new=MUTANTS[0].old, kills=kills))
+    if control != "survived":
+        print(f"the tests fail without a mutant: {control}")
+        return 1
+    bad = 0
+    for m in MUTANTS:
+        verdict = run(m)
+        bad += verdict != "killed"
+        print(f"{verdict:8s}  {m.name}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

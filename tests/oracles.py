@@ -8,7 +8,9 @@ expand every adjacent window by cofactors and compare with `==`, so
 they serve exact kinds only.  The monodromy oracles multiply companion
 matrices written out here as plain rows, and step the order-4 equation
 by hand, so they serve every kind; complex floats agree with the package
-only up to rounding.  The local-rule oracle reads every window of the rows -2..w+1
+only up to rounding.  The recurrence oracles run the loop in the kind's
+own arithmetic, as `diffeq._recur` did before it ran rational tables on
+scaled integers, and serve the exact kinds.  The local-rule oracle reads every window of the rows -2..w+1
 through `get` and compares with the kind's `eq`, so it serves every kind.
 The complement oracle builds the complementary determinant by hand; the
 polygon oracle pairs the two vertices of every cell by a form matrix
@@ -429,6 +431,53 @@ def naive_block_symplectic_check(g):
             if not same(mul4(mul4(transpose4(d), dual), d), form(j % n, "standard")):
                 return False
     return True
+
+
+def naive_recur(table, window, first, count):
+    """The recurrence loop as `diffeq._recur` ran it before it ran rational
+    tables on scaled integers: every step in the kind's own arithmetic,
+    so a Fraction is normalised after each product and difference.
+    V[j] = sum over s of (-1)^(s+1) table[s-1][j mod n] V[j-s], plus
+    (-1)^k V[j-k-1]; `window` holds V[first-k-1] .. V[first-1]."""
+    k, n = len(table), len(table[0])
+    seq = list(window)
+    for j in range(first, first + count):
+        r = j % n
+        acc = seq[-1] * table[0][r]
+        for s in range(2, k + 1):
+            term = seq[-s] * table[s - 1][r]
+            acc = acc + term if s % 2 else acc - term
+        seq.append(acc - seq[-k - 1] if k % 2 else acc + seq[-k - 1])
+    return seq[k + 1 :]
+
+
+def naive_from_equation(table, kind):
+    """The cells {(i, o): value} that `from_equation` grows from `table`, a
+    tuple of cycles already in the kind, or the index of the first
+    diagonal that does not close up (a 1, then k zeros)."""
+    k, n = len(table), len(table[0])
+    w = n - k - 2
+    zero, one = kind.zero(), kind.one()
+    cells = {}
+    for i in range(n):
+        diagonal = naive_recur(table, [zero] * k + [one], i, w + k + 1)
+        if diagonal[w] != one or any(diagonal[w + 1 :]):
+            return i
+        cells[(i, -1)] = one
+        cells.update(((i, o), v) for o, v in enumerate(diagonal[: w + 1]))
+    return cells
+
+
+def naive_unit_monodromy(eq):
+    """Rows of the monodromy as `diffeq.monodromy` defines it: row t is the
+    window (V[n-3], ..., V[n]) grown by `naive_recur` from the t-th unit
+    window (V[-3], ..., V[0])."""
+    zero, one = eq.kind.zero(), eq.kind.one()
+    table = (eq.a, eq.b, eq.a[-1:] + eq.a[:-1])
+    return [
+        naive_recur(table, [one if s == t else zero for s in range(4)], 1, eq.n)[-4:]
+        for t in range(4)
+    ]
 
 
 def naive_companion(eq, j):

@@ -29,7 +29,9 @@ from conftest import WIDTH2_COEFFS
 from symfrieze.cluster import (
     LaurentKind, LaurentPolynomial, ZeroSubstitution, belt_step, c2_square_aw, evaluate_frieze, initial_seed,
 )
-from symfrieze.diffeq import SymmetricDiffEq, dual_equation_coeffs, entry_det_band, solve
+from symfrieze.diffeq import (
+    SymmetricDiffEq, dual_equation_coeffs, entry_det_band, solve, white_band_determinant,
+)
 from symfrieze.formats import dumps
 from symfrieze.frieze import (
     FriezeGrid,
@@ -107,6 +109,10 @@ REJECTED = {
                             r"cannot interpret None as a Gaussian rational"),
     "complex non-number": (lambda: COMPLEX.coerce(None), KindMismatch, r"cannot interpret None as a complex float"),
     "dumps non-document": (lambda: dumps(3), TypeError, r"not a document: 3"),
+    "white band order 0": (lambda: white_band_determinant(SymmetricDiffEq(*WIDTH2_COEFFS), 3, 2), ValueError,
+                           r"band must have positive order"),
+    "omega 3-vector": (lambda: omega(SymplecticForm(1), (1, 0, 0), (0, 0, 0, 1)), ValueError,
+                       r"pairing needs 4-vectors"),
 }
 
 

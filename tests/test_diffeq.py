@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,8 +10,10 @@ from oracles import (
     naive_band_determinant,
     naive_companion,
     naive_entry_det_complement,
+    naive_from_equation,
     naive_monodromy,
     naive_superperiodic,
+    naive_unit_monodromy,
 )
 from symfrieze.cluster import ZeroSubstitution, evaluate_frieze
 from symfrieze.diffeq import (
@@ -29,12 +32,14 @@ from symfrieze.frieze import (
     NotSuperperiodic,
     dihedral_images,
     extract_coeffs,
+    from_equation,
     propagate_from_coeffs,
     propagate_from_zigzag,
     translate,
 )
 from symfrieze.linalg import Matrix, det
 from symfrieze.scalars import COMPLEX, GAUSSIAN, RATIONAL, GaussianRational
+from symfrieze.slfrieze import black_of, coeffs_of, gale_dual
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +316,76 @@ def test_propagation_fails_exactly_off_superperiodic(eq, superperiodic):
     else:
         with pytest.raises(NotSuperperiodic):
             propagate_from_coeffs(eq.a, eq.b, eq.kind)
+
+
+def _recur_cases():
+    """Exact tables for the scaled-integer recurrence, tagged by name.
+
+    For each of the rational and Gaussian kinds and widths 1-4: the
+    order-3 table of a zig-zag grid whose parts are drawn up to a bound
+    that falls with the width, so that the largest coefficient
+    denominator of a table lies between 10^4 and 10^11 (rational) or far
+    past it (Gaussian); the table of its Gale dual
+    (order w, width 3); and a copy of each with one entry moved by 1/7,
+    which must fail to close at the oracle's diagonal.
+    """
+    rng = random.Random(27)
+    part = lambda top: Fraction(rng.randint(1, top), rng.randint(1, top))
+    draws = {
+        RATIONAL: part,
+        GAUSSIAN: lambda top: GaussianRational(part(top), part(top) - part(top)),
+    }
+    bounds = {1: 10**3, 2: 10**2, 3: 25, 4: 12}
+    cases = []
+    for kind, draw in draws.items():
+        for w in range(1, 5):
+            g = propagate_from_zigzag([draw(bounds[w]) for _ in range(2 * w)], w, kind)
+            for name, table in (("order3", _table(SymmetricDiffEq(*extract_coeffs(g), kind))),
+                                ("gale", coeffs_of(gale_dual(black_of(g))))):
+                s, p = rng.randrange(len(table)), rng.randrange(len(table[0]))
+                row = table[s][:p] + (table[s][p] + kind.coerce(Fraction(1, 7)),) + table[s][p + 1 :]
+                cases.append((f"{kind.name}-w{w}-{name}", kind, table))
+                cases.append((f"{kind.name}-w{w}-{name}-moved", kind, table[:s] + (row,) + table[s + 1 :]))
+    return cases
+
+
+RECUR_CASES = _recur_cases()
+
+
+def _recur_params(cases):
+    return pytest.mark.parametrize("kind,table", [c[1:] for c in cases], ids=[c[0] for c in cases])
+
+
+def _assert_canonical(v):
+    # lowest terms and a positive denominator, hashed like a fresh value
+    if isinstance(v, Fraction):
+        x, y, d, fresh = v.numerator, 0, v.denominator, Fraction(v.numerator, v.denominator)
+    else:
+        x, y, d, fresh = v._x, v._y, v._d, GaussianRational(v.re, v.im)
+    assert gcd(x, y, d) == 1 and d > 0 and hash(v) == hash(fresh), v
+
+
+@_recur_params(RECUR_CASES)
+def test_from_equation_matches_fraction_recurrence(kind, table):
+    want = naive_from_equation(table, kind)
+    if isinstance(want, int):
+        with pytest.raises(NotSuperperiodic) as e:
+            from_equation(table, kind)
+        assert e.value.index == want
+        return
+    got = dict(from_equation(table, kind).cells())
+    assert got == want
+    for v in got.values():
+        _assert_canonical(v)
+
+
+@_recur_params([c for c in RECUR_CASES if len(c[2]) == 3])
+def test_monodromy_matches_fraction_recurrence(kind, table):
+    eq = SymmetricDiffEq(table[0], table[1], kind)
+    got, want = monodromy(eq), naive_unit_monodromy(eq)
+    assert got.rows == tuple(tuple(row) for row in want)
+    for row in got.rows:
+        for v in row:
+            _assert_canonical(v)
+    one, zero = kind.one(), kind.zero()
+    assert is_superperiodic(eq) is (want == [[-one if r == c else zero for c in range(4)] for r in range(4)])
