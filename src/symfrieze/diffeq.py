@@ -96,6 +96,16 @@ def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int, 
     return seq[k + 1 :]
 
 
+def _lcm_scaled(rows, powers) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """d, the lcm of the denominators of the Fractions in `rows`, and each
+    row times d to its power in `powers`, as ints.  `_Scaled` scales a
+    coefficient table with it and `frieze.check_local_rules` a grid."""
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return d, tuple(
+        tuple(v.numerator * (d**p // v.denominator) for v in row) for row, p in zip(rows, powers)
+    )
+
+
 class _Scaled:
     """A coefficient table as `_recur` runs it from a unit window, zeros
     capped by a single 1.
@@ -114,11 +124,7 @@ class _Scaled:
 
     def __init__(self, table: Tuple[Tuple, ...], kind: ScalarKind):
         if isinstance(kind, RationalKind):
-            d = lcm(*(v.denominator for row in table for v in row))
-            self.cycles = tuple(
-                tuple(v.numerator * (d**s // v.denominator) for v in row)
-                for s, row in enumerate(table, 1)
-            )
+            d, self.cycles = _lcm_scaled(table, range(1, len(table) + 1))
             self.tail, self.zero, self._base = d ** (len(table) + 1), 0, d
         else:
             self.cycles, self.tail, self.zero, self._base = table, 1, kind.zero(), None

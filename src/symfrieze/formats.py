@@ -145,9 +145,12 @@ def document_of(grid: FriezeGrid, provenance: Optional[Dict[str, Any]] = None) -
 def grid_of(doc: FriezeDocument, tolerance: Optional[float] = None) -> FriezeGrid:
     """Rebuild the grid and check every defining local relation.
 
+    The check is `check_local_rules`, which scans a rational grid on
+    ints, each stored value scaled once by the lcm of the denominators;
+    that scan costs less than a rebuild from the grid's coefficients.
     `frieze verify` reads through `_unchecked_grid` instead and, for an
-    exact kind, decides the relations by one rebuild from the grid's
-    coefficients (`frieze._verdict`), scanning them only on a mismatch.
+    exact kind, decides the relations and tameness by one rebuild
+    (`frieze._verdict`), scanning them only on a mismatch.
     """
     grid = _unchecked_grid(doc, tolerance)
     _reject_failed_rules(check_local_rules(grid))

@@ -26,16 +26,17 @@ table checked by `diffeq._coeff_table`) live here for that reason, and
 `from_cells` and `with_entry` coerce a caller's values; bands the
 package computes go through the private `SLFrieze._of`, and into the
 `FriezeGrid` constructor, which only this module calls: the grid maps
-write the two band stores (`_store`, `FriezeGrid._remap`) and the
-symmetry tests read them.
+write the two band stores (`_store`, `FriezeGrid._remap`), and the
+symmetry tests and the local-rule scan of a rational grid read them.
 """
 
+import operator
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _recur, _table
+from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _lcm_scaled, _recur, _table
 from .linalg import Matrix, det
-from .scalars import RATIONAL, ScalarKind, _Frozen
+from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen
 
 
 class FriezeError(ValueError):
@@ -531,14 +532,12 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
     ]
 
     def at(o: int, col: int):
-        # value of row o at column col; valid only next to current cells
+        # value of row o at column col, the column of the neighbouring row
+        # `_west_steps` moves: the first row at the largest column, so as
+        # linked rows differ by at most one column, col is s[o] or s[o] + 1
         if o < 0 or o >= w:
             return one
-        if col == s[o]:
-            return vals[o][0]
-        if col == s[o] + 1:
-            return vals[o][1]
-        raise AssertionError("column out of reach during redress")
+        return vals[o][col - s[o]]
 
     def step(o: int, col: int, v, above, below, known, known_col: int):
         # local rule at v = (row o, column col): west * east = lhs(v) + above * below,
@@ -589,8 +588,19 @@ def check_local_rules(grid: FriezeGrid) -> Tuple[GridIndex, ...]:
     rows -2 and w+1 need no test: there the centre, its two same-row
     neighbours and its neighbour in row -3 (row w+2) are guard zeros,
     so the rule reads 0 = 0.
+
+    A rational grid is scanned on ints by `_scaled_reader`, each stored
+    value v read once as v' = D*v, D the lcm of the denominators.  Both
+    rules are homogeneous and their right side has degree 2, so a black
+    rule holds exactly when v'*v' = A'*B' - C'*D', and a white rule, of
+    degree 1 on the left, exactly when D*v' = A'*B' - C'*D'.  D is the
+    white weight; on other kinds it is 1 and cells are read as they are.
     """
-    get, eq = grid.get, grid.kind.eq
+    if isinstance(grid.kind, RationalKind):
+        get, weight = _scaled_reader(grid)
+        eq = operator.eq
+    else:
+        get, eq, weight = grid.get, grid.kind.eq, 1
     bad = []
     for x in range(2 * grid.period):
         for o in range(-1, grid.width + 1):
@@ -598,9 +608,29 @@ def check_local_rules(grid: FriezeGrid) -> Tuple[GridIndex, ...]:
             v = get(I, J)
             ab = get(I - 1, J - 1) * get(I + 1, J + 1)
             cd = get(I + 1, J - 1) * get(I - 1, J + 1)
-            if not eq(v * v if I % 2 == 0 else v, ab - cd):
+            lhs = v * v if I % 2 == 0 else v if weight == 1 else v * weight
+            if not eq(lhs, ab - cd):
                 bad.append(GridIndex(I, J))
     return tuple(bad)
+
+
+def _scaled_reader(grid: FriezeGrid):
+    """A reader of D times a rational grid as ints, and D, the lcm of the
+    denominators in its band stores.  Rows -1..w are read from the stores
+    and the rest as 0, which holds for the rows -2 and w+1 that
+    `check_local_rules` also reads: guard zeros, where no sign applies."""
+    stores = [band._cells for band in grid._bands]
+    d, scaled = _lcm_scaled([store.values() for store in stores], (1, 1))
+    ints = [dict(zip(store, row)) for store, row in zip(stores, scaled)]
+    n, w = grid.period, grid.width
+
+    def get(I: int, J: int) -> int:
+        o = (J - I) // 2
+        if -1 <= o <= w:
+            return ints[I % 2][(I // 2 % n, o)]
+        return 0
+
+    return get, d
 
 
 def check_tame(grid: FriezeGrid) -> TameResult:
@@ -735,6 +765,8 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
 
         f0 = det4(kind.zero())
         slope = det4(one) - f0
+        # exactly, slope = a0*c1 - a2 = -a2, nonzero as a1*a2 = 1; only a
+        # tolerance reads it as zero
         if kind.is_zero(slope):
             raise Underdetermined("4x4 minor does not see the next entry")
         x = (one - f0) / slope

@@ -40,6 +40,8 @@ _RECUR_ORACLE = (
     "tests/test_diffeq.py::test_monodromy_matches_fraction_recurrence",
 )
 
+_RULES_ORACLE = ("tests/test_frieze.py::test_local_rules_match_the_full_row_scan",)
+
 MUTANTS = (
     Mutant(
         "scaled recurrence: tail weight 1",
@@ -51,8 +53,8 @@ MUTANTS = (
     Mutant(
         "scaled recurrence: cycle s times d, not d^s",
         "src/symfrieze/diffeq.py",
-        "tuple(v.numerator * (d**s // v.denominator) for v in row)",
-        "tuple(v.numerator * (d // v.denominator) for v in row)",
+        "v.numerator * (d**p // v.denominator)",
+        "v.numerator * (d // v.denominator)",
         _RECUR_ORACLE,
     ),
     Mutant(
@@ -69,8 +71,53 @@ MUTANTS = (
         "Fraction(x, self._base ** (t - 1))",
         _RECUR_ORACLE,
     ),
+    Mutant(
+        "scaled local rules: white weight 1, not D",
+        "src/symfrieze/frieze.py",
+        "    return get, d\n",
+        "    return get, 1\n",
+        _RULES_ORACLE,
+    ),
+    Mutant(
+        # the grid's first row is its black band
+        "scaled local rules: D over the black band only",
+        "src/symfrieze/diffeq.py",
+        "d = lcm(*(v.denominator for row in rows for v in row))",
+        "d = lcm(*(v.denominator for v in rows[0]))",
+        _RULES_ORACLE,
+    ),
+    Mutant(
+        "scaled local rules: black centre times D",
+        "src/symfrieze/frieze.py",
+        "lhs = v * v if I % 2 == 0 else",
+        "lhs = v * v * weight if I % 2 == 0 else",
+        _RULES_ORACLE,
+    ),
+    Mutant(
+        "band reduction: _fold without its sign flip",
+        "src/symfrieze/frieze.py",
+        "return key, self._flips and steps % 2 == 1",
+        "return key, False",
+        (
+            "tests/test_frieze.py::test_band_store_matches_naive_reduction",
+            "tests/test_frieze.py::test_with_entry_one_period_off",
+        ),
+    ),
+    Mutant(
+        "block check: _gram pairs (v, u)",
+        "src/symfrieze/legendrian.py",
+        "[_pair(form, u, v) for u, v in combinations(vectors, 2)]",
+        "[_pair(form, v, u) for u, v in combinations(vectors, 2)]",
+        ("tests/test_legendrian.py::test_block_check_matches_dense_oracle",),
+    ),
+    Mutant(
+        "polygon coefficients: b not negated",
+        "src/symfrieze/legendrian.py",
+        "b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))",
+        "b.append(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d)",
+        ("tests/test_legendrian.py::test_coeffs_from_polygon",),
+    ),
 )
-
 
 def run(mutant: Mutant) -> str:
     """'killed', 'survived', or why the mutant's tests could not run."""

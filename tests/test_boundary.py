@@ -37,8 +37,11 @@ from symfrieze.frieze import (
     FriezeGrid,
     GridIndex,
     SLFrieze,
+    Underdetermined,
+    UnsupportedWidth,
     check_local_rules,
     check_tame,
+    extend_through_zero,
     extract_coeffs,
     from_equation,
     mirror_grid,
@@ -113,6 +116,11 @@ REJECTED = {
                            r"band must have positive order"),
     "omega 3-vector": (lambda: omega(SymplecticForm(1), (1, 0, 0), (0, 0, 0, 1)), ValueError,
                        r"pairing needs 4-vectors"),
+    "extension at width 2": (lambda: extend_through_zero((1, 2, 1, 3), 2), UnsupportedWidth,
+                             r"forced extension is a width-1 construction"),
+    # exactly, the 4x4 slope is -a2 when a1*a2 = 1; only a tolerance reads both as zero
+    "extension blind 4x4": (lambda: extend_through_zero((1, 0, 1, 1e10, 1, 1e-10), 1, COMPLEX), Underdetermined,
+                            r"4x4 minor does not see the next entry"),
 }
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import count, product
+from math import lcm
 
 import pytest
 
@@ -248,6 +249,37 @@ def _local_rule_cases():
             if -1 <= (J - I) // 2 <= width:
                 cases.append((f"planted-w{width}-{I},{J}", g.with_entry(GridIndex(I, J), 7)))
     cases.append(("formal-w1", formal_frieze(1)))
+    return cases + _scaled_rule_cases()
+
+
+def _denominator_lcm(grid):
+    return lcm(*(v.denominator for _, v in grid.cells()))
+
+
+def _scaled_rule_cases():
+    # rational grids whose common denominator D, by which `check_local_rules`
+    # scales them to ints, exceeds one
+    rng = random.Random(29)
+    primes = (p for p in count(2) if all(p % q for q in range(2, int(p**0.5) + 1)))
+    coprime = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), next(primes)) for _ in count())
+    cases = [("coprime-denominators-w2", FriezeGrid.from_cells(RATIONAL, 2, _raw_cells(2, 5, coprime, False)))]
+    big = F((Fraction(1, 2**61 - 1), Fraction(3, 2**31 - 1), Fraction(-5, 2**61 - 1), Fraction(2, 7), -Fraction(1, 3), 5))
+    tame = propagate_from_zigzag(big, 3)
+    cases += [
+        ("large-D-tame-w3", tame),
+        ("large-D-planted-white-w3", tame.with_entry(GridIndex(3, 5), Fraction(2, 3))),
+        ("large-D-planted-black-w3", tame.with_entry(GridIndex(2, 6), Fraction(-1, 7))),
+    ]
+    negative = propagate_from_zigzag(F((Fraction(-1, 2), -3, Fraction(-2, 3), Fraction(-5, 4))), 2)
+    two_n = 2 * negative.period
+    seam = [GridIndex(x - o, x + o) for x in (0, 1, two_n - 2, two_n - 1) for o in range(2)]
+    assert any(negative.get(idx.I, idx.J) < 0 for idx in seam)
+    cases.append(("negative-seam-w2", negative))
+    for idx in seam:
+        # a negated black centre keeps its own rule; its white neighbours fail
+        cases.append((f"negated-seam-w2-{idx.I},{idx.J}", negative.with_entry(idx, -negative.get(idx.I, idx.J))))
+    assert all(_denominator_lcm(g) > 1 for _, g in cases)
+    assert _denominator_lcm(cases[0][1]) > 2**64 and _denominator_lcm(tame) > 2**64
     return cases
 
 
@@ -538,6 +570,19 @@ def test_gauss_grid_not_tame(width1_gauss):
 def test_degenerate_grids_have_no_seed(width7_zero, width1_const):
     assert find_nonzero_double_zigzag(width7_zero) is None
     assert find_nonzero_double_zigzag(width1_const) is None
+
+
+def test_width0_grid_has_no_seed():
+    # no interior row, so no zig-zag; a ZigZag needs width >= 1
+    g = FriezeGrid.from_cells(RATIONAL, 0, {})
+    assert g.row_cycle(-1) == g.row_cycle(0) == (1,) * 10
+    assert find_nonzero_double_zigzag(g) is None
+
+
+def test_reprs_name_shape_and_kind(width2_int):
+    assert repr(width2_int) == "FriezeGrid(width=2, period=7, scalar=rational)"
+    assert repr(black_of(width2_int)) == "SLFrieze(order=3, width=2, period=7, scalar=rational)"
+    assert repr(from_equation(((1, 2, 1, 2),), GAUSSIAN)) == "SLFrieze(order=1, width=1, period=4, scalar=gaussian)"
 
 
 def test_generic_grid_has_seed(width2_int):
