@@ -145,8 +145,7 @@ def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
 def _cmd_frieze_from_coeffs(args) -> int:
     eq = _make_equation(args)
     g = frieze.propagate_from_coeffs(eq.a, eq.b, eq.kind)
-    prov = {"coefficients": {"a": args.a.split(","), "b": args.b.split(",")}}
-    _emit_grid(g, args, prov if args.json else None)
+    _emit_grid(g, args, {"coefficients": {"a": args.a.split(","), "b": args.b.split(",")}})
     return 0
 
 
@@ -154,8 +153,7 @@ def _cmd_frieze_from_zigzag(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
     values = _parse_values(kind, args.values)
     g = frieze.propagate_from_zigzag(values, args.width, kind)
-    prov = {"seed": args.values.split(",")}
-    _emit_grid(g, args, prov if args.json else None)
+    _emit_grid(g, args, {"seed": args.values.split(",")})
     return 0
 
 
@@ -167,6 +165,7 @@ def _cmd_frieze_verify(args) -> int:
     if not tame.ok:
         raise VerificationFailed(f"tame: false at {tame.window}")
     print("tame: true")
+    # not reached by a tame grid: the glide is the formal frieze's half-period
     if not frieze.check_glide(g):
         raise VerificationFailed("glide: false")
     print("glide: true")
@@ -264,6 +263,7 @@ def _cmd_cluster_belt(args) -> int:
         seed = cluster.belt_step(cluster.belt_step(seed, +1), -1)
         if seed == start and period is None:
             period = t
+    # never true: the belt walks the formal frieze's columns, which close up
     if period is None:
         raise VerificationFailed(f"belt did not close within {bound} full steps")
     print(f"belt period: {period}")
@@ -344,13 +344,9 @@ def _cmd_search_enumerate(args) -> int:
 
 
 def _cmd_search_orbits(args) -> int:
-    grids = []
-    names = []
-    for path in args.inputs:
-        grids.append(_load(args, formats.FriezeDocument, path))
-        names.append(path)
+    grids = [_load(args, formats.FriezeDocument, path) for path in args.inputs]
     classes = search.dihedral_orbits(grids)
-    by_id = {id(g): name for g, name in zip(grids, names)}
+    by_id = {id(g): path for g, path in zip(grids, args.inputs)}
     print(f"orbits: {len(classes)}")
     for k, members in enumerate(classes):
         print(f"orbit {k}: " + " ".join(by_id[id(g)] for g in members))

@@ -237,7 +237,7 @@ class LaurentPolynomial:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         total = kind.zero()
         for exp, coeff in sorted(self.terms.items()):
-            term = kind.from_int(coeff)
+            term = kind.coerce(coeff)
             for v, e in zip(values, exp):
                 if e < 0 and kind.is_zero(v):
                     raise ZeroSubstitution("zero raised to a negative power")
@@ -307,16 +307,13 @@ class LaurentKind(ScalarKind):
     def one(self) -> LaurentPolynomial:
         return LaurentPolynomial.constant(self.nvars, 1)
 
-    def from_int(self, n: int) -> LaurentPolynomial:
-        return LaurentPolynomial.constant(self.nvars, n)
-
     def coerce(self, value) -> LaurentPolynomial:
         if isinstance(value, LaurentPolynomial):
             if value.nvars != self.nvars:
                 raise ValueError(f"expected {self.nvars} variables, got {value.nvars}")
             return value
         if isinstance(value, int):
-            return self.from_int(value)
+            return LaurentPolynomial.constant(self.nvars, value)
         raise TypeError(f"cannot treat {value!r} as a Laurent polynomial")
 
     def eq(self, a, b) -> bool:

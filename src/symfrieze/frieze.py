@@ -70,10 +70,6 @@ class Underdetermined(FriezeError):
     """Not enough trailing entries to force the next value."""
 
 
-class UnsupportedWidth(FriezeError):
-    """Operation is only implemented for a restricted set of widths."""
-
-
 class GridIndex(_Frozen):
     """A lattice point in doubled coordinates.
 
@@ -509,7 +505,8 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
 
     `values` is either a ZigZag or a flat cluster-ordered sequence (the
     w white values, then the w black values) placed on the standard
-    two-column shape.  The shape is first straightened westwards, each
+    two-column shape.  A ZigZag carries its width, and a `width` given
+    with it must agree.  The shape is first straightened westwards, each
     step solving one local rule; then the straight column pair is
     propagated east for a full display period.  ZeroPivot reports the
     cell a step would divide by; NotClosed means the propagation did
@@ -517,6 +514,8 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
     """
     if isinstance(values, ZigZag):
         zz = values
+        if width not in (None, zz.width):
+            raise ValueError(f"width {width} does not match the zig-zag's width {zz.width}")
     else:
         if width is None:
             raise ValueError("width is required with flat zig-zag values")
@@ -731,9 +730,10 @@ def sign_twist(grid: FriezeGrid) -> FriezeGrid:
     return FriezeGrid(grid.kind, grid.width, flipped, white)
 
 
-def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONAL):
+def extend_through_zero(prefix: Sequence, kind: ScalarKind = RATIONAL):
     """Forced continuation of a width-1 row past a zero divisor.
 
+    The construction exists at width 1 only, so it takes no width:
     `prefix` alternates white and black entries of the single interior
     row.  The next black entry x is pinned by the 3x3 tame minor when
     its x-coefficient is nonzero, else by the 4x4 minor equal to one;
@@ -742,8 +742,6 @@ def extend_through_zero(prefix: Sequence, width: int, kind: ScalarKind = RATIONA
     next black.  Underdetermined means the prefix is too short for the
     minor that is needed.
     """
-    if width != 1:
-        raise UnsupportedWidth("forced extension is a width-1 construction")
     vals = [kind.coerce(v) for v in prefix]
     blacks = vals[1::2]
     if len(blacks) < 2:

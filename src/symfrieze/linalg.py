@@ -59,10 +59,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def scaled(self, c: Any) -> "Matrix":
-        c = self.kind.coerce(c)
-        return Matrix._of(self.kind, [[c * v for v in row] for row in self.rows])
-
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.kind, [[-v for v in row] for row in self.rows])
 

@@ -75,8 +75,9 @@ class ScalarKind(_Frozen):
 
     Kinds are values: two kinds are equal when they have the same class
     and equal fields, so a copy or a pickle of a kind equals the original.
-    Each subclass names itself and supplies `zero`, `one`, `from_int`,
-    `coerce` and `eq`; exact kinds read a falsy element as zero.
+    Each subclass names itself and supplies `zero`, `one`, `coerce` and
+    `eq`; `coerce` takes any int, and exact kinds read a falsy element as
+    zero.
     """
 
     __slots__ = ()
@@ -211,9 +212,6 @@ class RationalKind(ScalarKind):
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def coerce(self, value: Any) -> Fraction:
         if isinstance(value, Fraction):
             return value
@@ -237,9 +235,6 @@ class GaussianKind(ScalarKind):
 
     def one(self) -> GaussianRational:
         return GaussianRational._of(1, 0, 1)
-
-    def from_int(self, n: int) -> GaussianRational:
-        return GaussianRational(n)
 
     def coerce(self, value: Any) -> GaussianRational:
         if isinstance(value, GaussianRational):
@@ -272,9 +267,6 @@ class ComplexFloatKind(ScalarKind):
 
     def one(self) -> complex:
         return 1 + 0j
-
-    def from_int(self, n: int) -> complex:
-        return complex(n)
 
     def coerce(self, value: Any) -> complex:
         if isinstance(value, GaussianRational):

@@ -80,6 +80,7 @@ def _int_columns(col1: List[int], col2: List[int], width: int) -> Optional[List[
             nxt.append(q)
         cols.append(nxt)
         prev, cur = cur, nxt
+    # never true: the formal frieze closes up, and a positive seed divides by no zero
     if prev != col1 or cur != col2:
         return None
     return cols[: 2 * n]

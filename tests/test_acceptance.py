@@ -122,7 +122,7 @@ def test_criterion_01_exact_reconstruction():
 def test_criterion_02_superperiodicity_detection():
     a, b = WIDTH2_COEFFS
     eq = SymmetricDiffEq(a, b)
-    minus = Matrix.identity(RATIONAL, 4).scaled(-1)
+    minus = -Matrix.identity(RATIONAL, 4)
     assert is_superperiodic(eq)
     assert monodromy(eq) == minus
     assert all(v == 0 for v in variety_residuals(a, b))
@@ -183,8 +183,8 @@ def test_criterion_05_singular_grids(
     assert not broken.ok and broken.window.size == 3
     gauss = check_tame(width1_gauss)
     assert not gauss.ok and gauss.window.size == 4
-    assert gauss.window.value == width1_gauss.kind.from_int(-1)
-    assert extend_through_zero((-1, 1, -2, -1, -1, 0, -1), 1) == [Fraction(1)]
+    assert gauss.window.value == width1_gauss.kind.coerce(-1)
+    assert extend_through_zero((-1, 1, -2, -1, -1, 0, -1)) == [Fraction(1)]
 
 
 def test_criterion_06_cluster_structure():

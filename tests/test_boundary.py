@@ -38,7 +38,7 @@ from symfrieze.frieze import (
     GridIndex,
     SLFrieze,
     Underdetermined,
-    UnsupportedWidth,
+    ZigZag,
     check_local_rules,
     check_tame,
     extend_through_zero,
@@ -101,6 +101,12 @@ REJECTED = {
     "Laurent variable": (lambda: LaurentPolynomial.variable(2, 2), IndexError, r"variable 2 out of range"),
     "LaurentKind variables": (lambda: LaurentKind(2).coerce(LaurentPolynomial.variable(3, 0)), ValueError,
                               r"expected 2 variables, got 3"),
+    "Laurent variable counts": (lambda: LaurentPolynomial.variable(2, 0) + LaurentPolynomial.variable(3, 0),
+                                ValueError, r"variable counts differ"),
+    "Laurent evaluate arity": (lambda: LaurentPolynomial.variable(2, 0).evaluate((1,)), ValueError,
+                               r"expected 2 values, got 1"),
+    "Laurent zero to a negative power": (lambda: (LaurentPolynomial.variable(2, 0) ** -1).evaluate((0, 1)),
+                                         ZeroSubstitution, r"zero raised to a negative power"),
     "LaurentKind text": (lambda: LaurentKind(2).coerce("x"), TypeError, r"cannot treat 'x' as a Laurent polynomial"),
     "c2_square_aw(0)": (lambda: c2_square_aw(0), ValueError, r"width must be positive"),
     "belt sign": (lambda: belt_step(initial_seed(1), 0), ValueError, r"sign must be \+1 or -1"),
@@ -116,10 +122,10 @@ REJECTED = {
                            r"band must have positive order"),
     "omega 3-vector": (lambda: omega(SymplecticForm(1), (1, 0, 0), (0, 0, 0, 1)), ValueError,
                        r"pairing needs 4-vectors"),
-    "extension at width 2": (lambda: extend_through_zero((1, 2, 1, 3), 2), UnsupportedWidth,
-                             r"forced extension is a width-1 construction"),
+    "zig-zag width mismatch": (lambda: propagate_from_zigzag(ZigZag.straight((1, 1, 1, 1), 2), 5), ValueError,
+                               r"width 5 does not match the zig-zag's width 2"),
     # exactly, the 4x4 slope is -a2 when a1*a2 = 1; only a tolerance reads both as zero
-    "extension blind 4x4": (lambda: extend_through_zero((1, 0, 1, 1e10, 1, 1e-10), 1, COMPLEX), Underdetermined,
+    "extension blind 4x4": (lambda: extend_through_zero((1, 0, 1, 1e10, 1, 1e-10), COMPLEX), Underdetermined,
                             r"4x4 minor does not see the next entry"),
 }
 
@@ -180,7 +186,6 @@ BOUNDARY = {
     "diffeq.SymmetricDiffEq.__init__",
     "diffeq.solve",
     "linalg.Matrix.__init__",
-    "linalg.Matrix.scaled",
     "frieze.SLFrieze.__init__",
     "frieze.FriezeGrid.from_cells",
     "frieze.FriezeGrid.with_entry",

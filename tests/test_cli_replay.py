@@ -36,6 +36,18 @@ its line span, and the totals.  It restores any tracer already set.  The
 package is imported before the tracer starts, so a function called only
 at import (`cli._arg`) is listed too.
 
+A line mode of the same tool,
+
+    PYTHONPATH=src python tests/test_cli_replay.py --reach --lines
+
+runs the Tier-1 suite in-process under a line tracer limited to the
+package's files, with the package imported afresh under the tracer, and
+prints `file:line: text` for every executable line (one that starts
+bytecode) that no test runs, then, apart, the lines under
+`if __name__ == "__main__":`, which run only when a module is a script.
+Tests that assert wall-clock limits may fail under the tracer; the lines
+they run still count.
+
 Usage errors print argparse text, which depends on the terminal width and
 the Python version; the replay fixes COLUMNS at 80.
 """
@@ -50,6 +62,7 @@ import pkgutil
 import random
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Tuple
@@ -288,6 +301,8 @@ def test_reach_lists_the_functions_no_job_enters(monkeypatch):
     try:
         missed, total = unentered(lambda: replay_extra(jobs))
         assert sys.gettrace() is outer
+        lines, script, count = unrun_lines(lambda: replay_extra(jobs))
+        assert sys.gettrace() is outer
     finally:
         sys.settrace(saved)
     names = {name for *_, name in missed}
@@ -295,6 +310,14 @@ def test_reach_lists_the_functions_no_job_enters(monkeypatch):
     assert {"search.census", "cluster.formal_frieze", "scalars.GaussianKind.coerce"} <= names
     assert 0 < len(missed) < total
     assert all(path.endswith(".py") and first <= last for path, first, last, _ in missed)
+
+    def body(f):
+        code = f.__code__
+        return {(code.co_filename, n) for *_, n in code.co_lines() if n and n != code.co_firstlineno}
+
+    assert not body(cli.main) <= set(lines) and body(symfrieze.search.census) <= set(lines)
+    assert [(Path(path).name, _text(path, n)) for path, n in script] == [("cli.py", "sys.exit(main())")]
+    assert 0 < len(lines) + len(script) < count
 
 
 def _rows(workloads, census, seed):
@@ -436,6 +459,80 @@ def reach():
           f"the {jobs[0]} workload jobs and {jobs[1]} extra jobs")
 
 
+def _executable_lines():
+    """{file: (executable lines, lines under `if __name__ == "__main__":`)}
+    of the package's modules.  A line is executable when it starts
+    bytecode in the module's code or in any code object nested in it."""
+    out = {}
+    for info in pkgutil.iter_modules(symfrieze.__path__):
+        path = importlib.util.find_spec(f"symfrieze.{info.name}").origin
+        source = Path(path).read_text(encoding="utf-8")
+        lines, todo = set(), [compile(source, path, "exec")]
+        while todo:
+            code = todo.pop()
+            lines.update(n for *_, n in code.co_lines() if n)
+            todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        script = {
+            n for node in ast.parse(source).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+            for child in node.body for n in range(child.lineno, child.end_lineno + 1)
+        }
+        out[path] = (lines, script)
+    return out
+
+
+def _text(path, n):
+    return Path(path).read_text(encoding="utf-8").splitlines()[n - 1].strip()
+
+
+def unrun_lines(run):
+    """(lines, script lines, count): the executable package lines that no
+    line event reaches while `run()` runs, as sorted (file, line), those
+    of them that run only in a script, and the count of all executable
+    lines.  The tracer set before is put back."""
+    table = _executable_lines()
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in table else None
+
+    saved = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(saved)
+    missed = sorted((path, n) for path, (lines, _) in table.items() for n in lines if (path, n) not in ran)
+    script = [(path, n) for path, n in missed if n in table[path][1]]
+    return [m for m in missed if m not in script], script, sum(len(lines) for lines, _ in table.values())
+
+
+def reach_lines():
+    """Print the package lines that no Tier-1 test runs."""
+    status = []
+
+    def run():
+        # import the package again under the tracer, so module-level lines count
+        for name in [m for m in sys.modules if m == "symfrieze" or m.startswith("symfrieze.")]:
+            del sys.modules[name]
+        status.append(pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                                   str(ROOT / "tests")]))
+
+    missed, script, total = unrun_lines(run)
+    for path, n in missed:
+        print(f"{Path(path).name}:{n}: {_text(path, n)}")
+    print("run only as a script:")
+    for path, n in script:
+        print(f"{Path(path).name}:{n}: {_text(path, n)}")
+    print(f"{len(missed)} of {total} executable lines are run by no Tier-1 test, "
+          f"and {len(script)} more run only as a script (pytest exit code {status[0]})")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--pin"]:
         pin()
@@ -443,5 +540,7 @@ if __name__ == "__main__":
         sys.exit(check())
     elif sys.argv[1:] == ["--reach"]:
         reach()
+    elif sys.argv[1:] == ["--reach", "--lines"]:
+        reach_lines()
     else:
-        raise SystemExit("usage: python tests/test_cli_replay.py --pin | --check | --reach")
+        raise SystemExit("usage: python tests/test_cli_replay.py --pin | --check | --reach [--lines]")

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,6 +8,7 @@ import pytest
 from oracles import naive_quiver_mutate
 from symfrieze.cluster import (
     ExchangeMatrix,
+    LaurentKind,
     LaurentPolynomial,
     NonLaurentQuotient,
     NotBipartite,
@@ -21,7 +23,7 @@ from symfrieze.cluster import (
     mutate_matrix,
     mutate_seed,
 )
-from symfrieze.frieze import check_tame
+from symfrieze.frieze import check_glide, check_tame
 
 X1 = LaurentPolynomial.variable(2, 0)
 X2 = LaurentPolynomial.variable(2, 1)
@@ -215,6 +217,8 @@ def test_division_failures():
         (ROW_F2 * ROW_F3 + 1) / ROW_F3
     with pytest.raises(NonLaurentQuotient):
         (X1 + 1) / LaurentPolynomial.constant(2, 2)
+    with pytest.raises(NonLaurentQuotient):  # the lead terms divide, leaving a remainder
+        (X1 + 1) / (2 * X1 + 1)
     with pytest.raises(ZeroDivisionError):
         X1 / LaurentPolynomial(2)
 
@@ -266,10 +270,16 @@ def test_coefficients_must_be_integers():
         LaurentPolynomial(2, {(0, 0): Fraction(1, 2)})
     with pytest.raises(ValueError):
         LaurentPolynomial(2, {(0, 0, 0): 1})
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        for args in ((X1, 1.5), (1.5, X1)):
+            with pytest.raises(TypeError):
+                op(*args)
 
 
 def test_evaluate_and_render():
     assert str(ROW_F3.evaluate((1, 2))) == "3"
+    assert str(LaurentPolynomial(2)) == "0"
+    assert LaurentKind(2).name == "laurent2"
     assert str(ROW_F3) == "(x1 + x2^2 + 1)/(x1*x2)"
     assert str(ROW_F5) == "(x1 + 1)/x2"
 
@@ -280,6 +290,7 @@ def test_hash_respects_equality():
     a = LaurentPolynomial(2, {(1, 0): 1, (0, -1): 2})
     b = LaurentPolynomial(2, {(0, -1): 2, (1, 0): 1})
     assert a == b and hash(a) == hash(b)
+    assert X1.__eq__(1.5) is NotImplemented and X1 != 1.5
 
 
 @pytest.mark.parametrize("c", [0, 1, -3])
@@ -300,6 +311,13 @@ def test_formal_width1_diagonal():
     assert all(v.is_positive() for v in got)
     # minors of Laurent polynomials run Bareiss over the kind itself
     assert check_tame(F1).ok
+
+
+@pytest.mark.parametrize("w", range(1, 6))
+def test_formal_frieze_closes_with_the_glide(w):
+    # identities of Laurent polynomials in the seed, so every seed that
+    # divides by no zero closes up after 2(w + 5) columns and has the glide
+    assert check_glide(formal_frieze(w))  # formal_frieze raises NotClosed unless it closes
 
 
 def test_formal_width2_cells_are_cluster_variables():

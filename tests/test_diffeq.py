@@ -98,7 +98,7 @@ def test_companion_det_one(eq2):
 
 
 def test_monodromy_is_minus_identity(eq2):
-    minus = Matrix.identity(RATIONAL, 4).scaled(-1)
+    minus = -Matrix.identity(RATIONAL, 4)
     assert monodromy(eq2) == minus
     assert monodromy(SymmetricDiffEq(*SIGNED_COEFFS)) == minus
 

@@ -53,6 +53,7 @@ def test_text_round_trip(frieze_doc, width2_int):
     doc = loads(text)
     assert grid_of(doc) == width2_int
     assert render_frieze_text(doc) == text
+    assert loads(text + "\n  \n\n") == doc  # trailing blank lines are dropped
 
 
 def test_gaussian_round_trips(width1_gauss):

@@ -564,7 +564,7 @@ def test_gauss_grid_not_tame(width1_gauss):
     result = check_tame(width1_gauss)
     assert not result.ok
     kind = width1_gauss.kind
-    assert result.window == MinorWindow(4, 0, -6, kind.from_int(-1), kind.one())
+    assert result.window == MinorWindow(4, 0, -6, kind.coerce(-1), kind.one())
 
 
 def test_degenerate_grids_have_no_seed(width7_zero, width1_const):
@@ -585,6 +585,11 @@ def test_reprs_name_shape_and_kind(width2_int):
     assert repr(from_equation(((1, 2, 1, 2),), GAUSSIAN)) == "SLFrieze(order=1, width=1, period=4, scalar=gaussian)"
 
 
+def test_a_grid_is_not_its_black_band(width2_int):
+    assert width2_int.__eq__(black_of(width2_int)) is NotImplemented
+    assert width2_int != black_of(width2_int)
+
+
 def test_generic_grid_has_seed(width2_int):
     z = find_nonzero_double_zigzag(width2_int)
     assert z is not None
@@ -593,24 +598,24 @@ def test_generic_grid_has_seed(width2_int):
 
 def test_extension_through_zero():
     # continuing a signed width-1 row across a zero forces a unique value
-    assert extend_through_zero((-1, 1, -2, -1, -1, 0, -1), 1) == [Fraction(1)]
+    assert extend_through_zero((-1, 1, -2, -1, -1, 0, -1)) == [Fraction(1)]
 
 
 def test_extension_by_the_4x4_minor():
     # a1 * a2 = 1 kills the 3x3 coefficient, so the 4x4 minor pins the entry
     a0, a1, a2 = Fraction(3), Fraction(2), Fraction(1, 2)
     one, zero = Fraction(1), Fraction(0)
-    white, x = extend_through_zero((1, a0, 5, a1, 1, a2), 1)
+    white, x = extend_through_zero((1, a0, 5, a1, 1, a2))
     window = [[a0, one, zero, zero], [one, a1, one, zero], [zero, one, a2, one], [zero, zero, one, x]]
     assert cofactor_det(window) == 1
     assert white == a2 * x - one  # white local rule between a2 and x, under ones
     with pytest.raises(Underdetermined):
-        extend_through_zero((1, a1, 1, a2), 1)
+        extend_through_zero((1, a1, 1, a2))
 
 
 def test_underdetermined_extension():
     with pytest.raises(Underdetermined):
-        extend_through_zero((0, 0, 0), 1)
+        extend_through_zero((0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

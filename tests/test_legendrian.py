@@ -103,7 +103,7 @@ def test_omega_matches_pairing_oracle(kind, variant):
 @pytest.mark.parametrize("variant", ["standard", "dual"])
 def test_form_matrix_entries_pair_unit_vectors(kind, variant):
     # the block check reads entry (r, c) of a form matrix as _pair(e_r, e_c)
-    for a in (kind.from_int(0), kind.from_int(-3), _random_scalar(random.Random(5), kind)):
+    for a in (kind.coerce(0), kind.coerce(-3), _random_scalar(random.Random(5), kind)):
         form = SymplecticForm(a, variant, kind)
         assert form_rows(form) == naive_form_matrix(form), a
 

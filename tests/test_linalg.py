@@ -200,10 +200,16 @@ def test_empty_det_is_one():
     assert det(Matrix(RATIONAL, [])) == 1
 
 
-def test_identity_and_scaled():
-    m = Matrix.identity(RATIONAL, 3)
-    assert det(m) == 1
-    assert det(m.scaled(Fraction(2))) == 8
+def test_identity_det_is_one():
+    assert det(Matrix.identity(RATIONAL, 3)) == 1
+
+
+def test_equality_and_repr():
+    m = Matrix(RATIONAL, [[1, Fraction(1, 2)], [0, -3]])
+    assert m == Matrix(RATIONAL, [[1, Fraction(1, 2)], [0, -3]])
+    assert m != Matrix.identity(RATIONAL, 2) and m != Matrix.identity(RATIONAL, 3)
+    assert m != m.rows and m.__eq__(m.rows) is NotImplemented
+    assert repr(m) == "Matrix(rational, [1 1/2; 0 -3])"
 
 
 def test_minor_picks_submatrix():

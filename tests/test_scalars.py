@@ -31,7 +31,7 @@ def test_rational_basics():
     assert RATIONAL.exact
     assert RATIONAL.zero() == 0
     assert RATIONAL.one() == 1
-    assert RATIONAL.from_int(-3) == Fraction(-3)
+    assert RATIONAL.coerce(-3) == Fraction(-3)
     assert RATIONAL.coerce("7/2") == Fraction(7, 2)
     assert RATIONAL.is_zero(Fraction(0))
     assert RATIONAL.eq(Fraction(1, 2), Fraction(2, 4))
@@ -49,6 +49,7 @@ def test_gaussian_arithmetic():
     assert G(1, 2) + G(3, -1) == G(4, 1)
     assert G(1, 2) - G(3, -1) == G(-2, 3)
     assert -G(1, 2) == G(-1, -2)
+    assert G(1, 2).__eq__((1, 2)) is NotImplemented and G(1, 2) != (1, 2)
 
 
 def test_gaussian_division():
