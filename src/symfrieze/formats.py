@@ -10,8 +10,9 @@ Two on-disk shapes are supported and auto-detected:
   than the one above it, cells separated by spaces, black cells marked
   with a ``*`` prefix.
 
-Scalar text is parsed by the kind's own `coerce`; here are only the
-JSON rules of which raw types each kind accepts.  Loading a frieze
+Scalar text is parsed by the kind's own `coerce`, which reads the
+canonical spellings above straight into ints; here are only the JSON
+rules of which raw types each kind accepts.  Loading a frieze
 document rebuilds the grid and replays the defining local relations; a
 violated cell is reported by its grid index.  `frieze verify` loads
 without the replay and decides the relations with tameness (`grid_of`).

@@ -22,10 +22,8 @@ class KindMismatch(TypeError):
     """A value from one scalar kind leaked into another kind's computation."""
 
 
-_GAUSSIAN_TEXT = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
-    r"(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)i\s*$"
-)
+# the canonical spellings p[/q] and a[/b]±c[/e]i, split into digit groups
+_EXACT_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?(?:\s*([+-])\s*(\d+)(?:/(\d+))?i)?\s*")
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 _set = object.__setattr__  # fills the slots of an immutable value
 
@@ -155,11 +153,17 @@ class GaussianRational:
         return bool(self._x or self._y)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, GaussianRational):
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            # a real value in lowest terms is x/d with gcd(x, d) = 1
+            return self._y == 0 and self._x == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
+        # a real value hashes as the Fraction and int it equals
+        if self._y == 0:
+            return hash(Fraction(self._x, self._d))
         return hash((self._x, self._y, self._d))
 
     def __repr__(self) -> str:
@@ -171,20 +175,47 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Inverse of __str__; also accepts a bare rational as purely real."""
-        m = _GAUSSIAN_TEXT.match(text)
-        if m:
-            im = Fraction(m.group("im"))
-            if m.group("sign") == "-":
-                im = -im
-            return cls(Fraction(m.group("re")), im)
-        return cls(_fraction(text))
+        """Inverse of __str__; also accepts a bare rational as purely real.
+
+        The spellings a[/b]±c[/e]i and p[/q] are read by `_lex` straight
+        into the int triple; any other rational text goes through
+        `_fraction`.
+        """
+        parts = _lex(text)
+        if parts is None:
+            return cls(_fraction(text))
+        x, y, d = parts
+        if d == 0:
+            raise ZeroDivisionError(f"{text.strip()!r} has a zero denominator")
+        return cls._of(x, y or 0, d)
+
+
+def _lex(text: str) -> tuple | None:
+    """(x, y, d) with value (x + y*i)/d for text spelled p[/q] (y is None)
+    or a[/b]±c[/e]i, around optional whitespace; None for any other text.
+    The digit groups go to int() alone, which keeps its digit limit; d is
+    0 when a denominator is, and d >= 0 always."""
+    m = _EXACT_TEXT.fullmatch(text)
+    if m is None:
+        return None
+    a, b, sign, c, e = m.groups()
+    b = int(b) if b else 1
+    if sign is None:
+        return int(a), None, b
+    e = int(e) if e else 1
+    c = int(c) * b
+    return int(a) * e, -c if sign == "-" else c, b * e
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), refusing exponent text whose mantissa digits plus
-    |exponent| pass the int digit limit (0 for none) before Fraction
-    spends seconds on 10**exponent."""
+    """text as a Fraction.  The spelling p[/q] is read by `_lex` as two
+    ints, and Fraction(p, q) raises on q = 0.  Any other text (decimals,
+    exponents, underscores) goes to Fraction(text), refusing exponent
+    text whose mantissa digits plus |exponent| pass the int digit limit
+    (0 for none) before Fraction spends seconds on 10**exponent."""
+    parts = _lex(text)
+    if parts is not None and parts[1] is None:
+        return Fraction(parts[0], parts[2])
     m, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
     if m and limit and sum(map(str.isdigit, text[: m.start()])) + abs(int(m.group(1))) > limit:
         raise ValueError(f"{text.strip()!r} would exceed {limit} digits")

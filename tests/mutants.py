@@ -42,6 +42,8 @@ _RECUR_ORACLE = (
 
 _RULES_ORACLE = ("tests/test_frieze.py::test_local_rules_match_the_full_row_scan",)
 
+_DECODER_ORACLE = ("tests/test_formats.py::test_decoder_matches_the_per_kind_oracle",)
+
 MUTANTS = (
     Mutant(
         "scaled recurrence: tail weight 1",
@@ -116,6 +118,41 @@ MUTANTS = (
         "b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))",
         "b.append(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d)",
         ("tests/test_legendrian.py::test_coeffs_from_polygon",),
+    ),
+    Mutant(
+        "scalar lexer: imaginary sign dropped",
+        "src/symfrieze/scalars.py",
+        'return int(a) * e, -c if sign == "-" else c, b * e',
+        "return int(a) * e, c, b * e",
+        _DECODER_ORACLE + ("tests/test_scalars.py::test_gaussian_str_parse_round_trip",),
+    ),
+    Mutant(
+        "scalar lexer: Gaussian denominators crossed, a*b for a*e",
+        "src/symfrieze/scalars.py",
+        "return int(a) * e, -c",
+        "return int(a) * b, -c",
+        _DECODER_ORACLE + ("tests/test_scalars.py::test_gaussian_str_parse_round_trip",),
+    ),
+    Mutant(
+        "scalar lexer: rational fast path drops the denominator",
+        "src/symfrieze/scalars.py",
+        "return Fraction(parts[0], parts[2])",
+        "return Fraction(parts[0])",
+        _DECODER_ORACLE,
+    ),
+    Mutant(
+        "scalar lexer: rational fast path takes Gaussian text",
+        "src/symfrieze/scalars.py",
+        "if parts is not None and parts[1] is None:",
+        "if parts is not None:",
+        _DECODER_ORACLE,
+    ),
+    Mutant(
+        "scalar lexer: Gaussian zero denominator not refused",
+        "src/symfrieze/scalars.py",
+        "        if d == 0:\n            raise ZeroDivisionError",
+        "        if False:\n            raise ZeroDivisionError",
+        _DECODER_ORACLE,
     ),
 )
 

@@ -20,7 +20,9 @@ oracle expands the lower-Hessenberg determinants next to the upper
 boundary by cofactors, so it serves every kind.  The quiver oracle mutates arrow by arrow, without exchange
 matrices.  The decoder oracle reads raw JSON values with one branch per
 scalar kind, building Fractions and Gaussian rationals itself instead
-of going through the kinds' `coerce`.  The map oracles walk the display
+of going through the kinds' `coerce`: it reads ``a+bi`` text by its own
+pattern into two `Fraction(str)` parts, as the package did before it
+read canonical text straight into ints.  The map oracles walk the display
 cells of a grid and rebuild through the public, coercing `from_cells`
 (or the `SLFrieze` constructor), as the package did before its maps
 wrote the band stores; they serve every kind.  The Gaussian oracle keeps
@@ -29,6 +31,7 @@ before it held a Gaussian rational as one reduced int triple.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,6 +80,9 @@ def naive_get(cells, width, I, J):
     return value if sign > 0 else -value
 
 
+_NAIVE_GAUSSIAN = re.compile(r"\s*([+-]?\d+(?:/\d+)?)\s*([+-])\s*(\d+(?:/\d+)?)i\s*")
+
+
 def naive_decode_value(scalar, raw):
     """A raw JSON value (or text token) as a value of the named kind.
 
@@ -84,8 +90,9 @@ def naive_decode_value(scalar, raw):
     ``a+bi`` text; complex floats also floats and ``[re, im]`` pairs,
     reading numbers by their text, where only a trailing ``i`` is the
     imaginary unit (``inf`` is infinity).  JSON true and false are
-    rejected, also inside a pair.  Raises ValueError, and lets the
-    TypeError or OverflowError of a malformed pair escape.
+    rejected, also inside a pair.  Raises ValueError, and lets Fraction's
+    ZeroDivisionError and a malformed pair's TypeError or OverflowError
+    escape.
     """
     if isinstance(raw, bool) or (
         isinstance(raw, list) and any(isinstance(x, bool) for x in raw)
@@ -98,7 +105,11 @@ def naive_decode_value(scalar, raw):
         if isinstance(raw, int):
             return GaussianRational(Fraction(raw), Fraction(0))
         if isinstance(raw, str):
-            return GaussianRational.parse(raw)
+            m = _NAIVE_GAUSSIAN.fullmatch(raw)
+            if m is None:
+                return GaussianRational(Fraction(raw), Fraction(0))
+            im = Fraction(m.group(3))
+            return GaussianRational(Fraction(m.group(1)), -im if m.group(2) == "-" else im)
     elif scalar == "complex-float":
         if isinstance(raw, (list, tuple)) and len(raw) == 2:
             return complex(float(raw[0]), float(raw[1]))

@@ -183,6 +183,11 @@ DECODER_INPUTS = [
     [None, 1], [[1], 2], [1], [1, 2, 3], [],
     "3/4", " -3/4 ", "1 / 2", "1/0", "x", "", "1+2i", " 1 - 2i ", "1/2+3/4i", "1+2j",
     "2.5", "1e400", "inf", "nan", "10" * 200,
+    # rational text off the canonical p/q, and a zero over zero
+    "1_000", "1_0/3", "\u0663/4", "+3/+4", "3/-4", "0/0", "-0", "0012/0008", "\t3/4\n",
+    "7" * 4301,  # one digit past the interpreter's default int digit limit
+    # Gaussian text with a zero denominator in either part, and near misses
+    "1/0+1i", "1+1/0i", "+1+2i", "-0-0i", "1+-2i", "1.5+2i", "1+2 i",
 ]
 
 
@@ -191,13 +196,13 @@ def test_decoder_matches_the_per_kind_oracle(kind):
     for raw in DECODER_INPUTS:
         try:
             want = repr(naive_decode_value(kind.name, raw))
-        except (ValueError, TypeError, ArithmeticError):
-            want = None
+        except (ValueError, TypeError, ArithmeticError) as e:
+            want = type(e)
         doc = json.dumps({
             "kind": "sl-frieze", "scalar": kind.name, "order": 1, "width": 0,
             "period": 3, "entries": {"0,0": raw},
         })
-        if want is None:
+        if isinstance(want, type):
             # rejected as the loader catches it, so no TypeError or OverflowError escapes
             with pytest.raises((ValueError, ArithmeticError)):
                 _decode_value(kind, raw)
@@ -207,11 +212,12 @@ def test_decoder_matches_the_per_kind_oracle(kind):
             assert repr(_decode_value(kind, raw)) == want, raw
             assert repr(loads(doc).entries[(0, 0)]) == want, raw
         if isinstance(raw, str):
-            # the text layout and the CLI read tokens with the kind alone
+            # the text layout and the CLI read tokens with the kind alone,
+            # to the oracle's value or exception class
             try:
                 got = repr(kind.coerce(raw))
-            except (ValueError, ZeroDivisionError):
-                got = None
+            except (ValueError, ZeroDivisionError) as e:
+                got = type(e)
             assert got == want, raw
 
 

@@ -52,6 +52,20 @@ def test_gaussian_arithmetic():
     assert G(1, 2).__eq__((1, 2)) is NotImplemented and G(1, 2) != (1, 2)
 
 
+def test_a_real_gaussian_equals_the_int_or_fraction_it_is():
+    one, half = GAUSSIAN.one(), G(Fraction(-1, 2))
+    assert GaussianRational(1) == 1 and 1 == GaussianRational(1)
+    assert GaussianRational(1) == Fraction(1) and Fraction(1) == GaussianRational(1)
+    assert GAUSSIAN.eq(one, 1) and GAUSSIAN.coerce(1) == 1
+    assert half == Fraction(-1, 2) and half != Fraction(1, 2) and half != -1
+    assert G(1, 1) != 1 and G(0, 1) != 0 and G(0) == 0
+    for inexact in (1.0, 1 + 0j):
+        assert one.__eq__(inexact) is NotImplemented and one != inexact
+    # dict and set lookups agree with ==
+    assert {1: "one"}[one] == "one" and Fraction(-1, 2) in {half} and half in {Fraction(-1, 2)}
+    assert hash(G(Fraction(7, 3))) == hash(Fraction(7, 3)) and hash(G(0)) == hash(0)
+
+
 def test_gaussian_division():
     q = G(5, 5) / G(3, -1)
     assert q == G(1, 2)
