@@ -9,8 +9,8 @@ It is the order-3 recurrence on the cycles (a, b, a shifted by one).
 it from unit windows and run a rational table on integers through
 `_Scaled`: t steps past a window's 1 the value is an integer polynomial
 of degree at most t in the coefficients, so with d the lcm of their
-denominators d^t times it is an integer, and each output is built once
-as a Fraction.  `entry_det_band` (which gives
+denominators (`scalars._lcm_scaled`) d^t times it is an integer, and
+each output is built once as a Fraction.  `entry_det_band` (which gives
 `band_determinant`) and `dual_equation_coeffs` read one;
 `entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
 imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
@@ -20,11 +20,10 @@ imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Tuple
 
 from .linalg import Matrix, det
-from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen
+from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen, _lcm_scaled
 
 
 class SymmetricDiffEq(_Frozen):
@@ -96,16 +95,6 @@ def _recur(table: Sequence[Sequence], window: Sequence, first: int, count: int, 
     return seq[k + 1 :]
 
 
-def _lcm_scaled(rows, powers) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """d, the lcm of the denominators of the Fractions in `rows`, and each
-    row times d to its power in `powers`, as ints.  `_Scaled` scales a
-    coefficient table with it and `frieze.check_local_rules` a grid."""
-    d = lcm(*(v.denominator for row in rows for v in row))
-    return d, tuple(
-        tuple(v.numerator * (d**p // v.denominator) for v in row) for row, p in zip(rows, powers)
-    )
-
-
 class _Scaled:
     """A coefficient table as `_recur` runs it from a unit window, zeros
     capped by a single 1.
@@ -124,7 +113,10 @@ class _Scaled:
 
     def __init__(self, table: Tuple[Tuple, ...], kind: ScalarKind):
         if isinstance(kind, RationalKind):
-            d, self.cycles = _lcm_scaled(table, range(1, len(table) + 1))
+            d, ints = _lcm_scaled([v for cycle in table for v in cycle])
+            # ints holds cycle s times d, so it takes d^(s-1) more
+            n, more = len(table[0]), [d**t for t in range(len(table))]
+            self.cycles = [[x * p for x in ints[t * n : t * n + n]] for t, p in enumerate(more)]
             self.tail, self.zero, self._base = d ** (len(table) + 1), 0, d
         else:
             self.cycles, self.tail, self.zero, self._base = table, 1, kind.zero(), None

@@ -146,9 +146,9 @@ def document_of(grid: FriezeGrid, provenance: Optional[Dict[str, Any]] = None) -
 def grid_of(doc: FriezeDocument, tolerance: Optional[float] = None) -> FriezeGrid:
     """Rebuild the grid and check every defining local relation.
 
-    The check is `check_local_rules`, which scans a rational grid on
-    ints, each stored value scaled once by the lcm of the denominators;
-    that scan costs less than a rebuild from the grid's coefficients.
+    The check is `check_local_rules`, which reads the band stores and
+    scans a rational grid on ints scaled by `scalars._lcm_scaled`; that
+    scan costs less than a rebuild from the grid's coefficients.
     `frieze verify` reads through `_unchecked_grid` instead and, for an
     exact kind, decides the relations and tameness by one rebuild
     (`frieze._verdict`), scanning them only on a mismatch.

@@ -34,9 +34,9 @@ import operator
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _lcm_scaled, _recur, _table
+from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _recur, _table
 from .linalg import Matrix, det
-from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen
+from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen, _lcm_scaled
 
 
 class FriezeError(ValueError):
@@ -588,18 +588,14 @@ def check_local_rules(grid: FriezeGrid) -> Tuple[GridIndex, ...]:
     neighbours and its neighbour in row -3 (row w+2) are guard zeros,
     so the rule reads 0 = 0.
 
-    A rational grid is scanned on ints by `_scaled_reader`, each stored
+    A rational grid is scanned on ints by `_store_reader`, each stored
     value v read once as v' = D*v, D the lcm of the denominators.  Both
     rules are homogeneous and their right side has degree 2, so a black
     rule holds exactly when v'*v' = A'*B' - C'*D', and a white rule, of
     degree 1 on the left, exactly when D*v' = A'*B' - C'*D'.  D is the
     white weight; on other kinds it is 1 and cells are read as they are.
     """
-    if isinstance(grid.kind, RationalKind):
-        get, weight = _scaled_reader(grid)
-        eq = operator.eq
-    else:
-        get, eq, weight = grid.get, grid.kind.eq, 1
+    get, weight, eq = _store_reader(grid)
     bad = []
     for x in range(2 * grid.period):
         for o in range(-1, grid.width + 1):
@@ -613,23 +609,28 @@ def check_local_rules(grid: FriezeGrid) -> Tuple[GridIndex, ...]:
     return tuple(bad)
 
 
-def _scaled_reader(grid: FriezeGrid):
-    """A reader of D times a rational grid as ints, and D, the lcm of the
-    denominators in its band stores.  Rows -1..w are read from the stores
-    and the rest as 0, which holds for the rows -2 and w+1 that
-    `check_local_rules` also reads: guard zeros, where no sign applies."""
+def _store_reader(grid: FriezeGrid):
+    """(get, weight, eq) for `check_local_rules` on any kind: `get` reads
+    rows -1..w from the band stores, a rational grid's scaled once to ints
+    by D, the lcm of their denominators (weight D), any other kind's as
+    stored (weight 1), and the guard rows -2 and w+1 as the kind's zero."""
     stores = [band._cells for band in grid._bands]
-    d, scaled = _lcm_scaled([store.values() for store in stores], (1, 1))
-    ints = [dict(zip(store, row)) for store, row in zip(stores, scaled)]
-    n, w = grid.period, grid.width
+    kind, n, w = grid.kind, grid.period, grid.width
+    if isinstance(kind, RationalKind):
+        d, ints = _lcm_scaled([v for store in stores for v in store.values()])
+        scaled = iter(ints)  # zip reads each store first, so it takes only its own values
+        stores = [dict(zip(store, scaled)) for store in stores]
+        weight, eq, zero = d, operator.eq, 0
+    else:
+        weight, eq, zero = 1, kind.eq, kind.zero()
 
-    def get(I: int, J: int) -> int:
+    def get(I: int, J: int):
         o = (J - I) // 2
         if -1 <= o <= w:
-            return ints[I % 2][(I // 2 % n, o)]
-        return 0
+            return stores[I % 2][(I // 2 % n, o)]
+        return zero
 
-    return get, d
+    return get, weight, eq
 
 
 def check_tame(grid: FriezeGrid) -> TameResult:

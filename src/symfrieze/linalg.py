@@ -5,11 +5,11 @@ transpose or solver.
 Sizes stay small (2x2 through roughly 10x10), but the adjacent-minor
 scans take thousands of determinants, so `det` picks a path by the kind:
 
-- rational and Gaussian: each row is multiplied by the lcm of its
-  denominators (a GaussianRational (x + y*i)/d has the one denominator d),
-  Bareiss elimination runs on Gaussian integers held as two int matrices
-  (the imaginary one all 0 for rationals), and the determinant over the
-  product of the lcms is a Fraction, or a GaussianRational built by `_of`;
+- rational and Gaussian: each row is scaled to ints by the lcm of its
+  denominators (a rational row by `scalars._lcm_scaled`, a Gaussian one
+  into two int rows here), Bareiss elimination runs on Gaussian integers
+  (the imaginary matrix all 0 for rationals), and the determinant over
+  the product of the lcms is a Fraction, or a GaussianRational by `_of`;
 - any other exact kind (Laurent polynomials): Bareiss elimination on the
   kind's own elements, which needs only *, - and exact /;
 - complex floats: partial-pivot LU, with the kind's tolerance as zero test.
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Sequence
 
-from .scalars import GaussianKind, GaussianRational, RationalKind, ScalarKind
+from .scalars import GaussianKind, GaussianRational, RationalKind, ScalarKind, _lcm_scaled
 
 
 class Matrix:
@@ -100,9 +100,9 @@ def _det_rational(rows) -> Fraction:
     scale = 1
     a = []
     for row in rows:
-        s = lcm(*(v.denominator for v in row))
+        s, ints = _lcm_scaled(row)
         scale *= s
-        a.append([v.numerator * (s // v.denominator) for v in row])
+        a.append(ints)
     d, _ = _det_gaussian_int(a, [[0] * len(a) for _ in a])
     return Fraction(d, scale)
 

@@ -100,8 +100,7 @@ class GaussianRational:
             if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
                 _reject_float(part)
                 raise TypeError(f"a Gaussian part must be an int or a Fraction, not {part!r}")
-        d = lcm(re.denominator, im.denominator)
-        x, y = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        d, (x, y) = _lcm_scaled((re, im))
         return cls._of(x, y, d)
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -188,6 +187,14 @@ class GaussianRational:
         if d == 0:
             raise ZeroDivisionError(f"{text.strip()!r} has a zero denominator")
         return cls._of(x, y or 0, d)
+
+
+def _lcm_scaled(values) -> tuple[int, list]:
+    """d, the lcm of the denominators of `values` (a sequence of ints and
+    Fractions), and each value times d, as a list of ints.  The one lcm
+    scaling of the package's exact int paths."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _lex(text: str) -> tuple | None:

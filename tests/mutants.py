@@ -55,8 +55,8 @@ MUTANTS = (
     Mutant(
         "scaled recurrence: cycle s times d, not d^s",
         "src/symfrieze/diffeq.py",
-        "v.numerator * (d**p // v.denominator)",
-        "v.numerator * (d // v.denominator)",
+        "more = len(table[0]), [d**t for t in range(len(table))]",
+        "more = len(table[0]), [1 for t in range(len(table))]",
         _RECUR_ORACLE,
     ),
     Mutant(
@@ -76,16 +76,24 @@ MUTANTS = (
     Mutant(
         "scaled local rules: white weight 1, not D",
         "src/symfrieze/frieze.py",
-        "    return get, d\n",
-        "    return get, 1\n",
+        "weight, eq, zero = d, operator.eq, 0",
+        "weight, eq, zero = 1, operator.eq, 0",
         _RULES_ORACLE,
     ),
     Mutant(
-        # the grid's first row is its black band
+        # the white band is then scaled by that D, flooring what it does not divide
         "scaled local rules: D over the black band only",
-        "src/symfrieze/diffeq.py",
-        "d = lcm(*(v.denominator for row in rows for v in row))",
-        "d = lcm(*(v.denominator for v in rows[0]))",
+        "src/symfrieze/frieze.py",
+        "d, ints = _lcm_scaled([v for store in stores for v in store.values()])",
+        "d, ints = _lcm_scaled(list(stores[0].values())); "
+        "ints += [v.numerator * (d // v.denominator) for v in stores[1].values()]",
+        _RULES_ORACLE,
+    ),
+    Mutant(
+        "store reader: non-rational guard rows read as one",
+        "src/symfrieze/frieze.py",
+        "weight, eq, zero = 1, kind.eq, kind.zero()",
+        "weight, eq, zero = 1, kind.eq, kind.one()",
         _RULES_ORACLE,
     ),
     Mutant(
@@ -118,6 +126,13 @@ MUTANTS = (
         "b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))",
         "b.append(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d)",
         ("tests/test_legendrian.py::test_coeffs_from_polygon",),
+    ),
+    Mutant(
+        "lcm scaling: each value times d, not d over its denominator",
+        "src/symfrieze/scalars.py",
+        "v.numerator * (d // v.denominator) for v in values",
+        "v.numerator * d for v in values",
+        ("tests/test_scalars.py::test_lcm_scaled_matches_fraction_arithmetic",),
     ),
     Mutant(
         "scalar lexer: imaginary sign dropped",

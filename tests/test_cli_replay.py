@@ -10,10 +10,12 @@ CLI prints or returns on these 357 jobs fails here.
 
 `extra_jobs` adds a fixed list for what no workload reaches: `eq variety`,
 `polygon normalize`, `search orbits`, `search enumerate` at bounds past the
-workload's, and the exit paths of a bad `--tolerance`, a non-canonical
-entry key, a negative width and a zig-zag width below 1.  Its inputs are `bench/oracle.py` grids drawn by
-`bench/workloads.py` `Inputs` from `random.Random(1)`, each job names its
-exit code, and its digest rows sit in `tests/data/cli_replay_extra.json`.
+workload's, the exit paths of a bad `--tolerance`, a non-canonical entry
+key, a negative width and a zig-zag width below 1, and complex-float
+`frieze verify`, `frieze show` of a planted cell, `sl black` and `sl dual`.
+Its inputs are `bench/oracle.py` grids drawn by `bench/workloads.py`
+`Inputs` from `random.Random(1)`, each job names its exit code, and its
+digest rows sit in `tests/data/cli_replay_extra.json`.
 
 Seeds 1-3 of the four workloads (1071 jobs) are replayed outside Tier-1 by
 
@@ -156,8 +158,8 @@ def extra_jobs(oracle, workloads):
         n2 = 2 * grid.period
         return oracle.Grid(grid.width, {(-x % n2, o): v for (x, o), v in grid.cells.items()}, grid.scalar)
 
-    def complex_json(grid):
-        doc = json.loads(oracle.frieze_json(grid))
+    def complex_json(grid, dump=oracle.frieze_json):
+        doc = json.loads(dump(grid))
         doc["entries"] = {k: [float(Fraction(v)), 0.0] for k, v in doc["entries"].items()}
         return json.dumps(dict(doc, scalar="complex-float"))
 
@@ -220,6 +222,13 @@ def extra_jobs(oracle, workloads):
     for w, bound, dedup in ((3, 8, "dihedral"), (4, 3, "translation"), (2, 30, "none")):
         jobs.append(Extra(f"enumerate w{w} b{bound} {dedup}", ["search", "enumerate", "--width", str(w),
                           "--bound", str(bound), "--dedup", dedup], 0))
+    # complex-float documents read without error: the rule scan on stored values, and `_det_lu`
+    planted = json.loads(float_doc)
+    planted["entries"]["1,1"] = [0.5, 0.25]
+    jobs += [Extra("verify complex", ["frieze", "verify"], 0, float_doc),
+             Extra("show complex planted", ["frieze", "show"], 1, json.dumps(planted)),
+             Extra("sl black complex", ["sl", "black"], 0, float_doc),
+             Extra("sl dual complex", ["sl", "dual"], 0, complex_json(g, oracle.sl_json))]
     return jobs
 
 

@@ -55,3 +55,24 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == set()
+
+
+# the modules that take an lcm themselves: `scalars` for its one scaling
+# helper, `linalg` for the Gaussian rows of `det` and `cluster` for the
+# symmetrizer; any other exact int path scales through `scalars._lcm_scaled`
+LCM_MODULES = {"scalars", "linalg", "cluster"}
+
+
+def _takes_lcm(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name == "lcm" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                return True
+    return False
+
+
+def test_only_the_scaling_helper_and_two_kernels_take_an_lcm():
+    assert {path.stem for path in SRC.glob("*.py") if _takes_lcm(path)} == LCM_MODULES

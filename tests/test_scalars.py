@@ -18,6 +18,7 @@ from symfrieze.scalars import (
     ComplexFloatKind,
     GaussianRational,
     KindMismatch,
+    _lcm_scaled,
     kind_by_name,
 )
 
@@ -144,6 +145,29 @@ def test_gaussian_arithmetic_matches_the_two_fraction_oracle():
         assert a - a == zero and hash(a - a) == hash(zero)
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / zero
+
+
+LCM_SCALED_INPUTS = [
+    [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(4, 7), Fraction(-5, 11)],
+    [Fraction(1, 2**61 - 1), Fraction(-3, 2**31 - 1), Fraction(2**70, 2**61 - 1)],
+    [Fraction(-7, 6), 0, Fraction(0), -4, Fraction(5, 4), 9, Fraction(-1, 10)],
+    [3, -2, 0],
+    [Fraction(-9, 16)],
+    [5],
+    [],
+]
+
+
+@pytest.mark.parametrize("values", LCM_SCALED_INPUTS, ids=range(len(LCM_SCALED_INPUTS)))
+def test_lcm_scaled_matches_fraction_arithmetic(values):
+    d, ints = _lcm_scaled(values)
+    want = 1
+    for v in values:
+        den = Fraction(v).denominator
+        want = want * den // gcd(want, den)
+    assert d == want
+    assert len(ints) == len(values) and all(type(x) is int for x in ints)
+    assert all(Fraction(x, d) == v for x, v in zip(ints, values))
 
 
 def test_gaussian_values_are_immutable():
