@@ -6,15 +6,18 @@ form whose parameter is read off the frieze itself.  Entries of the
 frieze are recovered as pairings (or 4x4 determinants) of vertices, and
 4x4 windows of the frieze intertwine the two form variants.  The form is
 written once, as the table of its six nonzero entries, and `_pair` is
-the one way to pair two vectors: the block check sums over the table
-too.  The recurrence coefficients are Cramer quotients of `det`.
+the one way to pair two vectors in a kind's arithmetic: the block check
+sums over the table too.  Rational polygon pairings sum over the same
+table on ints scaled by `_lcm_scaled`.  The recurrence coefficients are
+Cramer quotients of `det`.
 """
 
 import cmath
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Tuple
 
-from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, ScalarKind, _Frozen
+from .scalars import COMPLEX, RATIONAL, ComplexFloatKind, RationalKind, ScalarKind, _Frozen, _lcm_scaled
 from .linalg import Matrix, det
 from .frieze import FriezeError, FriezeGrid, SLFrieze
 
@@ -155,12 +158,32 @@ def polygon_from_frieze(g: FriezeGrid, i0: int) -> Polygon:
 def _pairings(form: SymplecticForm, vertices: Sequence[Sequence], reach: int) -> list:
     """Row t holds omega(V_t, V_{t+k}), k = 1..reach, for one period
     V_0..V_{n-1} of an antiperiodic vertex sequence, V_{t+n} = -V_t,
-    whose entries are already in the form's kind."""
-    lift = list(vertices) + [tuple(-x for x in v) for v in vertices]
-    return [
-        [_pair(form, u, lift[(t + k) % len(lift)]) for k in range(1, reach + 1)]
-        for t, u in enumerate(vertices)
-    ]
+    whose entries are already in the form's kind.
+
+    A rational form pairs on ints: vertex t is scaled once by D_t, the
+    lcm of its denominators, and the form's entries by den(a), through
+    `_lcm_scaled`.  Each value is then built once, as the canonical
+    Fraction(acc, D_t * D_s * den(a)) of the int sum acc, negated when
+    s = t + k lies an odd number of periods on.  Other kinds sum `_pair`
+    in the kind."""
+    if not isinstance(form.kind, RationalKind):
+        lift = list(vertices) + [tuple(-x for x in v) for v in vertices]
+        return [
+            [_pair(form, u, lift[(t + k) % len(lift)]) for k in range(1, reach + 1)]
+            for t, u in enumerate(vertices)
+        ]
+    den, ints = _lcm_scaled([f for _, _, f in form._entries])
+    terms = [(r, c, x) for (r, c, _), x in zip(form._entries, ints)]
+    scaled = [_lcm_scaled(v) for v in vertices]
+    n, rows = len(vertices), []
+    for t, (dt, u) in enumerate(scaled):
+        row = []
+        for s in range(t + 1, t + reach + 1):
+            ds, v = scaled[s % n]
+            acc = sum([u[r] * x * v[c] for r, c, x in terms])
+            row.append(Fraction(-acc if s // n % 2 else acc, dt * ds * den))
+        rows.append(row)
+    return rows
 
 
 def frieze_from_polygon(p: Polygon) -> FriezeGrid:

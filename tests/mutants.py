@@ -44,6 +44,8 @@ _RULES_ORACLE = ("tests/test_frieze.py::test_local_rules_match_the_full_row_scan
 
 _DECODER_ORACLE = ("tests/test_formats.py::test_decoder_matches_the_per_kind_oracle",)
 
+_PAIRINGS_ORACLE = ("tests/test_legendrian.py::test_rational_pairings_match_oracle",)
+
 MUTANTS = (
     Mutant(
         "scaled recurrence: tail weight 1",
@@ -119,6 +121,27 @@ MUTANTS = (
         "[_pair(form, u, v) for u, v in combinations(vectors, 2)]",
         "[_pair(form, v, u) for u, v in combinations(vectors, 2)]",
         ("tests/test_legendrian.py::test_block_check_matches_dense_oracle",),
+    ),
+    Mutant(
+        "scaled pairings: wrap sign dropped",
+        "src/symfrieze/legendrian.py",
+        "Fraction(-acc if s // n % 2 else acc, dt * ds * den)",
+        "Fraction(acc, dt * ds * den)",
+        _PAIRINGS_ORACLE,
+    ),
+    Mutant(
+        "scaled pairings: D_t * D_t, not D_t * D_s",
+        "src/symfrieze/legendrian.py",
+        "dt * ds * den)",
+        "dt * dt * den)",
+        _PAIRINGS_ORACLE,
+    ),
+    Mutant(
+        "scaled pairings: den(a) dropped",
+        "src/symfrieze/legendrian.py",
+        "dt * ds * den)",
+        "dt * ds)",
+        _PAIRINGS_ORACLE,
     ),
     Mutant(
         "polygon coefficients: b not negated",

@@ -13,9 +13,11 @@ own arithmetic, as `diffeq._recur` did before it ran rational tables on
 scaled integers, and serve the exact kinds.  The local-rule oracle reads every window of the rows -2..w+1
 through `get` and compares with the kind's `eq`, so it serves every kind.
 The complement oracle builds the complementary determinant by hand; the
-polygon oracle pairs the two vertices of every cell by a form matrix
-written out here, and the block oracle multiplies that matrix with the
-black windows by plain 4x4 products and a transpose.  The coefficient
+polygon and pairing oracles pair two vertices by a form matrix written
+out here, in the kind's own arithmetic, as `legendrian._pairings` did
+before it paired rational vertices on scaled integers, and the block
+oracle multiplies that matrix with the black windows by plain 4x4
+products and a transpose.  The coefficient
 oracle expands the lower-Hessenberg determinants next to the upper
 boundary by cofactors, so it serves every kind.  The quiver oracle mutates arrow by arrow, without exchange
 matrices.  The decoder oracle reads raw JSON values with one branch per
@@ -292,11 +294,26 @@ def naive_pairing(form, u, v):
     return total
 
 
+def _antiperiodic(vertices, j):
+    """V_j of the sequence with one period V_0..V_{n-1} in `vertices`,
+    negated once per period away."""
+    steps, r = divmod(j, len(vertices))
+    v = vertices[r]
+    return tuple(-x for x in v) if steps % 2 else v
+
+
 def _polygon_vertex(p, j):
     """V_j of the polygon, negated once per period away from its base."""
-    steps, r = divmod(j - p.base, p.period)
-    v = p.vertices[r]
-    return tuple(-x for x in v) if steps % 2 else v
+    return _antiperiodic(p.vertices, j - p.base)
+
+
+def naive_pairings(form, vertices, reach):
+    """Row t holds omega(V_t, V_{t+k}), k = 1..reach, by `naive_pairing`
+    in the kind's own arithmetic, for one period V_0..V_{n-1}."""
+    return [
+        [naive_pairing(form, vertices[t], _antiperiodic(vertices, t + k)) for k in range(1, reach + 1)]
+        for t in range(len(vertices))
+    ]
 
 
 def naive_normalization_failure(p):

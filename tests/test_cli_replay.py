@@ -11,8 +11,10 @@ CLI prints or returns on these 357 jobs fails here.
 `extra_jobs` adds a fixed list for what no workload reaches: `eq variety`,
 `polygon normalize`, `search orbits`, `search enumerate` at bounds past the
 workload's, the exit paths of a bad `--tolerance`, a non-canonical entry
-key, a negative width and a zig-zag width below 1, and complex-float
-`frieze verify`, `frieze show` of a planted cell, `sl black` and `sl dual`.
+key, a negative width and a zig-zag width below 1, complex-float
+`frieze verify`, `frieze show` of a planted cell, `sl black`, `sl dual`,
+`sl gale`, `sl to-symplectic` and `polygon coeffs`, and `polygon
+to-frieze` on a Gaussian, a complex-float and a planted rational polygon.
 Its inputs are `bench/oracle.py` grids drawn by `bench/workloads.py`
 `Inputs` from `random.Random(1)`, each job names its exit code, and its
 digest rows sit in `tests/data/cli_replay_extra.json`.
@@ -225,10 +227,27 @@ def extra_jobs(oracle, workloads):
     # complex-float documents read without error: the rule scan on stored values, and `_det_lu`
     planted = json.loads(float_doc)
     planted["entries"]["1,1"] = [0.5, 0.25]
+    float_sl = complex_json(g, oracle.sl_json)
     jobs += [Extra("verify complex", ["frieze", "verify"], 0, float_doc),
              Extra("show complex planted", ["frieze", "show"], 1, json.dumps(planted)),
              Extra("sl black complex", ["sl", "black"], 0, float_doc),
-             Extra("sl dual complex", ["sl", "dual"], 0, complex_json(g, oracle.sl_json))]
+             Extra("sl dual complex", ["sl", "dual"], 0, float_sl)]
+    # the kinds that pair polygon vertices in their own arithmetic, a planted
+    # rational vertex (V_3 + V_1 breaks its pairing with V_4), and the
+    # complex-float readers of SL bands and polygons
+    float_poly = json.loads(oracle.polygon_json(g, 1))
+    float_poly["vertices"] = [[[float(Fraction(v)), 0.0] for v in row] for row in float_poly["vertices"]]
+    float_poly["form"]["a"] = [float(Fraction(float_poly["form"]["a"])), 0.0]
+    float_poly = json.dumps(dict(float_poly, scalar="complex-float"))
+    off_poly = json.loads(poly)
+    vertices = off_poly["vertices"]
+    vertices[3] = [str(Fraction(x) + Fraction(y)) for x, y in zip(vertices[3], vertices[1])]
+    jobs += [Extra("to-frieze gauss", ["polygon", "to-frieze"], 0, oracle.polygon_json(inp.gaussian(2), 1)),
+             Extra("to-frieze complex", ["polygon", "to-frieze"], 0, float_poly),
+             Extra("to-frieze planted", ["polygon", "to-frieze"], 1, json.dumps(off_poly)),
+             Extra("sl gale complex", ["sl", "gale"], 0, float_sl),
+             Extra("sl to-symplectic complex", ["sl", "to-symplectic"], 0, float_sl),
+             Extra("polygon coeffs complex", ["polygon", "coeffs"], 0, float_poly)]
     return jobs
 
 

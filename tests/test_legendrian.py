@@ -12,6 +12,7 @@ from oracles import (
     naive_frieze_from_polygon,
     naive_normalization_failure,
     naive_pairing,
+    naive_pairings,
     transpose4,
 )
 from symfrieze import legendrian
@@ -236,11 +237,45 @@ def test_polygon_frieze_matches_pairing_oracle(polygon_grids):
 
 
 def test_polygon_frieze_pairs_each_vertex_pair_once(monkeypatch, poly2):
+    # Gaussian and complex-float polygons pair in their kind, through _pair
     calls = []
     pair = legendrian._pair
     monkeypatch.setattr(legendrian, "_pair", lambda *args: calls.append(args) or pair(*args))
+    for kind in (GAUSSIAN, COMPLEX):
+        p = Polygon(poly2.period, poly2.base, poly2.vertices, SymplecticForm(poly2.form.a, "dual", kind))
+        calls.clear()
+        frieze_from_polygon(p)
+        assert len(calls) == p.period * (p.width + 3)
+    # a rational polygon pairs on ints, with each vertex scaled once
+    calls.clear()
+    scaled = []
+    lcm_scaled = legendrian._lcm_scaled
+    monkeypatch.setattr(legendrian, "_lcm_scaled", lambda values: scaled.append(tuple(values)) or lcm_scaled(values))
     frieze_from_polygon(poly2)
-    assert len(calls) == poly2.period * (poly2.width + 3)
+    assert calls == []
+    assert [v for v in scaled if len(v) == 4] == list(poly2.vertices)
+    assert [v for v in scaled if len(v) != 4] == [tuple(f for *_, f in poly2.form._entries)]
+
+
+@pytest.mark.parametrize("variant", ["standard", "dual"])
+def test_rational_pairings_match_oracle(variant):
+    # vertex t carries its own prime denominator beside 2^31 - 1 (even t) or
+    # 2^61 - 1 (odd t, so D_t is above 2^64), a zero and signed entries; the
+    # form's a is integral or not, and the reach w + 3 crosses the wrap
+    rng = random.Random(f"pairings/{variant}")
+    primes = (11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for w in range(1, 5):
+        vertices = []
+        for t in range(w + 5):
+            v = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), d)
+                 for d in (primes[t], 2**61 - 1 if t % 2 else 2**31 - 1, rng.choice((1, 2, 2**31 - 1)))]
+            v.insert(rng.randrange(4), Fraction(0))
+            vertices.append(tuple(v))
+        for a in (Fraction(-7, 3), Fraction(5, 2**61 - 1), Fraction(0)):
+            form = SymplecticForm(a, variant)
+            got = legendrian._pairings(form, vertices, w + 3)
+            assert got == naive_pairings(form, vertices, w + 3), (w, a)
+            assert all(type(x) is Fraction for row in got for x in row)
 
 
 def _planted(p, j, vertex):
