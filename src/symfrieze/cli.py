@@ -324,9 +324,10 @@ def _cmd_polygon_normalize(args) -> int:
 
 
 def _cmd_polygon_coeffs(args) -> int:
-    a, b = legendrian.coeffs_from_polygon(_load(args, formats.PolygonDocument))
-    print("a: " + ", ".join(str(v) for v in a))
-    print("b: " + ", ".join(str(v) for v in b))
+    p = _load(args, formats.PolygonDocument)
+    zero = p.form.kind.zero()  # v + zero clears the negative zeros of complex floats
+    for name, cycle in zip("ab", legendrian.coeffs_from_polygon(p)):
+        print(f"{name}: " + ", ".join(str(v + zero) for v in cycle))
     return 0
 
 

@@ -5,18 +5,17 @@ with n-periodic coefficients.  An equation is superperiodic when every
 solution is n-antiperiodic, V[i+n] = -V[i]; those are exactly the
 equations whose solution diagonals weave a frieze grid of width n - 5.
 It is the order-3 recurrence on the cycles (a, b, a shifted by one).
-`_recur` runs a table of k cycles; `from_equation` and `monodromy` start
-it from unit windows and run a rational table on integers through
-`_Scaled`: t steps past a window's 1 the value is an integer polynomial
-of degree at most t in the coefficients, so with d the lcm of their
-denominators (`scalars._lcm_scaled`) d^t times it is an integer, and
-each output is built once as a Fraction.  `entry_det_band` (which gives
-`band_determinant`) and `dual_equation_coeffs` read one;
-`entry_det_complement` is `entry_det_band` on the dual table.  `slfrieze`
-imports only `_band_det`.  `_coeff_table` coerces and checks a caller's table;
-`band_determinant`, `entry_det_complement`, `slfrieze.coeffs_of` and
-`frieze.extend_through_zero` hand checked ones to `_band_det`, as
-`entry_det_band` does.  `white_band_determinant` is the one other builder.
+`_recur` runs a table of k cycles.  `_Scaled.from_unit` runs it from a
+unit window (zeros capped by a single 1), a rational table on integers:
+t steps past the 1 the value is an integer polynomial of degree at most
+t in the coefficients, so with d the lcm of their denominators
+(`scalars._lcm_scaled`) d^t times it is an integer, built once as a
+Fraction.  This run is the one path from coefficient cycles to entries.
+Expanding the band of `entry_det_band` along its last column gives the
+recurrence, so `_band_det`, behind every band reader here, is the last
+value of a run; `frieze.from_equation`, `slfrieze.coeffs_of` and
+`frieze.extend_through_zero` read runs too.  `white_band_determinant`,
+the paper's symmetric formula, is the one band matrix.
 """
 
 from fractions import Fraction
@@ -128,6 +127,12 @@ class _Scaled:
     def value(self, x, t: int):
         return x if self._base is None else Fraction(x, self._base**t)
 
+    def from_unit(self, i: int, count: int) -> list:
+        """The window's 1, at V[i-1], then V[i], ..., V[i+count-1]:
+        entry t lies t steps past the 1, so `value(W, t)` reads it."""
+        window = [self.zero] * len(self.cycles) + [self.unit(0)]
+        return window[-1:] + _recur(self.cycles, window, i, count, self.tail)
+
 
 def solve(eq: SymmetricDiffEq, init: Sequence, first: int, count: int) -> Tuple:
     """Run the recurrence; `init` holds V[first-4] .. V[first-1].
@@ -193,18 +198,14 @@ def entry_det_band(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):
 
 
 def _band_det(table: Sequence[Sequence], i: int, j: int, kind: ScalarKind):
-    # entry_det_band on a table of values of `kind` that _coeff_table accepts
-    k, n = len(table), len(table[0])
+    # entry_det_band on a table of values of `kind` that _coeff_table
+    # accepts: the band of size j - i + 1, expanded along its last column,
+    # is the run from the unit window at i
     size = j - i + 1
     if size < 0:
         raise ValueError(f"offset {j - i} below the band")
-    zero, one = kind.zero(), kind.one()
-    rows = [[zero] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(max(r - 1, 0), min(r + k + 1, size)):
-            s = c - r
-            rows[r][c] = one if s in (-1, k) else table[s][(i + c) % n]
-    return det(Matrix._of(kind, rows))
+    run = _Scaled(table, kind)
+    return run.value(run.from_unit(i, size)[-1], size)
 
 
 def entry_det_complement(coeffs, i: int, j: int, kind: ScalarKind = RATIONAL):

@@ -20,8 +20,8 @@ Black cells are antiperiodic, d[i, j+n] = -d[i, j]; white cells, the
 repeat with length 2n in the display direction.  The black entries form
 a tame order-3 SL-frieze and so do the white ones, so a grid is stored
 as two `SLFrieze` bands; the SL-frieze class and its propagation
-(`from_equation`, which runs the recurrence loop of `diffeq` on a
-table checked by `diffeq._coeff_table`) live here for that reason, and
+(`from_equation`, which reads each diagonal off a `diffeq._Scaled` run
+of a table checked by `diffeq._coeff_table`) live here for that reason, and
 `slfrieze` holds the maps and checks on SL-friezes.  `SLFrieze(...)`,
 `from_cells` and `with_entry` coerce a caller's values; bands the
 package computes go through the private `SLFrieze._of`, and into the
@@ -34,7 +34,7 @@ import operator
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .diffeq import SymmetricDiffEq, _Scaled, _band_det, _coeff_table, _recur, _table
+from .diffeq import SymmetricDiffEq, _Scaled, _coeff_table, _table
 from .linalg import Matrix, det
 from .scalars import RATIONAL, RationalKind, ScalarKind, _Frozen, _lcm_scaled
 
@@ -315,19 +315,17 @@ def from_equation(coeffs, kind: ScalarKind = RATIONAL) -> SLFrieze:
     single 1 and must close up the same way, else NotSuperperiodic.
     """
     table = _coeff_table(coeffs, kind)
-    k = len(table)
-    n = len(table[0])
+    k, n = len(table), len(table[0])
     w = n - k - 2
-    run, one = _Scaled(table, kind), kind.one()
-    start, top = [run.zero] * k + [run.unit(0)], run.unit(w + 1)
-    cells = {}
+    run, cells = _Scaled(table, kind), {}
+    top = run.unit(w + 1)
     for i in range(n):
-        diagonal = _recur(run.cycles, start, i, w + k + 1, run.tail)
-        if not kind.eq(diagonal[w], top) or not all(map(kind.is_zero, diagonal[w + 1 :])):
+        # entry t of the diagonal sits in row t - 1
+        diagonal = run.from_unit(i, w + k + 1)
+        if not kind.eq(diagonal[w + 1], top) or not all(map(kind.is_zero, diagonal[w + 2 :])):
             raise NotSuperperiodic(i)
-        cells[(i, -1)] = one
-        for o, v in enumerate(diagonal[: w + 1]):
-            cells[(i, o)] = run.value(v, o + 1)
+        for t in range(w + 2):
+            cells[(i, t - 1)] = run.value(diagonal[t], t)
     return SLFrieze._of(kind, k, w, cells)
 
 
@@ -756,19 +754,15 @@ def extend_through_zero(prefix: Sequence, kind: ScalarKind = RATIONAL):
     else:
         if len(blacks) < 3:
             raise Underdetermined("degenerate 3x3 minor and no third black entry")
-        a0 = blacks[-3]
-
-        def det4(x):
-            # the order-1 band: a0, a1, a2, x on the diagonal, ones beside it
-            return _band_det(((a0, a1, a2, x),), 0, 3, kind)
-
-        f0 = det4(kind.zero())
-        slope = det4(one) - f0
-        # exactly, slope = a0*c1 - a2 = -a2, nonzero as a1*a2 = 1; only a
+        # the 4x4 minor of the order-1 band a0, a1, a2, x is the continuant x*d3 - d2
+        run = _Scaled(((blacks[-3], a1, a2),), kind)
+        d = run.from_unit(0, 3)
+        d2, d3 = run.value(d[2], 2), run.value(d[3], 3)
+        # exactly, d3 = a0*c1 - a2 = -a2, nonzero as a1*a2 = 1; only a
         # tolerance reads it as zero
-        if kind.is_zero(slope):
+        if kind.is_zero(d3):
             raise Underdetermined("4x4 minor does not see the next entry")
-        x = (one - f0) / slope
+        x = (one + d2) / d3
 
     if len(vals) % 2 == 1:  # the prefix ends on a white entry
         return [x]

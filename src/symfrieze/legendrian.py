@@ -39,11 +39,13 @@ __all__ = [
 
 
 class NormalizationViolated(FriezeError):
-    """Consecutive vertices fail the required orthogonality."""
+    """Vertices `index` and `index + step` fail the normalization: their
+    pairing is not 0 (step 1) or not 1 (step 2)."""
 
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"vertices {index} and {index + 1} are not paired to zero")
+    def __init__(self, index: int, step: int):
+        self.index, self.step = index, step
+        want = "zero" if step == 1 else "one"
+        super().__init__(f"vertices {index} and {index + step} are not paired to {want}")
 
 
 class EvenPeriod(FriezeError):
@@ -197,8 +199,10 @@ def frieze_from_polygon(p: Polygon) -> FriezeGrid:
     kind, w, n = p.form.kind, p.width, p.period
     pairs = _pairings(p.form, p.vertices, w + 3)
     for t, row in enumerate(pairs, p.base):
-        if not kind.is_zero(row[0]) or not kind.eq(row[1], kind.one()):
-            raise NormalizationViolated(t)
+        if not kind.is_zero(row[0]):
+            raise NormalizationViolated(t, 1)
+        if not kind.eq(row[1], kind.one()):
+            raise NormalizationViolated(t, 2)
     band = {((t + 3) % n, k - 3): row[k - 1]
             for t, row in enumerate(pairs, p.base) for k in range(2, w + 4)}
     return FriezeGrid.from_blacks(kind, w, SLFrieze._of(kind, 3, w, band).get)
@@ -293,7 +297,7 @@ def normalize_lift(
     orths, gammas = zip(*_pairings(cform, vs, 2))
     for t, orth in enumerate(orths):
         if not kind.is_zero(orth):
-            raise NormalizationViolated(t)
+            raise NormalizationViolated(t, 1)
     for t, gamma in enumerate(gammas):
         if kind.is_zero(gamma):
             raise DegenerateGamma(t)
@@ -321,8 +325,9 @@ def coeffs_from_polygon(p: Polygon) -> Tuple[Tuple, Tuple]:
 
     Each vertex is a combination of the previous four; the first two
     combination weights are the coefficient cycles (the second one
-    negated), read by Cramer's rule in three determinants.  A dependent
-    frame raises SingularFrame.
+    negated: its Cramer numerator swaps two frame columns), read by
+    Cramer's rule in three determinants.  A dependent frame raises
+    SingularFrame.
     """
     kind = p.form.kind
     a, b = [], []
@@ -332,5 +337,5 @@ def coeffs_from_polygon(p: Polygon) -> Tuple[Tuple, Tuple]:
         if kind.is_zero(d):
             raise SingularFrame(i)
         a.append(det(_column_matrix(kind, [v] + frame[1:])) / d)
-        b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))
+        b.append(det(_column_matrix(kind, [v] + frame[:1] + frame[2:])) / d)
     return tuple(a), tuple(b)

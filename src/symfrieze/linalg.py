@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .scalars import GaussianKind, GaussianRational, RationalKind, ScalarKind, _lcm_scaled
 
@@ -70,11 +70,6 @@ class Matrix:
         eq = self.kind.eq
         return all(
             eq(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix._of(
-            self.kind, [[self.rows[i][j] for j in col_idx] for i in row_idx]
         )
 
     def __repr__(self) -> str:

@@ -7,15 +7,15 @@ the two duality maps below (projective and Gale) act on the general case.
 `SLFrieze` and `from_equation` are defined in `frieze`, which stores each
 colour of a symplectic grid as an order-3 band, and the coefficient
 formulas in `diffeq` with the tables; import them from there.
-`coeffs_of` reads the coefficients back through the band determinant of
-`diffeq.entry_det_band`: by Gale duality the rows next to the lower
+`coeffs_of` reads the coefficients back off runs of the recurrence
+(`diffeq._Scaled.from_unit`): by Gale duality the rows next to the lower
 boundary serve as coefficient cycles.  The maps build their results
 through the private `SLFrieze._of`.
 """
 
 from typing import Tuple
 
-from .diffeq import _band_det
+from .diffeq import _Scaled
 # bound here for the benchmark tracer, which expects slfrieze to bind it
 from .linalg import det  # noqa: F401
 from .frieze import (
@@ -64,15 +64,14 @@ def coeffs_of(f: SLFrieze) -> Tuple[Tuple, ...]:
     Gale duality (Morier-Genoud, Ovsienko, Schwartz and Tabachnikov):
     cycle s (from 0) at subscript x is the (k-s)-sized `entry_det_band`
     determinant over the k rows of f read up from the lower boundary,
-    offsets w-1 down to w-k; when k > w they run on through the upper
+    offsets w-1 down to w-k, so value k-s of one run of length k from
+    the unit window at x+2; when k > w the rows run on through the upper
     boundary row and the guard zeros beyond it.
     """
     k, w = f.order, f.width
-    rows = [f.row_cycle(w - 1 - s) for s in range(k)]
-    return tuple(
-        tuple(_band_det(rows, x + 2, x + 1 + k - s, f.kind) for x in range(f.period))
-        for s in range(k)
-    )
+    run = _Scaled([f.row_cycle(w - 1 - s) for s in range(k)], f.kind)
+    cols = [run.from_unit(x + 2, k) for x in range(f.period)]
+    return tuple(tuple(run.value(col[k - s], k - s) for col in cols) for s in range(k))
 
 
 def black_of(g: FriezeGrid) -> SLFrieze:

@@ -10,6 +10,17 @@ WIDTH2_COEFFS = ((6, 3, 1, 3, 4, 2, 1), (3, 14, 1, 2, 6, 5, 1))
 WIDTH3_COEFFS = ((2, 4, 4, 3, 1, 4, 10, 1), (1, 5, 6, 6, 2, 1, 30, 4))
 SIGNED_COEFFS = ((0, 1, -1, 0, 1, -1), (-1, -1, -2, -1, -1, -2))
 
+# distinct primes next to the Mersenne prime 2^61 - 1; the lcm of the
+# first three already passes 2^64
+HOSTILE_DENOMINATORS = (2**61 - 1, 3, 5, 7, 11, 13)
+
+
+def hostile_fractions(rng, count):
+    """`count` nonzero Fractions whose denominators run through
+    HOSTILE_DENOMINATORS in turn, from the first."""
+    dens = HOSTILE_DENOMINATORS
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), dens[m % len(dens)]) for m in range(count)]
+
 
 @pytest.fixture(scope="session")
 def width1_int():

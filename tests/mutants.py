@@ -46,6 +46,11 @@ _DECODER_ORACLE = ("tests/test_formats.py::test_decoder_matches_the_per_kind_ora
 
 _PAIRINGS_ORACLE = ("tests/test_legendrian.py::test_rational_pairings_match_oracle",)
 
+_BAND_ORACLE = (
+    "tests/test_diffeq.py::test_band_builder_matches_cofactor_band",
+    "tests/test_diffeq.py::test_complement_builder_matches_cofactor_complement",
+)
+
 MUTANTS = (
     Mutant(
         "scaled recurrence: tail weight 1",
@@ -74,6 +79,21 @@ MUTANTS = (
         "Fraction(x, self._base**t)",
         "Fraction(x, self._base ** (t - 1))",
         _RECUR_ORACLE,
+    ),
+    Mutant(
+        # t is the offset j - i of a band of size t + 1
+        "unit run: value built at t, not t+1",
+        "src/symfrieze/diffeq.py",
+        "return run.value(run.from_unit(i, size)[-1], size)",
+        "return run.value(run.from_unit(i, size)[-1], size - 1)",
+        _BAND_ORACLE,
+    ),
+    Mutant(
+        "coeffs_of: cycles read in reverse order",
+        "src/symfrieze/slfrieze.py",
+        "for col in cols) for s in range(k))",
+        "for col in cols) for s in reversed(range(k)))",
+        ("tests/test_slfrieze.py::test_coeffs_of_matches_cofactor_oracle",),
     ),
     Mutant(
         "scaled local rules: white weight 1, not D",
@@ -146,7 +166,7 @@ MUTANTS = (
     Mutant(
         "polygon coefficients: b not negated",
         "src/symfrieze/legendrian.py",
-        "b.append(-(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d))",
+        "b.append(det(_column_matrix(kind, [v] + frame[:1] + frame[2:])) / d)",
         "b.append(det(_column_matrix(kind, frame[:1] + [v] + frame[2:])) / d)",
         ("tests/test_legendrian.py::test_coeffs_from_polygon",),
     ),

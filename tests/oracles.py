@@ -341,7 +341,7 @@ def naive_frieze_from_polygon(p):
     """
     bad = naive_normalization_failure(p)
     if bad is not None:
-        raise NormalizationViolated(bad[0])
+        raise NormalizationViolated(*bad)
 
     pairs = {}
 

@@ -301,10 +301,12 @@ def test_criterion_10_property_suites(width2_census, width1_const, width7_zero):
         inner = list(range(1, m - 1))
         head = list(range(m - 1))
         tail = list(range(1, m))
-        lhs = det(M) * det(M.submatrix(inner, inner))
-        rhs = det(M.submatrix(tail, tail)) * det(M.submatrix(head, head)) - det(
-            M.submatrix(tail, head)
-        ) * det(M.submatrix(head, tail))
+
+        def minor(rows, cols):
+            return det(Matrix(RATIONAL, [[M.rows[r][c] for c in cols] for r in rows]))
+
+        lhs = det(M) * minor(inner, inner)
+        rhs = minor(tail, tail) * minor(head, head) - minor(tail, head) * minor(head, tail)
         assert lhs == rhs
 
     # random mutation words never leave the Laurent ring

@@ -124,7 +124,7 @@ REJECTED = {
                        r"pairing needs 4-vectors"),
     "zig-zag width mismatch": (lambda: propagate_from_zigzag(ZigZag.straight((1, 1, 1, 1), 2), 5), ValueError,
                                r"width 5 does not match the zig-zag's width 2"),
-    # exactly, the 4x4 slope is -a2 when a1*a2 = 1; only a tolerance reads both as zero
+    # exactly, d3 = a0*c1 - a2 is -a2 when c1 = a1*a2 - 1 = 0; only a tolerance reads both as zero
     "extension blind 4x4": (lambda: extend_through_zero((1, 0, 1, 1e10, 1, 1e-10), COMPLEX), Underdetermined,
                             r"4x4 minor does not see the next entry"),
 }

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,16 @@ def test_polygon_pipeline(w2_json, w2_text):
     want = (6, 3, 1, 3, 4, 2, 1, 3, 14, 1, 2, 6, 5, 1)
     assert len(a + b) == len(want)
     assert all(abs(complex(v) - w) < 1e-9 for v, w in zip(a + b, want))
+
+
+def test_polygon_coeffs_prints_no_negative_zero(w2_json):
+    # the LU determinants of a real-valued complex-float polygon may end on -0.0
+    rc, poly_json, _ = run(["polygon", "from-frieze", "-", "--anchor", "1"], stdin=w2_json)
+    doc = json.loads(poly_json)
+    doc["vertices"] = [[[float(Fraction(v)), 0.0] for v in row] for row in doc["vertices"]]
+    doc["form"]["a"] = [float(Fraction(doc["form"]["a"])), 0.0]
+    rc, out, _ = run(["polygon", "coeffs", "-"], stdin=json.dumps(dict(doc, scalar="complex-float")))
+    assert rc == 0 and out.count("+0j") == 14 and "-0j" not in out
 
 
 def test_polygon_readers_validate_the_document(w2_json):

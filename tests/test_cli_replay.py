@@ -14,7 +14,8 @@ workload's, the exit paths of a bad `--tolerance`, a non-canonical entry
 key, a negative width and a zig-zag width below 1, complex-float
 `frieze verify`, `frieze show` of a planted cell, `sl black`, `sl dual`,
 `sl gale`, `sl to-symplectic` and `polygon coeffs`, and `polygon
-to-frieze` on a Gaussian, a complex-float and a planted rational polygon.
+to-frieze` on a Gaussian, a complex-float and two planted rational
+polygons (one breaks a first-neighbor pairing, one a second-neighbor).
 Its inputs are `bench/oracle.py` grids drawn by `bench/workloads.py`
 `Inputs` from `random.Random(1)`, each job names its exit code, and its
 digest rows sit in `tests/data/cli_replay_extra.json`.
@@ -248,6 +249,13 @@ def extra_jobs(oracle, workloads):
              Extra("sl gale complex", ["sl", "gale"], 0, float_sl),
              Extra("sl to-symplectic complex", ["sl", "to-symplectic"], 0, float_sl),
              Extra("polygon coeffs complex", ["polygon", "coeffs"], 0, float_poly)]
+    # V_2 doubled in the polygon of propagate_from_zigzag([1] * 4, 2) at anchor 1:
+    # omega(V_0, V_1) stays 0 and omega(V_0, V_2) becomes 2
+    doubled = {"base": 0, "form": {"a": "1", "variant": "dual"}, "kind": "polygon", "period": 7,
+               "scalar": "rational", "vertices": [["1", "0", "0", "0"], ["1", "1", "0", "0"], ["4", "8", "2", "0"],
+                                                  ["1", "5", "4", "1"], ["0", "1", "2", "1"], ["0", "0", "1", "1"],
+                                                  ["0", "0", "0", "1"]]}
+    jobs.append(Extra("to-frieze planted second", ["polygon", "to-frieze"], 1, json.dumps(doubled)))
     return jobs
 
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS
+from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, hostile_fractions
 from oracles import (
     mul4,
     naive_band_determinant,
@@ -148,7 +148,20 @@ def _band_equations():
 BAND_EQUATIONS = _band_equations()
 
 
-@pytest.mark.parametrize("eq", BAND_EQUATIONS, ids=lambda eq: f"{eq.kind.name}-n{eq.n}")
+def _hostile_table(rng, k, n):
+    """k cycles of period n; their denominators run 2^61 - 1, 3, 5, ..."""
+    values = hostile_fractions(rng, k * n)
+    return tuple(tuple(values[s * n : s * n + n]) for s in range(k))
+
+
+def _hostile_band_equations():
+    rng = random.Random(37)
+    return [pytest.param(SymmetricDiffEq(*_hostile_table(rng, 2, n)), id=f"rational-hostile-n{n}")
+            for n in (5, 7)]
+
+
+@pytest.mark.parametrize("eq", BAND_EQUATIONS + _hostile_band_equations(),
+                         ids=lambda eq: f"{eq.kind.name}-n{eq.n}")
 def test_band_builder_matches_cofactor_band(eq):
     table = _table(eq)
     for i in (-2, 0, 3):
@@ -180,15 +193,22 @@ def _complement_tables(draw):
 
 def _complement_cases():
     rng = random.Random(31)
-    return [
+    cases = [
         (RATIONAL, _complement_tables(lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))),
         (GAUSSIAN, _complement_tables(lambda: GaussianRational(
             Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 3)))),
         (COMPLEX, _complement_tables(lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))),
     ]
+    # the same shapes with hostile denominators, and Gaussian copies that
+    # take each entry's neighbour as imaginary part
+    hostile = [_hostile_table(rng, len(t), len(t[0])) for t in cases[0][1]]
+    gaussian = [tuple(tuple(GaussianRational(x, y) for x, y in zip(row, row[1:] + row[:1])) for row in t)
+                for t in hostile]
+    return cases + [(RATIONAL, hostile), (GAUSSIAN, gaussian)]
 
 
-@pytest.mark.parametrize("kind,tables", _complement_cases(), ids=["rational", "gaussian", "complex"])
+@pytest.mark.parametrize("kind,tables", _complement_cases(),
+                         ids=["rational", "gaussian", "complex", "rational-hostile", "gaussian-hostile"])
 def test_complement_builder_matches_cofactor_complement(kind, tables):
     for table in tables:
         k, n = len(table), len(table[0])

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
+from conftest import SIGNED_COEFFS, WIDTH1_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS, hostile_fractions
 from oracles import (
     cofactor_det,
     naive_check_glide,
@@ -611,6 +611,53 @@ def test_extension_by_the_4x4_minor():
     assert white == a2 * x - one  # white local rule between a2 and x, under ones
     with pytest.raises(Underdetermined):
         extend_through_zero((1, a1, 1, a2))
+
+
+def _width1_rows():
+    """Row 0 of width-1 grids grown from hostile rational and Gaussian
+    seeds, by kind."""
+    rng = random.Random(43)
+    u, v, x, y = hostile_fractions(rng, 4)
+    grids = [propagate_from_zigzag([u, v], 1), propagate_from_zigzag(
+        [GaussianRational(u, x), GaussianRational(v, y)], 1, GAUSSIAN)]
+    return [(g.kind, g.row_cycle(0)) for g in grids]
+
+
+@pytest.mark.parametrize("kind,row", _width1_rows(), ids=["rational", "gaussian"])
+def test_extension_continues_grown_rows(kind, row):
+    # black cells sit in even columns, so a prefix from an odd column starts white
+    twice = row + row
+    for x0 in range(1, len(row), 2):
+        for m in (4, 5):
+            got = extend_through_zero(twice[x0 : x0 + m], kind)
+            assert got == list(twice[x0 + m : x0 + m + 2 - m % 2]), (x0, m)
+
+
+def _unit_product_cases():
+    """(kind, prefix w0, a0, w1, a1, w2); the test appends a2 = 1/a1."""
+    rng = random.Random(47)
+    a0, a1, w0, w1 = hostile_fractions(rng, 4)
+    return [
+        (RATIONAL, (w0, a0, w1, a1, 0)),
+        (GAUSSIAN, tuple(GaussianRational(v, t) for v, t in ((w0, 0), (a0, w1), (1, 0), (a1, a0), (0, 0)))),
+        (COMPLEX, (0.5, 2 - 1j, 3.0, 0.7 + 0.2j, 0.0)),
+    ]
+
+
+@pytest.mark.parametrize("kind,prefix", _unit_product_cases(), ids=["rational", "gaussian", "complex"])
+def test_extension_by_the_4x4_minor_matches_cofactors(kind, prefix):
+    # a2 = 1/a1 zeroes the 3x3 coefficient a1*a2 - 1, so the 4x4 minor decides
+    prefix = [kind.coerce(v) for v in prefix]
+    prefix.append(kind.one() / prefix[3])
+    a0, a1, a2 = prefix[1::2]
+    white, x = extend_through_zero(prefix, kind)
+    assert extend_through_zero(prefix + [white], kind) == [x]
+    one, zero = kind.one(), kind.zero()
+    window = [[a0, one, zero, zero], [one, a1, one, zero], [zero, one, a2, one], [zero, zero, one, x]]
+    if kind.exact:
+        assert cofactor_det(window) == 1 and white == a2 * x - one
+    else:
+        assert abs(cofactor_det(window) - 1) <= 1e-9 and abs(white - (a2 * x - one)) <= 1e-9
 
 
 def test_underdetermined_extension():

@@ -302,10 +302,23 @@ def test_polygon_normalization_failures_match_oracle(polygon_grids):
                 assert broken == k
                 with pytest.raises(NormalizationViolated) as e:
                     frieze_from_polygon(bad)
-                assert e.value.index == t
+                assert (e.value.index, e.value.step) == (t, k)
                 with pytest.raises(NormalizationViolated) as e:
                     naive_frieze_from_polygon(bad)
-                assert e.value.index == t
+                assert (e.value.index, e.value.step) == (t, k)
+
+
+def test_normalization_error_names_the_pair_and_its_value():
+    # doubling V_2 keeps omega(V_0, V_1) = 0 but makes omega(V_0, V_2) = 2
+    p = polygon_from_frieze(propagate_from_zigzag([1] * 4, 2), 1)
+    bad = _planted(p, 2, tuple(x + x for x in p.vertex(2)))
+    with pytest.raises(NormalizationViolated, match=r"^vertices 0 and 2 are not paired to one$") as e:
+        frieze_from_polygon(bad)
+    assert (e.value.index, e.value.step) == (0, 2)
+    # V_3 + V_1 breaks the first-neighbour pairing of V_3 and V_4
+    bad = _planted(p, 3, tuple(x + y for x, y in zip(p.vertex(3), p.vertex(1))))
+    with pytest.raises(NormalizationViolated, match=r"^vertices 3 and 4 are not paired to zero$"):
+        frieze_from_polygon(bad)
 
 
 # ---------------------------------------------------------------------------

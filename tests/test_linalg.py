@@ -212,12 +212,6 @@ def test_equality_and_repr():
     assert repr(m) == "Matrix(rational, [1 1/2; 0 -3])"
 
 
-def test_minor_picks_submatrix():
-    m = Matrix(RATIONAL, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert det(m.submatrix((0, 1), (0, 1))) == Fraction(-3)
-    assert det(m.submatrix((0, 1, 2), (0, 1, 2))) == det(m)
-
-
 def test_shape_errors():
     with pytest.raises(ValueError):
         Matrix(RATIONAL, [[1, 2], [3]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS
+from conftest import SIGNED_COEFFS, WIDTH2_COEFFS, WIDTH3_COEFFS, hostile_fractions
 from oracles import naive_coeffs_of, naive_sl_translate
 from symfrieze.diffeq import dual_equation_coeffs, entry_det_band, entry_det_complement
 from symfrieze.frieze import (
@@ -143,6 +143,17 @@ def _arbitrary_friezes(kind, draw):
     ]
 
 
+def _hostile_friezes(rng):
+    """Rational SLFriezes whose order exceeds their width, so the rows that
+    `coeffs_of` reads run through the guard zeros; each frieze's cell
+    denominators run 2^61 - 1, 3, 5, ..."""
+    friezes = []
+    for k, w in ((2, 1), (3, 0), (3, 2), (5, 1)):
+        keys = [(i, o) for i in range(k + w + 2) for o in range(-1, w + 1)]
+        friezes.append(SLFrieze(RATIONAL, k, w, dict(zip(keys, hostile_fractions(rng, len(keys))))))
+    return friezes
+
+
 def _coeff_cases():
     rng = random.Random(41)
     return [
@@ -150,10 +161,11 @@ def _coeff_cases():
         (GAUSSIAN, _arbitrary_friezes(GAUSSIAN, lambda: GaussianRational(
             Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4), 3)))),
         (COMPLEX, _arbitrary_friezes(COMPLEX, lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))),
+        (RATIONAL, _hostile_friezes(rng)),
     ]
 
 
-@pytest.mark.parametrize("kind,friezes", _coeff_cases(), ids=["rational", "gaussian", "complex"])
+@pytest.mark.parametrize("kind,friezes", _coeff_cases(), ids=["rational", "gaussian", "complex", "rational-hostile"])
 def test_coeffs_of_matches_cofactor_oracle(kind, friezes):
     for f in friezes:
         got, want = coeffs_of(f), naive_coeffs_of(f)
