@@ -325,9 +325,8 @@ def _cmd_polygon_normalize(args) -> int:
 
 def _cmd_polygon_coeffs(args) -> int:
     p = _load(args, formats.PolygonDocument)
-    zero = p.form.kind.zero()  # v + zero clears the negative zeros of complex floats
     for name, cycle in zip("ab", legendrian.coeffs_from_polygon(p)):
-        print(f"{name}: " + ", ".join(str(v + zero) for v in cycle))
+        print(f"{name}: " + ", ".join(formats._cell_token(p.form.kind.name, v) for v in cycle))
     return 0
 
 

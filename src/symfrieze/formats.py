@@ -67,7 +67,7 @@ class InvalidDocument(FriezeError):
 
 def _encode_value(scalar: str, v) -> Any:
     if scalar == "complex-float":
-        c = complex(v)
+        c = complex(v) + 0j  # adding 0j clears negative zeros
         return [c.real, c.imag]
     return str(v)
 
@@ -91,7 +91,7 @@ def _decode_value(kind: ScalarKind, raw) -> Any:
 
 def _cell_token(scalar: str, v) -> str:
     if scalar == "complex-float":
-        return str(complex(v))
+        return str(complex(v) + 0j)
     return str(v)
 
 

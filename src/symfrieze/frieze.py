@@ -483,32 +483,18 @@ def propagate_from_coeffs(a: Sequence, b: Sequence, kind: ScalarKind = RATIONAL)
     return FriezeGrid.from_blacks(kind, f.width, f.get)
 
 
-def _west_steps(shape: list) -> Iterator[Tuple[int, int]]:
-    """Straighten a zig-zag shape westwards, one cell exchange at a time.
-
-    `shape` holds the west column of each row.  Yields (row, column) of
-    the first row at the easternmost column, then moves that row one
-    column west in place, until every row sits at the westernmost one.
-    """
-    target = min(shape)
-    while max(shape) > target:
-        col = max(shape)
-        o = shape.index(col)
-        yield o, col
-        shape[o] = col - 1
-
-
 def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind = RATIONAL) -> FriezeGrid:
     """Grow the full grid from a double zig-zag of cell values.
 
     `values` is either a ZigZag or a flat cluster-ordered sequence (the
     w white values, then the w black values) placed on the standard
     two-column shape.  A ZigZag carries its width, and a `width` given
-    with it must agree.  The shape is first straightened westwards, each
-    step solving one local rule; then the straight column pair is
-    propagated east for a full display period.  ZeroPivot reports the
-    cell a step would divide by; NotClosed means the propagation did
-    not come back to its start, i.e. the input values are inconsistent.
+    with it must agree.  Every row grows east from its own two cells
+    for a full display period, one sweep over the columns whatever the
+    shape: each step solves the local rule at the row's last cell for
+    its east neighbour.  ZeroPivot reports the cell a step would divide
+    by; NotClosed means a row did not come back to its start, i.e. the
+    input values are inconsistent.
     """
     if isinstance(values, ZigZag):
         zz = values
@@ -522,51 +508,33 @@ def propagate_from_zigzag(values, width: Optional[int] = None, kind: ScalarKind 
     n = w + 5
     one = kind.one()
 
-    s = list(zz.shape)
-    vals = [
+    s = zz.shape
+    lo, last = min(s), 2 * n + 1
+    rows = [
         [kind.coerce(zz.entries[2 * o][1]), kind.coerce(zz.entries[2 * o + 1][1])]
         for o in range(w)
     ]
+    # step x appends column x to each row o with s[o] + 2 <= x <= s[o] + 2n + 1,
+    # by the local rule at v = (x - 1, o): west * east = lhs(v) + above * below.
+    # above and below sit in column x - 1 of rows o -/+ 1, which those rows
+    # hold by step x because linked rows start at most one column apart;
+    # the boundary rows are ones, at every column from lo on.
+    ones = [one] * (max(s) - lo + last)
+    ends = [(ones, lo), *zip(rows, s), (ones, lo)]
+    links = [(o, *ends[o + 1], *ends[o], *ends[o + 2]) for o in range(w)]
+    for x in range(lo + 2, max(s) + last + 1):
+        for o, row, so, up, su, down, sd in links:
+            if not 2 <= x - so <= last:
+                continue
+            west, v = row[-2], row[-1]
+            if kind.is_zero(west):
+                raise ZeroPivot(GridIndex(x - 2 - o, x - 2 + o))
+            lhs = v * v if (x - 1 - o) % 2 == 0 else v
+            row.append((lhs + up[x - 1 - su] * down[x - 1 - sd]) / west)
+    if not all(kind.eq(a, b) for row in rows for a, b in zip(row, row[2 * n:])):
+        raise NotClosed("propagation does not close after one period")
 
-    def at(o: int, col: int):
-        # value of row o at column col, the column of the neighbouring row
-        # `_west_steps` moves: the first row at the largest column, so as
-        # linked rows differ by at most one column, col is s[o] or s[o] + 1
-        if o < 0 or o >= w:
-            return one
-        return vals[o][col - s[o]]
-
-    def step(o: int, col: int, v, above, below, known, known_col: int):
-        # local rule at v = (row o, column col): west * east = lhs(v) + above * below,
-        # with `known` the neighbour at known_col = col -/+ 1; returns the other one
-        if kind.is_zero(known):
-            raise ZeroPivot(GridIndex(known_col - o, known_col + o))
-        lhs = v * v if (col - o) % 2 == 0 else v
-        return (lhs + above * below) / known
-
-    for o, m in _west_steps(s):
-        pivot, east = vals[o]
-        above, below = at(o - 1, m), at(o + 1, m)
-        vals[o] = [step(o, m, pivot, above, below, east, m + 1), pivot]
-
-    c = s[0]
-    cols = {c: [vals[o][0] for o in range(w)], c + 1: [vals[o][1] for o in range(w)]}
-    for x in range(c + 2, c + 2 * n + 2):
-        prev, cur = cols[x - 2], cols[x - 1]
-        nxt = []
-        for o in range(w):
-            above = cur[o - 1] if o > 0 else one
-            below = cur[o + 1] if o < w - 1 else one
-            nxt.append(step(o, x - 1, cur[o], above, below, prev[o], x - 2))
-        cols[x] = nxt
-    for shift in (0, 1):
-        back, start = cols[c + 2 * n + shift], cols[c + shift]
-        if not all(kind.eq(back[o], start[o]) for o in range(w)):
-            raise NotClosed("propagation does not close after one period")
-
-    cells = {
-        (x, o): cols[x][o] for x in range(c, c + 2 * n) for o in range(w)
-    }
+    cells = {(s[o] + k, o): row[k] for k in range(2 * n) for o, row in enumerate(rows)}
     return FriezeGrid.from_cells(kind, w, cells)
 
 

@@ -62,7 +62,7 @@ class SearchConfig(_Frozen):
 
 
 def _int_columns(col1: List[int], col2: List[int], width: int) -> Optional[List[List[int]]]:
-    # pure-int propagation with early abort; mirrors propagate_from_zigzag.
+    # propagate_from_zigzag's sweep on the straight shape, in ints, with early abort.
     # Returns display columns 1..2n, or None unless all are positive and close up.
     w = width
     n = w + 5

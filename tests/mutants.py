@@ -51,6 +51,8 @@ _BAND_ORACLE = (
     "tests/test_diffeq.py::test_complement_builder_matches_cofactor_complement",
 )
 
+_SWEEP_ORACLE = ("tests/test_frieze.py::test_every_zigzag_shape_rebuilds_the_grid",)
+
 MUTANTS = (
     Mutant(
         "scaled recurrence: tail weight 1",
@@ -94,6 +96,31 @@ MUTANTS = (
         "for col in cols) for s in range(k))",
         "for col in cols) for s in reversed(range(k)))",
         ("tests/test_slfrieze.py::test_coeffs_of_matches_cofactor_oracle",),
+    ),
+    Mutant(
+        "zig-zag sweep: rows start at the westmost column",
+        "src/symfrieze/frieze.py",
+        "ends = [(ones, lo), *zip(rows, s), (ones, lo)]",
+        "ends = [(ones, lo), *((row, lo) for row in rows), (ones, lo)]",
+        _SWEEP_ORACLE,
+    ),
+    Mutant(
+        # straight shapes are untouched: there every row starts at lo
+        "zig-zag sweep: neighbours indexed from the row's own west column",
+        "src/symfrieze/frieze.py",
+        "up[x - 1 - su] * down[x - 1 - sd]",
+        "up[x - 1 - so] * down[x - 1 - so]",
+        _SWEEP_ORACLE,
+    ),
+    Mutant(
+        "zig-zag sweep: ZeroPivot names the cell solved at, not the divisor",
+        "src/symfrieze/frieze.py",
+        "raise ZeroPivot(GridIndex(x - 2 - o, x - 2 + o))",
+        "raise ZeroPivot(GridIndex(x - 1 - o, x - 1 + o))",
+        (
+            "tests/test_frieze.py::test_straightening_meets_a_zero",
+            "tests/test_frieze.py::test_bent_shapes_name_a_computed_zero",
+        ),
     ),
     Mutant(
         "scaled local rules: white weight 1, not D",

@@ -326,6 +326,16 @@ def test_polygon_coeffs_prints_no_negative_zero(w2_json):
     assert rc == 0 and out.count("+0j") == 14 and "-0j" not in out
 
 
+def test_complex_writers_print_no_negative_zero():
+    # the twist negates real-valued complex cells, which gives -0.0 imaginary parts
+    rc, doc, _ = run(["frieze", "from-zigzag", "--values", "1,1,1,1", "--width", "2", "--scalar",
+                      "complex-float", "--json"])
+    rc, text, _ = run(["frieze", "twist", "-"], stdin=doc)
+    assert rc == 0 and "*(-2+0j)" in text and "-0j" not in text
+    rc, out, _ = run(["frieze", "twist", "-", "--json"], stdin=doc)
+    assert rc == 0 and "[-2.0,0.0]" in out and "-0.0" not in out
+
+
 def test_polygon_readers_validate_the_document(w2_json):
     rc, poly_json, _ = run(["polygon", "from-frieze", "-", "--anchor", "4"], stdin=w2_json)
     assert rc == 0 and '"period":7' in poly_json

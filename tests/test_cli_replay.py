@@ -12,10 +12,11 @@ CLI prints or returns on these 357 jobs fails here.
 `polygon normalize`, `search orbits`, `search enumerate` at bounds past the
 workload's, the exit paths of a bad `--tolerance`, a non-canonical entry
 key, a negative width and a zig-zag width below 1, complex-float
-`frieze verify`, `frieze show` of a planted cell, `sl black`, `sl dual`,
-`sl gale`, `sl to-symplectic` and `polygon coeffs`, and `polygon
-to-frieze` on a Gaussian, a complex-float and two planted rational
-polygons (one breaks a first-neighbor pairing, one a second-neighbor).
+`frieze verify`, `frieze show` of a planted cell, `frieze twist`, `sl
+black`, `sl dual`, `sl gale`, `sl to-symplectic` and `polygon coeffs`,
+and `polygon to-frieze` on a Gaussian, a complex-float and two planted
+rational polygons (one breaks a first-neighbor pairing, one a
+second-neighbor).
 Its inputs are `bench/oracle.py` grids drawn by `bench/workloads.py`
 `Inputs` from `random.Random(1)`, each job names its exit code, and its
 digest rows sit in `tests/data/cli_replay_extra.json`.
@@ -39,7 +40,10 @@ The same replay, seeds 1-3 and the extra jobs, runs under a call tracer
 which prints every function of `src/symfrieze` that no job enters, with
 its line span, and the totals.  It restores any tracer already set.  The
 package is imported before the tracer starts, so a function called only
-at import (`cli._arg`) is listed too.
+at import (`cli._arg`) is listed too.  It then prints, per command, how
+many jobs read or write each scalar kind (the job's `--scalar`, or the
+`scalar` tag of a document among its inputs and its stdout), and the
+(command, kind) pairs that a user can reach and no job runs.
 
 A line mode of the same tool,
 
@@ -57,6 +61,7 @@ Usage errors print argparse text, which depends on the terminal width and
 the Python version; the replay fixes COLUMNS at 80.
 """
 
+import argparse
 import ast
 import hashlib
 import importlib.util
@@ -65,6 +70,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import sys
 import tempfile
 import types
@@ -76,6 +82,7 @@ import pytest
 
 import symfrieze
 from symfrieze import cli
+from symfrieze.scalars import SCALAR_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -128,11 +135,14 @@ def run_job(job):
     return rc, out.getvalue(), err.getvalue()
 
 
-def replay(jobs):
-    """One digest row per job, and the oracle's complaints."""
+def replay(jobs, record=None):
+    """One digest row per job, and the oracle's complaints; `record(argv,
+    texts)`, when given, sees each job's argv with its stdin and stdout."""
     rows, failures = [], []
     for job in jobs:
         rc, out, err = run_job(job)
+        if record:
+            record(job.argv, (job.stdin, out))
         rows.append([job.argv, _sha(job.stdin), rc, _sha(out), _sha(err)])
         verdict = job.check(rc, out)
         if verdict is not None:
@@ -256,11 +266,14 @@ def extra_jobs(oracle, workloads):
                                                   ["1", "5", "4", "1"], ["0", "1", "2", "1"], ["0", "0", "1", "1"],
                                                   ["0", "0", "0", "1"]]}
     jobs.append(Extra("to-frieze planted second", ["polygon", "to-frieze"], 1, json.dumps(doubled)))
+    # the twist negates real-valued cells, whose imaginary parts must print as +0
+    jobs.append(Extra("twist complex", ["frieze", "twist"], 0, float_doc))
     return jobs
 
 
-def replay_extra(jobs):
-    """One digest row per extra job, and the jobs whose exit code is not theirs."""
+def replay_extra(jobs, record=None):
+    """One digest row per extra job, and the jobs whose exit code is not
+    theirs; `record` sees each job's argv with its stdin, files and stdout."""
     rows, failures = [], []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -270,6 +283,8 @@ def replay_extra(jobs):
                 for name, text in job.files:
                     Path(name).write_text(text, encoding="utf-8")
                 rc, out, err = run_job(job)
+                if record:
+                    record(job.argv, (job.stdin, *(text for _, text in job.files), out))
                 rows.append([job.slot, job.argv, _sha(json.dumps([job.stdin, job.files])), rc, _sha(out), _sha(err)])
                 if rc != job.rc:
                     failures.append(f"{job.slot}: exit {rc}, expected {job.rc}")
@@ -356,11 +371,29 @@ def test_reach_lists_the_functions_no_job_enters(monkeypatch):
     assert 0 < len(lines) + len(script) < count
 
 
-def _rows(workloads, census, seed):
+def test_kind_table_reads_scalars_off_argv_and_documents(capsys):
+    options = scalar_options()
+    assert options[("frieze", "from-coeffs")] == (True, False)
+    assert options[("frieze", "verify")] == options[("search", "orbits")] == (False, True)
+    assert options[("cluster", "belt")] == (False, False)
+    doc = '{"kind":"frieze","scalar":"gaussian"}'
+    assert job_kinds(["eq", "check", "--a=1", "--b=1"], ("", ""), True) == {"rational"}
+    assert job_kinds(["eq", "check", "--scalar", "gaussian"], ("", ""), True) == {"gaussian"}
+    assert job_kinds(["eq", "check", "--scalar=complex-float"], ("", ""), True) == {"complex-float"}
+    assert job_kinds(["frieze", "show"], (doc, "frieze width=1 period=6 scalar=gaussian\n"), False) == {"gaussian"}
+    runs = [(["frieze", "verify"], (doc, "ok\n")), (["cluster", "belt", "--width", "1"], ("", "x\n"))]
+    kind_table(runs)
+    out = capsys.readouterr().out.splitlines()
+    assert "frieze verify          gaussian 1" in out and "cluster belt           none 1" in out
+    assert "  frieze verify rational" in out and "  frieze verify gaussian" not in out
+    assert not any(line.startswith("  cluster belt") for line in out)
+
+
+def _rows(workloads, census, seed, record=None):
     """{workload: digest rows} of one seed; exits on an oracle complaint."""
     out = {}
     for w in WORKLOADS:
-        rows, failures = replay(workloads.make_jobs(w, seed, census))
+        rows, failures = replay(workloads.make_jobs(w, seed, census), record)
         if failures:
             raise SystemExit(f"seed {seed} {w}: oracle rejects {len(failures)} jobs, first {failures[0]}")
         out[w] = rows
@@ -375,16 +408,16 @@ def _digests(per_seed):
     }
 
 
-def _replay_seeds():
+def _replay_seeds(record=None):
     os.environ["COLUMNS"] = "80"
     oracle, workloads = _bench()
     census = oracle.load_census()
-    return {seed: _rows(workloads, census, seed) for seed in CHECK_SEEDS}
+    return {seed: _rows(workloads, census, seed, record) for seed in CHECK_SEEDS}
 
 
-def _replay_extra():
+def _replay_extra(record=None):
     """Digest rows of the extra jobs; exits when one returns another exit code."""
-    rows, failures = replay_extra(extra_jobs(*_bench()))
+    rows, failures = replay_extra(extra_jobs(*_bench()), record)
     if failures:
         raise SystemExit(f"extra jobs: {len(failures)} exit codes differ, first {failures[0]}")
     return rows
@@ -478,14 +511,64 @@ def unentered(run):
     return missed, len(defs)
 
 
+_SCALAR_TAG = re.compile(r'"scalar": ?"([a-z-]+)"|\bscalar=([a-z-]+)')
+
+
+def scalar_options():
+    """{(group, command): (takes --scalar, reads documents)} from the CLI's
+    command table: a command reads documents when it has an input argument."""
+    out = {}
+    for group, (_, commands) in cli._COMMANDS.items():
+        for command, (func, _, adders) in commands.items():
+            dests = {a.dest for a in cli._fill(argparse.ArgumentParser(), func, adders)._actions}
+            out[(group, command)] = ("scalar" in dests, bool(dests & {"input", "inputs"}))
+    return out
+
+
+def job_kinds(argv, texts, takes_scalar):
+    """The scalar kinds a job reads or writes: its `--scalar` (rational when
+    the command takes one and the job names none) and the scalar tag of
+    each document among `texts`, its inputs and its stdout."""
+    kinds = {m.group(1) or m.group(2) for text in texts for m in _SCALAR_TAG.finditer(text)}
+    if takes_scalar:
+        named = [v for a, v in zip(argv, argv[1:]) if a == "--scalar"]
+        named += [a[len("--scalar="):] for a in argv if a.startswith("--scalar=")]
+        kinds.update(named or ["rational"])
+    return kinds
+
+
+def kind_table(runs):
+    """Print, per command, how many jobs read or write each scalar kind, and
+    the (command, kind) pairs a user can reach that no job runs.  `runs`
+    holds (argv, texts) per job; a job that reads and writes no scalar
+    counts as "none".  Every kind is reachable on a command that takes
+    `--scalar` or reads documents, and no kind on any other."""
+    options = scalar_options()
+    counts = {key: {} for key in options}
+    for argv, texts in runs:
+        key = tuple(argv[:2])
+        for kind in job_kinds(argv, texts, options[key][0]) or ["none"]:
+            counts[key][kind] = counts[key].get(kind, 0) + 1
+    missing = []
+    for key, by_kind in counts.items():
+        cells = ", ".join(f"{kind} {count}" for kind, count in sorted(by_kind.items())) or "no job"
+        print(f"{' '.join(key):<22} {cells}")
+        if any(options[key]):
+            missing += [f"{' '.join(key)} {kind}" for kind in SCALAR_NAMES if kind not in by_kind]
+    print(f"{len(missing)} reachable (command, kind) pairs run by no job" + (":" if missing else ""))
+    for pair in missing:
+        print(f"  {pair}")
+
+
 def reach():
-    """Print the functions that no job of CHECK_SEEDS or the extra list enters."""
-    jobs = []
+    """Print the functions that no job of CHECK_SEEDS or the extra list
+    enters, then the (command, kind) table of the same jobs."""
+    jobs, runs = [], []
 
     def run():
-        per_seed = _replay_seeds()
+        per_seed = _replay_seeds(lambda *job: runs.append(job))
         jobs.append(sum(len(rows) for by_workload in per_seed.values() for rows in by_workload.values()))
-        jobs.append(len(_replay_extra()))
+        jobs.append(len(_replay_extra(lambda *job: runs.append(job))))
 
     missed, total = unentered(run)
     for path, first, last, name in missed:
@@ -493,6 +576,8 @@ def reach():
     lines = {(path, n) for path, first, last, _ in missed for n in range(first, last + 1)}
     print(f"{len(missed)} of {total} functions ({len(lines)} lines) are entered by none of "
           f"the {jobs[0]} workload jobs and {jobs[1]} extra jobs")
+    print()
+    kind_table(runs)
 
 
 def _executable_lines():

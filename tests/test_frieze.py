@@ -412,29 +412,70 @@ def test_zigzag_wrong_count():
             ZigZag.straight((1, 1), width)
 
 
+def _zigzag_shapes(grid):
+    """Every double zig-zag of `grid` with its west column in one display
+    period: (shape, ZigZag) with the grid's cells, straight shapes included."""
+    w = grid.width
+    for s0 in range(2 * grid.period):
+        for deltas in product((-1, 0, 1), repeat=w - 1):
+            shape = [s0]
+            for d in deltas:
+                shape.append(shape[-1] + d)
+            entries = tuple(
+                (GridIndex(x - o, x + o), grid.cell(x, o))
+                for o, c in enumerate(shape)
+                for x in (c, c + 1)
+            )
+            yield shape, ZigZag(w, entries)
+
+
 def test_every_zigzag_shape_rebuilds_the_grid(width2_int, width3_int):
-    # bent shapes are straightened westwards before the column sweep
-    for g in (width2_int, width3_int):
+    # bent shapes grow east row by row in the same sweep as straight ones;
+    # each grid is rebuilt by the recurrence, which does not use the sweep
+    rng = random.Random(35)
+    cf = ComplexFloatKind(1e-6)
+    grids = [
+        (width2_int, RATIONAL),
+        (width3_int, RATIONAL),
+        (propagate_from_zigzag(hostile_fractions(rng, 4), 2), RATIONAL),
+        (propagate_from_zigzag(hostile_fractions(rng, 6), 3), RATIONAL),
+        (propagate_from_zigzag([GaussianRational(rng.randint(1, 5), rng.randint(-3, 3)) for _ in range(6)],
+                               3, GAUSSIAN), GAUSSIAN),
+        (propagate_from_zigzag([complex(rng.uniform(1, 3), rng.uniform(-1, 1)) for _ in range(4)], 2, cf), cf),
+    ]
+    for grown, kind in grids:
+        g = propagate_from_coeffs(*extract_coeffs(grown), kind)
+        assert g == grown
         w, bent = g.width, 0
-        for s0 in range(2 * g.period):
-            for deltas in product((-1, 0, 1), repeat=w - 1):
-                shape = [s0]
-                for d in deltas:
-                    shape.append(shape[-1] + d)
-                entries = tuple(
-                    (GridIndex(x - o, x + o), g.cell(x, o))
-                    for o, c in enumerate(shape)
-                    for x in (c, c + 1)
-                )
-                assert all(v != 0 for _, v in entries)
-                bent += len(set(shape)) > 1
-                assert propagate_from_zigzag(ZigZag(w, entries)) == g
+        for shape, zz in _zigzag_shapes(g):
+            assert all(not kind.is_zero(v) for _, v in zz.entries)
+            bent += len(set(shape)) > 1
+            assert propagate_from_zigzag(zz, kind=kind) == g, (kind.name, shape)
         assert bent == 2 * g.period * (3 ** (w - 1) - 1)
 
 
+def test_bent_shapes_name_a_computed_zero():
+    # formal_frieze(2) at (-4, -4, -4, -4) is tame, keeps every local rule,
+    # and has zeros at display cells (12, 0) and (5, 1) only
+    cells = {k: v.evaluate((-4,) * 4) for k, v in formal_frieze(2).cells()}
+    g = FriezeGrid.from_cells(RATIONAL, 2, cells)
+    assert check_local_rules(g) == () and check_tame(g).ok
+    assert [k for k, v in g.cells() if v == 0] == [(12, 0), (5, 1)]
+    failed = 0
+    for shape, zz in _zigzag_shapes(g):
+        if len(set(shape)) == 1 or any(v == 0 for _, v in zz.entries):
+            continue
+        try:
+            assert propagate_from_zigzag(zz) == g
+        except ZeroPivot as exc:
+            failed += 1
+            assert g.get(exc.index.I, exc.index.J) == 0, shape
+    assert failed == 20
+
+
 def test_straightening_meets_a_zero():
-    # row 0 sits two columns east of row 2 and is moved twice; the second
-    # step divides by its original west cell, which is zero
+    # row 0 sits two columns east of row 2, and its first step east
+    # divides by its own west cell, which is zero
     entries = (
         (GridIndex(3, 3), 0), (GridIndex(4, 4), 1),
         (GridIndex(1, 3), 1), (GridIndex(2, 4), 1),
