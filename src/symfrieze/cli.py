@@ -11,11 +11,16 @@ only the invoked command's parser.  The whole argparse tree, assembled
 from the same table, is built only for top-level or group help, unknown
 commands and leftover arguments, so that those messages are the ones
 argparse prints for the tree.
+
+`_emit` is the one writer of every grid, SL band and polygon a command
+returns: a grid as staggered text or, with `--json`, as its canonical
+JSON document, a band or a polygon as its JSON document, to `--out` or
+stdout.  Handlers call the library by module attribute, which the
+benchmark tracer patches.
 """
 
 import argparse
 import sys
-from functools import partial
 from typing import Optional, Sequence
 
 from . import cluster, diffeq, formats, frieze, legendrian, search, slfrieze
@@ -42,9 +47,12 @@ def _read_input(path: str) -> str:
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise formats.FormatError(f"cannot write {out}: {e.strerror}") from None
 
 
 def _parse_values(kind: ScalarKind, text: str) -> tuple:
@@ -91,22 +99,9 @@ def _add_scalar(p: argparse.ArgumentParser) -> None:
     _add_tolerance(p)
 
 
-def _add_io(p: argparse.ArgumentParser, reads: bool = True, writes: bool = True) -> None:
-    if reads:
-        p.add_argument(
-            "input", nargs="?", default="-", help="input file, or - for stdin"
-        )
-        _add_tolerance(p)
-    if writes:
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
-
-
-def _add_frieze_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit canonical JSON instead of the staggered text layout",
-    )
+def _add_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
+    _add_tolerance(p)
 
 
 # document type -> (its name in error messages, converter to the live object)
@@ -131,12 +126,19 @@ def _load(args, doc_type, path: Optional[str] = None, to_object=None):
     return (to_object or convert)(doc, getattr(args, "tolerance", None))
 
 
-def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
-    doc = formats.document_of(g, provenance)
-    if getattr(args, "json", False):
-        _write_output(formats.dumps(doc), args.out)
+def _emit(obj, args, provenance=None) -> int:
+    """Write `obj`, a grid, an SL band or a polygon, to `--out` or stdout; 0."""
+    if isinstance(obj, frieze.FriezeGrid):
+        doc = formats.document_of(obj, provenance)
+        if not args.json:
+            _write_output(formats.render_frieze_text(doc), args.out)
+            return 0
+    elif isinstance(obj, frieze.SLFrieze):
+        doc = formats.sl_document_of(obj)
     else:
-        _write_output(formats.render_frieze_text(doc), args.out)
+        doc = formats.polygon_document_of(obj)
+    _write_output(formats.dumps(doc), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +147,14 @@ def _emit_grid(g: frieze.FriezeGrid, args, provenance=None) -> None:
 def _cmd_frieze_from_coeffs(args) -> int:
     eq = _make_equation(args)
     g = frieze.propagate_from_coeffs(eq.a, eq.b, eq.kind)
-    _emit_grid(g, args, {"coefficients": {"a": args.a.split(","), "b": args.b.split(",")}})
-    return 0
+    return _emit(g, args, {"coefficients": {"a": args.a.split(","), "b": args.b.split(",")}})
 
 
 def _cmd_frieze_from_zigzag(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
     values = _parse_values(kind, args.values)
     g = frieze.propagate_from_zigzag(values, args.width, kind)
-    _emit_grid(g, args, {"seed": args.values.split(",")})
-    return 0
+    return _emit(g, args, {"seed": args.values.split(",")})
 
 
 def _cmd_frieze_verify(args) -> int:
@@ -174,13 +174,11 @@ def _cmd_frieze_verify(args) -> int:
 
 
 def _cmd_frieze_show(args) -> int:
-    _emit_grid(_load(args, formats.FriezeDocument), args)
-    return 0
+    return _emit(_load(args, formats.FriezeDocument), args)
 
 
 def _cmd_frieze_twist(args) -> int:
-    _emit_grid(frieze.sign_twist(_load(args, formats.FriezeDocument)), args)
-    return 0
+    return _emit(frieze.sign_twist(_load(args, formats.FriezeDocument)), args)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def _cmd_eq_monodromy(args) -> int:
     eq = _make_equation(args)
     m = diffeq.monodromy(eq)
     for row in m.rows:
-        print(" ".join(str(v) for v in row))
+        print(" ".join(formats._cell_token(eq.kind.name, v) for v in row))
     if m != -Matrix.identity(eq.kind, 4):
         raise VerificationFailed("superperiodic: false")
     print("superperiodic: true")
@@ -216,7 +214,7 @@ def _cmd_eq_variety(args) -> int:
     eq = _make_equation(args)
     residuals = diffeq.variety_residuals(eq.a, eq.b, eq.kind)
     for k, r in enumerate(residuals):
-        print(f"residual[{k}]: {r}")
+        print(f"residual[{k}]: {formats._cell_token(eq.kind.name, r)}")
     if any(not eq.kind.is_zero(r) for r in residuals):
         raise VerificationFailed("on variety: false")
     print("on variety: true")
@@ -227,27 +225,19 @@ def _cmd_eq_variety(args) -> int:
 # sl commands
 
 def _cmd_sl_black(args) -> int:
-    f = slfrieze.black_of(_load(args, formats.FriezeDocument))
-    _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
-    return 0
+    return _emit(slfrieze.black_of(_load(args, formats.FriezeDocument)), args)
 
 
 def _cmd_sl_to_symplectic(args) -> int:
-    g = slfrieze.symplectic_of(_load(args, formats.SLDocument))
-    _emit_grid(g, args)
-    return 0
+    return _emit(slfrieze.symplectic_of(_load(args, formats.SLDocument)), args)
 
 
 def _cmd_sl_dual(args) -> int:
-    f = slfrieze.projective_dual(_load(args, formats.SLDocument))
-    _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
-    return 0
+    return _emit(slfrieze.projective_dual(_load(args, formats.SLDocument)), args)
 
 
 def _cmd_sl_gale(args) -> int:
-    f = slfrieze.gale_dual(_load(args, formats.SLDocument))
-    _write_output(formats.dumps(formats.sl_document_of(f)), args.out)
-    return 0
+    return _emit(slfrieze.gale_dual(_load(args, formats.SLDocument)), args)
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +285,24 @@ def _cmd_cluster_evaluate(args) -> int:
     kind = kind_by_name(args.scalar, args.tolerance)
     point = _parse_values(kind, args.point)
     path = _parse_word(args.path, "--path", len(point) // 2)
-    g = cluster.evaluate_frieze(point, path, kind)
-    _emit_grid(g, args)
-    return 0
+    return _emit(cluster.evaluate_frieze(point, path, kind), args)
 
 
 # ---------------------------------------------------------------------------
 # polygon commands
 
 def _cmd_polygon_from_frieze(args) -> int:
-    p = legendrian.polygon_from_frieze(_load(args, formats.FriezeDocument), args.anchor)
-    _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
-    return 0
+    return _emit(legendrian.polygon_from_frieze(_load(args, formats.FriezeDocument), args.anchor), args)
 
 
 def _cmd_polygon_to_frieze(args) -> int:
-    g = legendrian.frieze_from_polygon(_load(args, formats.PolygonDocument))
-    _emit_grid(g, args)
-    return 0
+    return _emit(legendrian.frieze_from_polygon(_load(args, formats.PolygonDocument)), args)
 
 
 def _cmd_polygon_normalize(args) -> int:
     p = _load(args, formats.PolygonDocument)
     tolerance = args.tolerance if args.tolerance is not None else COMPLEX.tolerance
-    p = legendrian.normalize_lift(p.vertices, p.form, tolerance, p.base)
-    _write_output(formats.dumps(formats.polygon_document_of(p)), args.out)
-    return 0
+    return _emit(legendrian.normalize_lift(p.vertices, p.form, tolerance, p.base), args)
 
 
 def _cmd_polygon_coeffs(args) -> int:
@@ -363,9 +345,10 @@ def _arg(*names, **kwargs):
 
 
 _WIDTH = _arg("--width", type=int, required=True)
-_READER = partial(_add_io, writes=False)
-_WRITER = partial(_add_io, reads=False)
-_FRIEZE_IN_OUT = (_add_io, _add_frieze_output)
+_OUT = _arg("--out", default=None, help="write output here instead of stdout")
+_JSON = _arg("--json", action="store_true",
+             help="emit canonical JSON instead of the staggered text layout")
+_FRIEZE_IN_OUT = (_add_input, _OUT, _JSON)
 _COEFFS = (
     _arg("--a", required=True, help="comma-separated cycle of a-coefficients"),
     _arg("--b", required=True, help="comma-separated cycle of b-coefficients"),
@@ -376,12 +359,12 @@ _COEFFS = (
 _COMMANDS = {
     "frieze": ("build, verify, and render friezes", {
         "from-coeffs": (_cmd_frieze_from_coeffs, "propagate a frieze from coefficient cycles",
-                        _COEFFS + (_WRITER, _add_frieze_output)),
+                        _COEFFS + (_OUT, _JSON)),
         "from-zigzag": (_cmd_frieze_from_zigzag, "propagate a frieze from two seed columns", (
             _arg("--values", required=True, help="2*width seed values: the width white values, "
                  "then the width black values, each top to bottom"),
-            _WIDTH, _add_scalar, _WRITER, _add_frieze_output)),
-        "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", (_READER,)),
+            _WIDTH, _add_scalar, _OUT, _JSON)),
+        "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", (_add_input,)),
         "show": (_cmd_frieze_show, "re-render a frieze document", _FRIEZE_IN_OUT),
         "twist": (_cmd_frieze_twist, "apply the boundary sign twist", _FRIEZE_IN_OUT),
     }),
@@ -393,32 +376,32 @@ _COMMANDS = {
                     "evaluate the defining residuals of the coefficient variety", _COEFFS),
     }),
     "sl": ("linear friezes and their dualities", {
-        "black": (_cmd_sl_black, "extract the black half of a frieze", (_add_io,)),
+        "black": (_cmd_sl_black, "extract the black half of a frieze", (_add_input, _OUT)),
         "to-symplectic": (_cmd_sl_to_symplectic, "rebuild a frieze from an order-3 band",
                           _FRIEZE_IN_OUT),
-        "dual": (_cmd_sl_dual, "projective dual band", (_add_io,)),
-        "gale": (_cmd_sl_gale, "Gale dual band", (_add_io,)),
+        "dual": (_cmd_sl_dual, "projective dual band", (_add_input, _OUT)),
+        "gale": (_cmd_sl_gale, "Gale dual band", (_add_input, _OUT)),
     }),
     "cluster": ("seed mutation and the mutation belt", {
         "belt": (_cmd_cluster_belt, "alternate the two bipartite mutation classes", (_WIDTH,)),
         "mutate": (_cmd_cluster_mutate, "apply a mutation word to the initial seed", (
             _WIDTH, _arg("--word", required=True, help="comma-separated vertex indices, 0-based"))),
         "formal": (_cmd_cluster_formal, "the frieze with formal seed entries",
-                   (_WIDTH, _WRITER)),
+                   (_WIDTH, _OUT)),
         "evaluate": (_cmd_cluster_evaluate, "specialize seed values into a frieze", (
             _arg("--point", required=True, help="2*width values for the seed columns"),
             _arg("--path", default="", help="mutation word locating the seed, 0-based"),
-            _add_scalar, _WRITER, _add_frieze_output)),
+            _add_scalar, _OUT, _JSON)),
     }),
     "polygon": ("antiperiodic polygons in 4-space", {
         "from-frieze": (_cmd_polygon_from_frieze, "slice a polygon out of a frieze", (
             _arg("--anchor", type=int, required=True, help="first row index of the slice"),
-            _add_io)),
+            _add_input, _OUT)),
         "to-frieze": (_cmd_polygon_to_frieze, "pair vertices back into a frieze", _FRIEZE_IN_OUT),
         "normalize": (_cmd_polygon_normalize,
-                      "rescale vertices to unit second-neighbor pairings", (_add_io,)),
+                      "rescale vertices to unit second-neighbor pairings", (_add_input, _OUT)),
         "coeffs": (_cmd_polygon_coeffs, "read the equation coefficients off a polygon",
-                   (_READER,)),
+                   (_add_input,)),
     }),
     "search": ("enumerate positive integer friezes", {
         "enumerate": (_cmd_search_enumerate, "count friezes with seed entries up to a bound", (

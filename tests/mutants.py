@@ -123,6 +123,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every output stays the same: the closure check and the cells read the first 2n
+        "zig-zag sweep: one step past the period",
+        "src/symfrieze/frieze.py",
+        "lo, last = min(s), 2 * n + 1",
+        "lo, last = min(s), 2 * n + 2",
+        ("tests/test_frieze.py::test_the_sweep_divides_once_per_grown_cell",),
+    ),
+    Mutant(
         "scaled local rules: white weight 1, not D",
         "src/symfrieze/frieze.py",
         "weight, eq, zero = d, operator.eq, 0",
@@ -231,6 +239,14 @@ MUTANTS = (
         "if parts is not None and parts[1] is None:",
         "if parts is not None:",
         _DECODER_ORACLE,
+    ),
+    Mutant(
+        # every output stays the same; only the lexer's int route is lost
+        "scalar lexer: canonical rational text sent to Fraction(text)",
+        "src/symfrieze/scalars.py",
+        "if parts is not None and parts[1] is None:",
+        "if parts is not None and parts[2] is None:",
+        ("tests/test_scalars.py::test_canonical_rational_text_never_reaches_fraction_parsing",),
     ),
     Mutant(
         "scalar lexer: Gaussian zero denominator not refused",

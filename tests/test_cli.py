@@ -14,6 +14,7 @@ import symfrieze
 from conftest import WIDTH2_COEFFS
 from symfrieze import cli, formats, frieze, legendrian, slfrieze
 from symfrieze.cli import main
+from symfrieze.diffeq import SymmetricDiffEq, monodromy, variety_residuals
 from symfrieze.formats import (
     document_of,
     dumps,
@@ -239,6 +240,25 @@ def test_eq_variety():
     assert rc == 0 and out.count("residual[") == 10 and "on variety: true" in out
 
 
+def test_eq_commands_print_no_negative_zero():
+    # real-valued complex-float products on these cycles end on -0.0 imaginary parts
+    signed = ["--a=1,-3,-1,-3,-3,-3", "--b=2,1,-3,0,2,-2"]
+    rc, out, _ = run(["eq", "monodromy", *signed, "--scalar", "complex-float"])
+    assert rc == 1 and out.split("\n")[0] == "(-3+0j) (10+0j) (-38+0j) (-50+0j)" and "-0j" not in out
+    rc, out, _ = run(["eq", "variety", *signed, "--scalar", "complex-float"])
+    assert rc == 1 and "residual[7]: (53+0j)\n" in out and "-0j" not in out
+    # exact kinds print each value's str
+    for kind in (RATIONAL, GAUSSIAN):
+        a, b = ([kind.coerce(t) for t in arg[4:].split(",")] for arg in signed)
+        eq = SymmetricDiffEq(tuple(a), tuple(b), kind)
+        rows = [" ".join(map(str, row)) for row in monodromy(eq).rows]
+        rc, out, _ = run(["eq", "monodromy", *signed, "--scalar", kind.name])
+        assert (rc, out.splitlines()) == (1, rows + ["superperiodic: false"])
+        residuals = [f"residual[{k}]: {r}" for k, r in enumerate(variety_residuals(a, b, kind))]
+        rc, out, _ = run(["eq", "variety", *signed, "--scalar", kind.name])
+        assert (rc, out.splitlines()) == (1, residuals + ["on variety: false"])
+
+
 # ---------------------------------------------------------------------------
 # sl commands
 
@@ -392,6 +412,24 @@ def test_out_flag(tmp_path, width1_int):
     )
     assert rc == 0 and out == ""
     assert target.read_text() == render_frieze_text(document_of(width1_int))
+
+
+_WRITERS = {
+    "grid text": ["frieze", "show", "-"],
+    "grid json": ["frieze", "show", "-", "--json"],
+    "sl json": ["sl", "black", "-"],
+    "polygon json": ["polygon", "from-frieze", "-", "--anchor", "1"],
+    "cluster formal": ["cluster", "formal", "--width", "1"],
+}
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_unwritable_out_exits_2(tmp_path, w2_json, writer):
+    for target in (tmp_path / "missing" / "f.txt", tmp_path):
+        rc, out, err = run(_WRITERS[writer] + ["--out", str(target)], stdin=w2_json)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ key, a negative width and a zig-zag width below 1, complex-float
 black`, `sl dual`, `sl gale`, `sl to-symplectic` and `polygon coeffs`,
 and `polygon to-frieze` on a Gaussian, a complex-float and two planted
 rational polygons (one breaks a first-neighbor pairing, one a
-second-neighbor).
-Its inputs are `bench/oracle.py` grids drawn by `bench/workloads.py`
-`Inputs` from `random.Random(1)`, each job names its exit code, and its
-digest rows sit in `tests/data/cli_replay_extra.json`.
+second-neighbor), one job for each (command, scalar kind) pair that no
+workload reaches, complex-float `eq monodromy` and `eq variety` on
+cycles whose products end on negative zeros, and an `--out` into a
+missing directory.  Its inputs are `bench/oracle.py` grids drawn by
+`bench/workloads.py` `Inputs` from `random.Random(1)`, each job names its
+exit code, and its digest rows sit in `tests/data/cli_replay_extra.json`.
 
 Seeds 1-3 of the four workloads (1071 jobs) are replayed outside Tier-1 by
 
@@ -43,7 +45,9 @@ package is imported before the tracer starts, so a function called only
 at import (`cli._arg`) is listed too.  It then prints, per command, how
 many jobs read or write each scalar kind (the job's `--scalar`, or the
 `scalar` tag of a document among its inputs and its stdout), and the
-(command, kind) pairs that a user can reach and no job runs.
+(command, kind) pairs that a user can reach and no job runs.  Tier-1
+checks, on the seed-1 and extra replays it already runs, that there is
+no such pair.
 
 A line mode of the same tool,
 
@@ -268,6 +272,29 @@ def extra_jobs(oracle, workloads):
     jobs.append(Extra("to-frieze planted second", ["polygon", "to-frieze"], 1, json.dumps(doubled)))
     # the twist negates real-valued cells, whose imaginary parts must print as +0
     jobs.append(Extra("twist complex", ["frieze", "twist"], 0, float_doc))
+    # the (command, kind) pairs that no job above runs
+    z, (a, b) = inp.gaussian(2), g.coeffs()
+    za, zb = z.coeffs()
+    z_files = (("z0.json", oracle.frieze_json(z)), ("z1.json", oracle.frieze_json(mirrored(z))))
+    jobs += [Extra("from-coeffs complex", ["frieze", "from-coeffs"] + coeff_args(a, b, "complex-float"), 0),
+             Extra("from-zigzag complex", ["frieze", "from-zigzag", "--values=1,2,1,3", "--width", "2",
+                                           "--scalar", "complex-float"], 0),
+             Extra("twist gauss", ["frieze", "twist"], 0, oracle.frieze_json(z)),
+             Extra("eq check complex", ["eq", "check"] + coeff_args(a, b, "complex-float"), 0),
+             Extra("monodromy gauss", ["eq", "monodromy"] + coeff_args(za, zb, "gaussian"), 0),
+             Extra("sl gale gauss", ["sl", "gale"], 0, oracle.sl_json(z)),
+             Extra("evaluate gauss", ["cluster", "evaluate", "--point=1+1i,2,1/2-1i,3", "--path=0,3",
+                                      "--scalar", "gaussian"], 0),
+             Extra("evaluate complex", ["cluster", "evaluate", "--point=1,2,3,1", "--path=1",
+                                        "--scalar", "complex-float", "--json"], 0),
+             Extra("from-frieze complex", ["polygon", "from-frieze", "--anchor", "1"], 0, float_doc),
+             Extra("orbits gauss", ["search", "orbits", "z0.json", "z1.json"], 2, files=z_files)]
+    # real-valued complex floats whose products end on -0.0 imaginary parts, printed as +0
+    signed = ["--a=1,-3,-1,-3,-3,-3", "--b=2,1,-3,0,2,-2", "--scalar", "complex-float"]
+    jobs += [Extra("monodromy complex signed zero", ["eq", "monodromy"] + signed, 1),
+             Extra("variety complex signed zero", ["eq", "variety"] + signed, 1),
+             Extra("out unwritable", ["frieze", "from-coeffs"] + coeff_args(a, b, "rational")
+                   + ["--out", "missing/f.txt"], 2)]
     return jobs
 
 
@@ -305,6 +332,19 @@ def digest():
     return json.loads(DIGEST.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def replayed(jobs):
+    """Seed 1 and the extra jobs, replayed once: {workload: (rows,
+    failures)}, the extra jobs' (rows, failures), and every job's (argv,
+    texts) for the kind table."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        seeded = {w: replay(jobs[w], lambda *job: runs.append(job)) for w in WORKLOADS}
+        extra = replay_extra(extra_jobs(*_bench()), lambda *job: runs.append(job))
+    return seeded, extra, runs
+
+
 def test_digest_covers_seed_one(jobs, digest):
     assert digest["seed"] == SEED
     assert {w: len(digest["jobs"][w]) for w in WORKLOADS} == {w: len(jobs[w]) for w in WORKLOADS}
@@ -320,9 +360,8 @@ def test_seed_digests_agree_with_the_seed_one_rows(digest):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_replay_matches_oracle_and_digest(monkeypatch, jobs, digest, workload):
-    monkeypatch.setenv("COLUMNS", "80")
-    rows, failures = replay(jobs[workload])
+def test_replay_matches_oracle_and_digest(replayed, digest, workload):
+    rows, failures = replayed[0][workload]
     assert failures == []
     changed = [(i, got[0]) for i, (got, want) in enumerate(zip(rows, digest["jobs"][workload]))
                if got != want]
@@ -330,14 +369,19 @@ def test_replay_matches_oracle_and_digest(monkeypatch, jobs, digest, workload):
     assert len(rows) == len(digest["jobs"][workload])
 
 
-def test_extra_jobs_match_their_exit_codes_and_digest(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    rows, failures = replay_extra(extra_jobs(*_bench()))
+def test_extra_jobs_match_their_exit_codes_and_digest(replayed):
+    rows, failures = replayed[1]
     assert failures == []
     pinned = json.loads(EXTRA_DIGEST.read_text(encoding="utf-8"))
     assert pinned["seed"] == SEED and len(rows) == len(pinned["jobs"])
     changed = [got[0] for got, want in zip(rows, pinned["jobs"]) if got != want]
     assert changed == [], f"{len(changed)} extra jobs differ from the digest, first {changed[:3]}"
+
+
+def test_every_reachable_command_kind_pair_is_run(replayed):
+    # a workload slot's name fixes its kinds at every seed, and seeds 1-3
+    # run the same pairs, so seed 1 and the extra jobs stand for them all
+    assert kind_table(replayed[2]) == []
 
 
 def test_reach_lists_the_functions_no_job_enters(monkeypatch):
@@ -539,10 +583,11 @@ def job_kinds(argv, texts, takes_scalar):
 
 def kind_table(runs):
     """Print, per command, how many jobs read or write each scalar kind, and
-    the (command, kind) pairs a user can reach that no job runs.  `runs`
-    holds (argv, texts) per job; a job that reads and writes no scalar
-    counts as "none".  Every kind is reachable on a command that takes
-    `--scalar` or reads documents, and no kind on any other."""
+    the (command, kind) pairs a user can reach that no job runs, which it
+    returns.  `runs` holds (argv, texts) per job; a job that reads and
+    writes no scalar counts as "none".  Every kind is reachable on a
+    command that takes `--scalar` or reads documents, and no kind on any
+    other."""
     options = scalar_options()
     counts = {key: {} for key in options}
     for argv, texts in runs:
@@ -558,6 +603,7 @@ def kind_table(runs):
     print(f"{len(missing)} reachable (command, kind) pairs run by no job" + (":" if missing else ""))
     for pair in missing:
         print(f"  {pair}")
+    return missing
 
 
 def reach():

@@ -454,6 +454,19 @@ def test_every_zigzag_shape_rebuilds_the_grid(width2_int, width3_int):
         assert bent == 2 * g.period * (3 ** (w - 1) - 1)
 
 
+def test_the_sweep_divides_once_per_grown_cell(monkeypatch, width3_int):
+    # each interior row grows its 2n cells past its own two, one division each,
+    # on a straight shape and on a bent one alike
+    shapes = {len(set(shape)) > 1: zz for shape, zz in _zigzag_shapes(width3_int)}
+    divisions, div = [], Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__", lambda a, b: divisions.append(b) or div(a, b))
+    for bent in (False, True):
+        divisions.clear()
+        g = propagate_from_zigzag(shapes[bent])
+        assert len(divisions) == 2 * g.period * g.width, bent
+        assert g == width3_int
+
+
 def test_bent_shapes_name_a_computed_zero():
     # formal_frieze(2) at (-4, -4, -4, -4) is tame, keeps every local rule,
     # and has zeros at display cells (12, 0) and (5, 1) only

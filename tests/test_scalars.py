@@ -79,6 +79,24 @@ def test_gaussian_str_parse_round_trip():
     assert GaussianRational.parse("7/2") == G(Fraction(7, 2))
 
 
+def test_canonical_rational_text_never_reaches_fraction_parsing(monkeypatch):
+    # p and p/q are split into ints by the lexer; only other spellings go to Fraction(text)
+    texts = ("7", "-12", "0", "3/7", " -5/2 ", "120/8", f"{2**70}/3")
+    want = [Fraction(7), Fraction(-12), Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(15),
+            Fraction(2**70, 3)]
+    parsed, new = [], Fraction.__new__
+
+    def spy(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            parsed.append(numerator)
+        return new(cls, numerator, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    assert [RATIONAL.coerce(text) for text in texts] == want
+    assert parsed == []
+    assert RATIONAL.coerce("0.5") == Fraction(1, 2) and parsed == ["0.5"]
+
+
 @pytest.mark.parametrize("kind", [RATIONAL, GAUSSIAN], ids=lambda k: k.name)
 def test_exponent_text_past_the_digit_limit_is_refused_at_once(kind):
     saved = sys.get_int_max_str_digits()
