@@ -45,7 +45,7 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None:
+    if out is None or out == "-":
         sys.stdout.write(text)
         return
     try:

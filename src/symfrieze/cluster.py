@@ -15,7 +15,7 @@ from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .frieze import FriezeError, FriezeGrid, propagate_from_zigzag
-from .scalars import RATIONAL, ScalarKind, _Frozen
+from .scalars import RATIONAL, ScalarKind, _Frozen, _set
 
 __all__ = [
     "NonLaurentQuotient",
@@ -363,8 +363,13 @@ def _find_symmetrizer(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
 class ExchangeMatrix(_Frozen):
     """Square integer matrix admitting a positive integer symmetrizer.
 
-    The symmetrizer is computed on construction; matrices without one
-    are rejected with NotSkewSymmetrizable.
+    The constructor checks the entries and computes the symmetrizer;
+    matrices without one are rejected with NotSkewSymmetrizable.  The
+    matrices this module derives itself are built through `_of` with a
+    symmetrizer known in advance: `c2_square_aw` gives its closed form,
+    and `mutate_matrix` carries the parent's, since D B skew-symmetric
+    implies D mu_k(B) skew-symmetric (Fomin and Zelevinsky, "Cluster
+    algebras I", JAMS 2002, section 4).
     """
 
     __slots__ = ("rows", "_symmetrizer")
@@ -380,7 +385,15 @@ class ExchangeMatrix(_Frozen):
                 if not isinstance(v, int):
                     raise TypeError("entries must be integers")
         super().__init__(rows)
-        object.__setattr__(self, "_symmetrizer", _find_symmetrizer(rows))
+        _set(self, "_symmetrizer", _find_symmetrizer(rows))
+
+    @classmethod
+    def _of(cls, rows: Tuple[Tuple[int, ...], ...], symmetrizer: Tuple[int, ...]) -> "ExchangeMatrix":
+        # rows: a square tuple of int tuples; symmetrizer: theirs, primitive on each component
+        b = object.__new__(cls)
+        _set(b, "rows", rows)
+        _set(b, "_symmetrizer", symmetrizer)
+        return b
 
     @property
     def m(self) -> int:
@@ -393,20 +406,33 @@ class ExchangeMatrix(_Frozen):
 
 
 def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at vertex k (0-based)."""
-    r, m = matrix.rows, matrix.m
-    if not 0 <= k < m:
+    """Matrix mutation at vertex k (0-based).
+
+    b'_ij = -b_ij on row or column k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2.
+    A row i with b_ik = 0 keeps every entry, so only row k and the rows
+    of k's neighbours are rebuilt; every other row is the parent's own
+    tuple.  The result carries the parent's symmetrizer: if D B is
+    skew-symmetric, so is D mu_k(B) (Fomin and Zelevinsky, "Cluster
+    algebras I", JAMS 2002, section 4).  Mutation changes entries only
+    between neighbours of k, so it keeps the components, and D stays
+    primitive on each of them, as `_find_symmetrizer` would return it.
+    """
+    r = matrix.rows
+    if not 0 <= k < len(r):
         raise IndexError(f"vertex {k} out of range")
-    # b'_ij = -b_ij on row or column k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2
-    rows = tuple(
-        tuple(
-            -r[i][j] if i == k or j == k
-            else r[i][j] + (abs(r[i][k]) * r[k][j] + r[i][k] * abs(r[k][j])) // 2
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    return ExchangeMatrix(rows)
+    top = r[k]
+    # for b_ik > 0 the correction is b_ik * max(b_kj, 0); for b_ik < 0, b_ik * max(-b_kj, 0)
+    up = [v if v > 0 else 0 for v in top]
+    down = [-v if v < 0 else 0 for v in top]
+    rows = list(r)
+    rows[k] = tuple(-v for v in top)
+    for i, row in enumerate(r):
+        a = row[k]
+        if a:
+            new = [v + a * p for v, p in zip(row, up if a > 0 else down)]
+            new[k] = -a
+            rows[i] = tuple(new)
+    return ExchangeMatrix._of(tuple(rows), matrix._symmetrizer)
 
 
 def c2_square_aw(width: int) -> ExchangeMatrix:
@@ -415,7 +441,8 @@ def c2_square_aw(width: int) -> ExchangeMatrix:
     Vertices 0..width-1 are the white cells read top to bottom and
     vertices width..2*width-1 the black cells.  Arrow directions
     alternate down each chain; every white-black pair in one row is
-    joined by a weight (1,2) arrow.
+    joined by a weight (1,2) arrow.  The symmetrizer is 2 on the whites
+    and 1 on the blacks.
     """
     if width < 1:
         raise ValueError("width must be positive")
@@ -429,7 +456,7 @@ def c2_square_aw(width: int) -> ExchangeMatrix:
     for i in range(w):
         g[i][w + i] = (-1) ** i
         g[w + i][i] = 2 * (-1) ** (i + 1)
-    return ExchangeMatrix(tuple(tuple(row) for row in g))
+    return ExchangeMatrix._of(tuple(tuple(row) for row in g), (2,) * w + (1,) * w)
 
 
 class Seed(_Frozen):

@@ -255,6 +255,28 @@ MUTANTS = (
         "        if False:\n            raise ZeroDivisionError",
         _DECODER_ORACLE,
     ),
+    Mutant(
+        "mutation carries a permuted symmetrizer",
+        "src/symfrieze/cluster.py",
+        "return ExchangeMatrix._of(tuple(rows), matrix._symmetrizer)",
+        "return ExchangeMatrix._of(tuple(rows), matrix._symmetrizer[::-1])",
+        ("tests/test_cluster.py::test_mutation_keeps_the_symmetrizer",),
+    ),
+    Mutant(
+        "sparse rule reuses a row with b_ik != 0",
+        "src/symfrieze/cluster.py",
+        "        if a:\n            new = [v + a * p",
+        "        if a > 0:\n            new = [v + a * p",
+        ("tests/test_cluster.py::test_quiver_mutation_matches_matrix_mutation",),
+    ),
+    Mutant(
+        # every output stays the same; only the guard sees the symmetrizer search
+        "mutated matrix built through ExchangeMatrix(rows)",
+        "src/symfrieze/cluster.py",
+        "return ExchangeMatrix._of(tuple(rows), matrix._symmetrizer)",
+        "return ExchangeMatrix(tuple(rows))",
+        ("tests/test_cluster.py::test_mutation_takes_the_trusted_path",),
+    ),
 )
 
 def run(mutant: Mutant) -> str:

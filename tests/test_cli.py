@@ -424,6 +424,16 @@ _WRITERS = {
 
 
 @pytest.mark.parametrize("writer", _WRITERS)
+def test_out_dash_writes_stdout(tmp_path, monkeypatch, w2_json, writer):
+    # `-` means stdout for --out as it means stdin for an input
+    monkeypatch.chdir(tmp_path)
+    want = run(_WRITERS[writer], stdin=w2_json)
+    assert want[0] == 0 and want[1]
+    assert run(_WRITERS[writer] + ["--out", "-"], stdin=w2_json) == want
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
 def test_unwritable_out_exits_2(tmp_path, w2_json, writer):
     for target in (tmp_path / "missing" / "f.txt", tmp_path):
         rc, out, err = run(_WRITERS[writer] + ["--out", str(target)], stdin=w2_json)

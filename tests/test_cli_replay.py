@@ -18,10 +18,11 @@ and `polygon to-frieze` on a Gaussian, a complex-float and two planted
 rational polygons (one breaks a first-neighbor pairing, one a
 second-neighbor), one job for each (command, scalar kind) pair that no
 workload reaches, complex-float `eq monodromy` and `eq variety` on
-cycles whose products end on negative zeros, and an `--out` into a
-missing directory.  Its inputs are `bench/oracle.py` grids drawn by
-`bench/workloads.py` `Inputs` from `random.Random(1)`, each job names its
-exit code, and its digest rows sit in `tests/data/cli_replay_extra.json`.
+cycles whose products end on negative zeros, an `--out` into a
+missing directory, and an `--out -`, which writes stdout.  Its inputs
+are `bench/oracle.py` grids drawn by `bench/workloads.py` `Inputs` from
+`random.Random(1)`, each job names its exit code, and its digest rows
+sit in `tests/data/cli_replay_extra.json`.
 
 Seeds 1-3 of the four workloads (1071 jobs) are replayed outside Tier-1 by
 
@@ -294,7 +295,8 @@ def extra_jobs(oracle, workloads):
     jobs += [Extra("monodromy complex signed zero", ["eq", "monodromy"] + signed, 1),
              Extra("variety complex signed zero", ["eq", "variety"] + signed, 1),
              Extra("out unwritable", ["frieze", "from-coeffs"] + coeff_args(a, b, "rational")
-                   + ["--out", "missing/f.txt"], 2)]
+                   + ["--out", "missing/f.txt"], 2),
+             Extra("out dash", ["frieze", "from-coeffs"] + coeff_args(a, b, "rational") + ["--out", "-"], 0)]
     return jobs
 
 

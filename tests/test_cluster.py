@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from oracles import naive_quiver_mutate
+from symfrieze import cli, cluster
 from symfrieze.cluster import (
     ExchangeMatrix,
     LaurentKind,
@@ -15,6 +16,7 @@ from symfrieze.cluster import (
     NotSkewSymmetrizable,
     Seed,
     ZeroSubstitution,
+    _find_symmetrizer,
     belt_step,
     c2_square_aw,
     evaluate_frieze,
@@ -114,16 +116,54 @@ def test_symmetrizer_matches_construction():
         assert ExchangeMatrix(rows).symmetrizer == _primitive_per_component(rows, d)
 
 
+def _random_components(rng):
+    # one to three random blocks and up to two isolated vertices, shuffled together
+    blocks = [_random_symmetrizable(rng, rng.randint(1, 5))[0] for _ in range(rng.randint(1, 3))]
+    blocks += [((0,),)] * rng.randint(0, 2)
+    m = sum(map(len, blocks))
+    rows = [[0] * m for _ in range(m)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at : at + len(row)] = row
+        at += len(block)
+    order = rng.sample(range(m), m)
+    return tuple(tuple(rows[i][j] for j in order) for i in order)
+
+
 def test_mutation_keeps_the_symmetrizer():
-    # Fomin-Zelevinsky: D B skew-symmetric implies D mu_k(B) skew-symmetric
+    # Fomin-Zelevinsky: D B skew-symmetric implies D mu_k(B) skew-symmetric.
+    # Mutation keeps the components, so the carried primitive vector is the
+    # one a fresh search finds.
     rng = random.Random(9)
-    for _ in range(40):
-        rows, _ = _random_symmetrizable(rng, rng.randint(2, 6))
-        M = ExchangeMatrix(rows)
+    for _ in range(60):
+        M = ExchangeMatrix(_random_components(rng))
         for _ in range(8):
             N = mutate_matrix(M, rng.randrange(M.m))
-            assert N.symmetrizer == M.symmetrizer
+            fresh = ExchangeMatrix(N.rows)
+            assert N == fresh and N.symmetrizer == fresh.symmetrizer
             M = N
+
+
+def test_seed_matrix_symmetrizer_is_the_searched_one():
+    for w in range(1, 9):
+        assert c2_square_aw(w).symmetrizer == _find_symmetrizer(c2_square_aw(w).rows)
+
+
+def test_mutation_takes_the_trusted_path(monkeypatch):
+    calls = []
+    search = cluster._find_symmetrizer
+    monkeypatch.setattr(cluster, "_find_symmetrizer", lambda rows: calls.append(rows) or search(rows))
+    M = c2_square_aw(4)
+    for k in (0, 3, 5, 1, 7, 2):
+        N = mutate_matrix(M, k)
+        kept = [i for i in range(M.m) if i != k and not M.rows[i][k]]
+        assert kept and all(N.rows[i] is M.rows[i] for i in kept)
+        M = N
+    assert cli.main(["cluster", "mutate", "--width", "4", "--word", "0,3,5,1,7,2"]) == 0
+    assert calls == []
+    ExchangeMatrix(M.rows)  # the public constructor still searches
+    assert calls == [M.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +214,14 @@ def test_quiver_mutation_matches_matrix_mutation():
         base = ExchangeMatrix(rows)
         for k in range(base.m):
             assert mutate_matrix(base, k).rows == naive_quiver_mutate(base, k)
+    # long words that revisit vertices, on every straight seed of widths 1-5
+    for w in range(1, 6):
+        M = c2_square_aw(w)
+        word = [rng.randrange(min(3, 2 * w)) for _ in range(12)] + [rng.randrange(2 * w) for _ in range(12)]
+        for k in word:
+            N = mutate_matrix(M, k)
+            assert N.rows == naive_quiver_mutate(M, k)
+            M = N
 
 
 def test_quiver_mutation_needs_a_symmetrizer():
