@@ -80,30 +80,6 @@ def _parse_word(text: str, what: str, width: int) -> tuple:
     return word
 
 
-def _add_tolerance(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="absolute tolerance for complex-float comparisons",
-    )
-
-
-def _add_scalar(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scalar",
-        choices=SCALAR_NAMES,
-        default="rational",
-        help="scalar kind for parsing values (default rational)",
-    )
-    _add_tolerance(p)
-
-
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
-    _add_tolerance(p)
-
-
 # document type -> (its name in error messages, converter to the live object)
 _DOCUMENTS = {
     formats.FriezeDocument: ("a frieze document", formats.grid_of),
@@ -348,11 +324,16 @@ _WIDTH = _arg("--width", type=int, required=True)
 _OUT = _arg("--out", default=None, help="write output here instead of stdout")
 _JSON = _arg("--json", action="store_true",
              help="emit canonical JSON instead of the staggered text layout")
-_FRIEZE_IN_OUT = (_add_input, _OUT, _JSON)
+_TOLERANCE = _arg("--tolerance", type=float, default=None,
+                  help="absolute tolerance for complex-float comparisons")
+_SCALAR = (_arg("--scalar", choices=SCALAR_NAMES, default="rational",
+                help="scalar kind for parsing values (default rational)"), _TOLERANCE)
+_INPUT = (_arg("input", nargs="?", default="-", help="input file, or - for stdin"), _TOLERANCE)
+_FRIEZE_IN_OUT = (*_INPUT, _OUT, _JSON)
 _COEFFS = (
     _arg("--a", required=True, help="comma-separated cycle of a-coefficients"),
     _arg("--b", required=True, help="comma-separated cycle of b-coefficients"),
-    _add_scalar,
+    *_SCALAR,
 )
 
 # group -> (help, {command -> (handler, help, argument adders in order)})
@@ -363,8 +344,8 @@ _COMMANDS = {
         "from-zigzag": (_cmd_frieze_from_zigzag, "propagate a frieze from two seed columns", (
             _arg("--values", required=True, help="2*width seed values: the width white values, "
                  "then the width black values, each top to bottom"),
-            _WIDTH, _add_scalar, _OUT, _JSON)),
-        "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", (_add_input,)),
+            _WIDTH, *_SCALAR, _OUT, _JSON)),
+        "verify": (_cmd_frieze_verify, "check local rules, tameness, glide symmetry", _INPUT),
         "show": (_cmd_frieze_show, "re-render a frieze document", _FRIEZE_IN_OUT),
         "twist": (_cmd_frieze_twist, "apply the boundary sign twist", _FRIEZE_IN_OUT),
     }),
@@ -376,11 +357,11 @@ _COMMANDS = {
                     "evaluate the defining residuals of the coefficient variety", _COEFFS),
     }),
     "sl": ("linear friezes and their dualities", {
-        "black": (_cmd_sl_black, "extract the black half of a frieze", (_add_input, _OUT)),
+        "black": (_cmd_sl_black, "extract the black half of a frieze", (*_INPUT, _OUT)),
         "to-symplectic": (_cmd_sl_to_symplectic, "rebuild a frieze from an order-3 band",
                           _FRIEZE_IN_OUT),
-        "dual": (_cmd_sl_dual, "projective dual band", (_add_input, _OUT)),
-        "gale": (_cmd_sl_gale, "Gale dual band", (_add_input, _OUT)),
+        "dual": (_cmd_sl_dual, "projective dual band", (*_INPUT, _OUT)),
+        "gale": (_cmd_sl_gale, "Gale dual band", (*_INPUT, _OUT)),
     }),
     "cluster": ("seed mutation and the mutation belt", {
         "belt": (_cmd_cluster_belt, "alternate the two bipartite mutation classes", (_WIDTH,)),
@@ -391,17 +372,17 @@ _COMMANDS = {
         "evaluate": (_cmd_cluster_evaluate, "specialize seed values into a frieze", (
             _arg("--point", required=True, help="2*width values for the seed columns"),
             _arg("--path", default="", help="mutation word locating the seed, 0-based"),
-            _add_scalar, _OUT, _JSON)),
+            *_SCALAR, _OUT, _JSON)),
     }),
     "polygon": ("antiperiodic polygons in 4-space", {
         "from-frieze": (_cmd_polygon_from_frieze, "slice a polygon out of a frieze", (
             _arg("--anchor", type=int, required=True, help="first row index of the slice"),
-            _add_input, _OUT)),
+            *_INPUT, _OUT)),
         "to-frieze": (_cmd_polygon_to_frieze, "pair vertices back into a frieze", _FRIEZE_IN_OUT),
         "normalize": (_cmd_polygon_normalize,
-                      "rescale vertices to unit second-neighbor pairings", (_add_input, _OUT)),
+                      "rescale vertices to unit second-neighbor pairings", (*_INPUT, _OUT)),
         "coeffs": (_cmd_polygon_coeffs, "read the equation coefficients off a polygon",
-                   (_add_input,)),
+                   _INPUT),
     }),
     "search": ("enumerate positive integer friezes", {
         "enumerate": (_cmd_search_enumerate, "count friezes with seed entries up to a bound", (

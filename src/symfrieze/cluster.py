@@ -10,8 +10,9 @@ i -> j carries the weights (b[i][j], -b[j][i]) wherever b[i][j] > 0.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .frieze import FriezeError, FriezeGrid, propagate_from_zigzag
@@ -174,10 +175,7 @@ class LaurentPolynomial:
             return NotImplemented
         if power < 0:
             return LaurentPolynomial.constant(self.nvars, 1) / self ** (-power)
-        out = LaurentPolynomial.constant(self.nvars, 1)
-        for _ in range(power):
-            out = out * self
-        return out
+        return reduce(mul, [self] * power) if power else LaurentPolynomial.constant(self.nvars, 1)
 
     def __truediv__(self, other) -> "LaurentPolynomial":
         """Exact division; the quotient must again have integer terms."""
@@ -482,16 +480,14 @@ def initial_seed(width: int) -> Seed:
 
 
 def _exchange(values: Sequence, matrix: ExchangeMatrix, k: int, one):
-    """Exchange relation (M+ + M-) / values[k]; M+ and M- take each value to
-    its positive or negative entry of column k, one factor at a time."""
-    pos = neg = one
+    """Exchange relation (M+ + M-) / values[k]; M+ and M- are products of
+    the values, each taken |b_ik| times on the side of the sign of b_ik,
+    in row order.  `one` stands only for a side with no factor."""
+    sides = ([], [])
     for v, row in zip(values, matrix.rows):
         e = row[k]
-        for _ in range(abs(e)):
-            if e > 0:
-                pos = pos * v
-            else:
-                neg = neg * v
+        sides[e < 0].extend([v] * abs(e))
+    pos, neg = (reduce(mul, side) if side else one for side in sides)
     return (pos + neg) / values[k]
 
 

@@ -31,6 +31,7 @@ symmetry tests and the local-rule scan of a rational grid read them.
 """
 
 import operator
+from functools import cache
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -139,14 +140,7 @@ def check_minors(kind: ScalarKind, get, period: int, conditions) -> TameResult:
     The first window whose minor differs from expected(i, j) is reported.
     Each cell is read from `get` once per scan, however many windows share it.
     """
-    seen = {}
-
-    def read(i, j):
-        key = (i, j)
-        if key not in seen:
-            seen[key] = get(i, j)
-        return seen[key]
-
+    read = cache(get)
     for size, offsets, expected in conditions:
         for i, j, value in adjacent_minors(kind, read, size, period, offsets):
             want = expected(i, j)

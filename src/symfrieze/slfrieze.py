@@ -13,6 +13,7 @@ boundary serve as coefficient cycles.  The maps build their results
 through the private `SLFrieze._of`.
 """
 
+from functools import cache
 from typing import Tuple
 
 from .diffeq import _Scaled
@@ -117,12 +118,13 @@ def projective_dual(f: SLFrieze) -> SLFrieze:
 
     The dual entry at (i, j) is the k x k determinant anchored there.
     Composing the map with itself translates the array by one less than
-    the order; order 1 gives it back on the nose.
+    the order; order 1 gives it back on the nose.  Each cell of f is read
+    once, however many windows share it.
     """
     cells = {
         (i, j - i): value
         for i, j, value in adjacent_minors(
-            f.kind, f.get, f.order, f.period, range(-1, f.width + 1)
+            f.kind, cache(f.get), f.order, f.period, range(-1, f.width + 1)
         )
     }
     return SLFrieze._of(f.kind, f.order, f.width, cells)

@@ -1,4 +1,5 @@
 import pytest
+from collections import Counter
 from fractions import Fraction
 
 from symfrieze.frieze import FriezeGrid, propagate_from_coeffs
@@ -20,6 +21,22 @@ def hostile_fractions(rng, count):
     HOSTILE_DENOMINATORS in turn, from the first."""
     dens = HOSTILE_DENOMINATORS
     return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), dens[m % len(dens)]) for m in range(count)]
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """A Counter, by operator name, of the Fraction *, + and - calls made
+    while the test runs, reflected ones included: an int path that falls
+    back to Fraction arithmetic shows up here.  Clear it after building
+    the inputs."""
+    ops = Counter()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        def spy(a, b, op=getattr(Fraction, name), name=name):
+            ops[name] += 1
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    return ops
 
 
 @pytest.fixture(scope="session")

@@ -277,6 +277,44 @@ MUTANTS = (
         "return ExchangeMatrix(tuple(rows))",
         ("tests/test_cluster.py::test_mutation_takes_the_trusted_path",),
     ),
+    Mutant(
+        # every output stays the same; only the guard sees the products with 1
+        "exchange monomials seeded with the constant one",
+        "src/symfrieze/cluster.py",
+        "pos, neg = (reduce(mul, side) if side else one for side in sides)",
+        "pos, neg = (reduce(mul, side, one) for side in sides)",
+        ("tests/test_cluster.py::test_exchange_multiplies_no_constant",),
+    ),
+    Mutant(
+        "minor scan reads through an uncached get",
+        "src/symfrieze/frieze.py",
+        "read = cache(get)",
+        "read = get",
+        ("tests/test_slfrieze.py::test_minor_scan_reads_each_cell_once",),
+    ),
+    Mutant(
+        "projective dual reads through an uncached get",
+        "src/symfrieze/slfrieze.py",
+        "cache(f.get)",
+        "f.get",
+        ("tests/test_slfrieze.py::test_minor_scan_reads_each_cell_once",),
+    ),
+    Mutant(
+        # every output stays the same; only the guard sees the Fraction route
+        "scaled recurrence: rational tables run in Fractions",
+        "src/symfrieze/diffeq.py",
+        "if isinstance(kind, RationalKind):",
+        "if False:",
+        ("tests/test_diffeq.py::test_rational_tables_run_on_ints",),
+    ),
+    Mutant(
+        # every output stays the same; only the guard sees the Fraction route
+        "store reader: rational grids read in Fractions",
+        "src/symfrieze/frieze.py",
+        "if isinstance(kind, RationalKind):",
+        "if False:",
+        ("tests/test_frieze.py::test_rational_rule_scan_runs_on_ints",),
+    ),
 )
 
 def run(mutant: Mutant) -> str:

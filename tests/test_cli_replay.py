@@ -58,7 +58,8 @@ runs the Tier-1 suite in-process under a line tracer limited to the
 package's files, with the package imported afresh under the tracer, and
 prints `file:line: text` for every executable line (one that starts
 bytecode) that no test runs, then, apart, the lines under
-`if __name__ == "__main__":`, which run only when a module is a script.
+`if __name__ == "__main__":`, which run only when a module is a script,
+and last the package's line total, as `wc -l src/symfrieze/*.py` counts it.
 Tests that assert wall-clock limits may fail under the tracer; the lines
 they run still count.
 
@@ -698,8 +699,11 @@ def reach_lines():
     print("run only as a script:")
     for path, n in script:
         print(f"{Path(path).name}:{n}: {_text(path, n)}")
+    modules = Path(symfrieze.__path__[0]).glob("*.py")
+    size = sum(path.read_text(encoding="utf-8").count("\n") for path in modules)
     print(f"{len(missed)} of {total} executable lines are run by no Tier-1 test, "
-          f"and {len(script)} more run only as a script (pytest exit code {status[0]})")
+          f"and {len(script)} more run only as a script (pytest exit code {status[0]}); "
+          f"src/ has {size} lines")
 
 
 if __name__ == "__main__":

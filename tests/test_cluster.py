@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from oracles import naive_quiver_mutate
-from symfrieze import cli, cluster
+from symfrieze import cli, cluster, frieze
 from symfrieze.cluster import (
     ExchangeMatrix,
     LaurentKind,
@@ -164,6 +164,31 @@ def test_mutation_takes_the_trusted_path(monkeypatch):
     assert calls == []
     ExchangeMatrix(M.rows)  # the public constructor still searches
     assert calls == [M.rows]
+
+
+def test_exchange_multiplies_no_constant(monkeypatch):
+    # M+ and M- multiply only column k's own factors, and a power only its
+    # base; the constant 1 stands only for a side with no factor
+    operands = []
+    mul = LaurentPolynomial.__mul__
+
+    def spy(a, b):
+        operands.extend((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", spy)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", spy)
+    s = initial_seed(4)
+    for k in (0, 3, 5, 1, 7, 2):
+        s = mutate_seed(s, k)
+    belt_step(initial_seed(4), 1)
+    assert cli.main(["cluster", "mutate", "--width", "4", "--word", "0,3,5,1,7,2"]) == 0
+    assert X1**3 == X1 * X1 * X1
+
+    def constant(x):
+        return not isinstance(x, LaurentPolynomial) or set(x.terms) <= {(0,) * x.nvars}
+
+    assert operands and not any(map(constant, operands))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +382,10 @@ def test_formal_width1_diagonal():
     got = [F1.get(x, x) for x in range(1, 13)]
     assert got == cycle + cycle
     assert all(v.is_positive() for v in got)
-    # minors of Laurent polynomials run Bareiss over the kind itself
+    # check_tame decides an exact grid by rebuilding it, so the minor scan,
+    # Bareiss over the Laurent kind, is run on its own
     assert check_tame(F1).ok
+    assert all(frieze._scan_tame(formal_frieze(w)).ok for w in (1, 2))
 
 
 @pytest.mark.parametrize("w", range(1, 6))

@@ -376,6 +376,19 @@ def _recur_params(cases):
     return pytest.mark.parametrize("kind,table", [c[1:] for c in cases], ids=[c[0] for c in cases])
 
 
+def test_rational_tables_run_on_ints(fraction_ops):
+    # `_Scaled` runs a rational table on ints and builds each value once,
+    # so Fraction arithmetic here means the table took the kind's own route
+    cases = [table for name, kind, table in RECUR_CASES if kind is RATIONAL and not name.endswith("moved")]
+    eqs = [SymmetricDiffEq(table[0], table[1], RATIONAL) for table in cases if len(table) == 3]
+    fraction_ops.clear()
+    for table in cases:
+        from_equation(table, RATIONAL)
+    for eq in eqs:
+        monodromy(eq)
+    assert len(eqs) > 1 and not fraction_ops
+
+
 def _assert_canonical(v):
     # lowest terms and a positive denominator, hashed like a fresh value
     if isinstance(v, Fraction):

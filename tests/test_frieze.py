@@ -291,6 +291,15 @@ def test_local_rules_match_the_full_row_scan(grid):
     assert check_local_rules(grid) == naive_local_rules(grid)
 
 
+def test_rational_rule_scan_runs_on_ints(fraction_ops):
+    # `_store_reader` scales a rational grid to ints once, so Fraction
+    # arithmetic here means the scan read the stored Fractions
+    grids = [g for _, g in LOCAL_RULE_CASES if g.kind is RATIONAL]
+    fraction_ops.clear()
+    bad = [check_local_rules(g) for g in grids]
+    assert any(bad) and not all(bad) and not fraction_ops
+
+
 @pytest.mark.parametrize("colour", [0, 1])
 def test_with_entry_one_period_off(colour):
     _, kind, w, cells = BAND_CASES[0]

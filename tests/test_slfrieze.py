@@ -103,6 +103,8 @@ def test_unimodular_fixtures(blacks2, blacks3, width1_signed, width7_zero):
 
 
 def test_minor_scan_reads_each_cell_once(blacks3, monkeypatch):
+    # a width-4 band has 104 cells in its dual's 54 windows of 9 reads each
+    band = black_of(propagate_from_zigzag([1] * 8, 4))
     reads = Counter()
     get = SLFrieze.get
 
@@ -111,8 +113,14 @@ def test_minor_scan_reads_each_cell_once(blacks3, monkeypatch):
         return get(self, i, j)
 
     monkeypatch.setattr(SLFrieze, "get", counting_get)
-    assert check_unimodular(blacks3).ok
-    assert reads and max(reads.values()) == 1
+    for f in (blacks3, band):
+        reads.clear()
+        assert check_unimodular(f).ok
+        assert reads and max(reads.values()) == 1, f.width
+        reads.clear()
+        projective_dual(f)
+        assert reads and max(reads.values()) == 1, f.width
+    assert len(reads) == 104
 
 
 # ---------------------------------------------------------------------------
